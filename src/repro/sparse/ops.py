@@ -17,17 +17,20 @@ tests compare against these functions.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from .csr import CSRMatrix
 
-#: Nonzeros per chunk of the SDDMM reference gathers. The ``lhs[row_ids]``/
-#: ``rhs[col_ids]`` gathers materialize ``(chunk, k)`` fp32 temporaries;
-#: chunking bounds peak memory at ~``2 * SDDMM_CHUNK_NNZ * k * 4`` bytes
-#: (a few hundred MB at k=512) regardless of the mask's nnz, so a huge
-#: SuiteSparse mask cannot blow up the reference path.
+#: Nonzeros (summed over heads) per chunk of the SDDMM reference gathers.
+#: The ``lhs[:, row_ids]``/``rhs[:, col_ids]`` gathers materialize
+#: ``(H, chunk, k)`` fp32 temporaries; chunking bounds peak memory at
+#: ~``2 * SDDMM_CHUNK_NNZ * k * 4`` bytes (a few hundred MB at k=512)
+#: regardless of the mask's nnz, so a huge SuiteSparse mask cannot blow up
+#: the reference path.
 SDDMM_CHUNK_NNZ = 1 << 18
 
-#: Batched-SDDMM fast path: when the full dense product stack holds at most
+#: Dense-sample path of the SDDMM reference, for both the single and the
+#: batched entry point: when the full dense product stack holds at most
 #: this many fp32 elements (64 MB) AND the mask is at least
 #: :data:`SDDMM_DENSE_SAMPLE_DENSITY` dense, compute one batched BLAS GEMM
 #: and sample the mask coordinates from it. Per-nonzero gathers move ~2k
@@ -48,8 +51,13 @@ def spmm_reference(a: CSRMatrix, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b)
     if b.ndim != 2 or b.shape[0] != a.n_cols:
         raise ValueError(f"B shape {b.shape} incompatible with A {a.shape}")
-    sp = a.to_scipy().astype(np.float32)
-    out = sp @ b.astype(np.float32)
+    # The scipy operand shares A's fp32 values and native index arrays;
+    # fp16 values widen to fp32 exactly, so no fp64 detour is needed.
+    values = a.values.astype(np.float32, copy=False)
+    sp = sparse.csr_matrix(
+        (values, a.column_indices, a.row_offsets), shape=a.shape, copy=False
+    )
+    out = sp @ b.astype(np.float32, copy=False)
     return np.asarray(out, dtype=a.values.dtype)
 
 
@@ -62,53 +70,28 @@ def sddmm_reference(
 ) -> CSRMatrix:
     """Sampled dense–dense matmul: ``(lhs @ rhs.T)`` at ``mask`` nonzeros.
 
-    Computes only the dot products for the nonzero positions of ``mask``
-    (the whole point of SDDMM). With ``scale_by_values`` the textbook
-    element-wise scaling ``A B^T ∘ C`` is applied; the default matches the
-    paper's deep-learning variant ``A B^T ∘ I[C]``.
+    With ``scale_by_values`` the textbook element-wise scaling
+    ``A B^T ∘ C`` is applied; the default matches the paper's
+    deep-learning variant ``A B^T ∘ I[C]``. This is the ``H = 1`` case of
+    :func:`sddmm_batched_reference`, so both share one sampling core.
     """
-    lhs = np.asarray(lhs, dtype=np.float32)
-    rhs = np.asarray(rhs, dtype=np.float32)
-    rows, cols = mask.shape
-    if lhs.shape[0] != rows or rhs.shape[0] != cols:
-        raise ValueError(
-            f"operands {lhs.shape} x {rhs.shape}^T incompatible with "
-            f"mask {mask.shape}"
-        )
-    if lhs.shape[1] != rhs.shape[1]:
-        raise ValueError("lhs and rhs must share the inner dimension")
-    row_ids = np.repeat(np.arange(rows), mask.row_lengths)
-    col_ids = mask.column_indices.astype(np.int64)
-    # Gathered batched dot products: one per nonzero, never materializing
-    # the dense product. The gathers run in nnz chunks so peak memory is
-    # bounded by SDDMM_CHUNK_NNZ, not the mask's nnz.
-    out_vals = np.empty(mask.nnz, dtype=np.float32)
-    for start in range(0, mask.nnz, SDDMM_CHUNK_NNZ):
-        sl = slice(start, start + SDDMM_CHUNK_NNZ)
-        out_vals[sl] = np.einsum(
-            "nk,nk->n", lhs[row_ids[sl]], rhs[col_ids[sl]], dtype=np.float32
-        )
-    if scale_by_values:
-        out_vals = out_vals * mask.values.astype(np.float32)
-    return mask.with_values(out_vals.astype(mask.values.dtype))
+    out = sddmm_batched_reference(
+        np.asarray(lhs)[None],
+        np.asarray(rhs)[None],
+        mask,
+        scale_by_values=scale_by_values,
+    )
+    return mask.with_values(out[:, 0])
 
 
 def sparse_softmax_reference(a: CSRMatrix, scale: float = 1.0) -> CSRMatrix:
     """Row-wise softmax over the nonzero values of ``a``.
 
-    Rows with no nonzeros stay empty. Numerically stabilized with the
-    per-row max, like any production softmax.
+    Rows with no nonzeros stay empty. The ``H = 1`` case of
+    :func:`sparse_softmax_batched_reference`.
     """
-    vals = a.values.astype(np.float32) * np.float32(scale)
-    lengths = a.row_lengths
-    row_ids = np.repeat(np.arange(a.n_rows), lengths)
-    row_max = np.full(a.n_rows, -np.inf, dtype=np.float32)
-    np.maximum.at(row_max, row_ids, vals)
-    shifted = np.exp(vals - row_max[row_ids])
-    row_sum = np.zeros(a.n_rows, dtype=np.float32)
-    np.add.at(row_sum, row_ids, shifted)
-    out = shifted / row_sum[row_ids]
-    return a.with_values(out.astype(a.values.dtype))
+    out = sparse_softmax_batched_reference(a, a.values[:, None], scale)
+    return a.with_values(out[:, 0])
 
 
 def spmm_batched_reference(
@@ -142,8 +125,6 @@ def spmm_batched_reference(
         raise ValueError(
             f"per-head values shape {values.shape} != ({h}, {a.nnz})"
         )
-    from scipy import sparse as sp
-
     # Block-diagonal stacking: H copies of the structure with per-head
     # values — still exactly one sparse matmul.
     offsets = np.concatenate(
@@ -153,11 +134,11 @@ def spmm_batched_reference(
     indices = np.concatenate(
         [a.column_indices.astype(np.int64) + i * k for i in range(h)]
     )
-    block = sp.csr_matrix(
-        (values.astype(np.float32).ravel(), indices, offsets),
+    block = sparse.csr_matrix(
+        (values.astype(np.float32, copy=False).ravel(), indices, offsets),
         shape=(h * a.n_rows, h * k),
     )
-    out = block @ b_stack.reshape(h * k, n).astype(np.float32)
+    out = block @ b_stack.reshape(h * k, n).astype(np.float32, copy=False)
     return np.asarray(out, dtype=values.dtype).reshape(h, a.n_rows, n)
 
 
@@ -172,14 +153,15 @@ def sddmm_batched_reference(
 
     ``lhs_stack`` is ``(H, rows, k)`` and ``rhs_stack`` ``(H, cols, k)``;
     returns the column-stacked ``(nnz, H)`` value matrix (one column per
-    head, all sharing ``mask``'s topology).
+    head, all sharing ``mask``'s topology). Only the dot products at the
+    mask's nonzeros are needed (the whole point of SDDMM).
 
-    Moderately-dense small masks take a batched-GEMM fast path: one BLAS
-    ``lhs @ rhs^T`` for the whole stack, sampled at the mask coordinates —
-    per-nonzero gathers cost far more per flop than a GEMM once a few
-    percent of the product is needed. Large or very sparse problems fall
-    back to gathers chunked over nnz blocks like :func:`sddmm_reference`,
-    so peak memory stays bounded either way.
+    Moderately-dense small masks take the dense-sample path: one BLAS
+    ``lhs @ rhs^T`` for the whole stack, sampled with a flat ``take`` at
+    the mask coordinates — per-nonzero gathers cost far more per flop
+    than a GEMM once a few percent of the product is needed. Large or very
+    sparse problems fall back to per-nonzero gathers chunked over nnz
+    blocks, so peak memory stays bounded either way.
     """
     lhs_stack = np.asarray(lhs_stack, dtype=np.float32)
     rhs_stack = np.asarray(rhs_stack, dtype=np.float32)
@@ -193,20 +175,24 @@ def sddmm_batched_reference(
     rows, cols = mask.shape
     if lhs_stack.shape[1] != rows or rhs_stack.shape[1] != cols:
         raise ValueError(
-            f"stacks {lhs_stack.shape} x {rhs_stack.shape}^T incompatible "
+            f"operands {lhs_stack.shape} x {rhs_stack.shape}^T incompatible "
             f"with mask {mask.shape}"
         )
     if lhs_stack.shape[2] != rhs_stack.shape[2]:
-        raise ValueError("lhs and rhs stacks must share the inner dimension")
+        raise ValueError("lhs and rhs must share the inner dimension")
     h = lhs_stack.shape[0]
     row_ids = np.repeat(np.arange(rows), mask.row_lengths)
-    col_ids = mask.column_indices.astype(np.int64)
+    col_ids = mask.column_indices
     dense_elems = h * rows * cols
     density = mask.nnz / max(1, rows * cols)
     if dense_elems <= SDDMM_DENSE_SAMPLE_ELEMS and density >= SDDMM_DENSE_SAMPLE_DENSITY:
         scores = np.matmul(lhs_stack, rhs_stack.transpose(0, 2, 1))
-        out_vals = np.ascontiguousarray(scores[:, row_ids, col_ids].T)
+        flat = row_ids * cols + col_ids
+        out_vals = np.ascontiguousarray(
+            scores.reshape(h, rows * cols).take(flat, axis=1).T
+        )
     else:
+        # One gathered dot product per nonzero, never the dense product.
         out_vals = np.empty((mask.nnz, h), dtype=np.float32)
         chunk = max(1, SDDMM_CHUNK_NNZ // max(1, h))
         for start in range(0, mask.nnz, chunk):
@@ -219,30 +205,37 @@ def sddmm_batched_reference(
             )
     if scale_by_values:
         out_vals = out_vals * mask.values.astype(np.float32)[:, None]
-    return out_vals.astype(mask.values.dtype)
+    return out_vals.astype(mask.values.dtype, copy=False)
 
 
 def sparse_softmax_batched_reference(
     a: CSRMatrix, values: np.ndarray, scale: float = 1.0
 ) -> np.ndarray:
     """Row-wise softmax over a ``(nnz, H)`` value matrix sharing ``a``'s
-    topology — one vectorized pass over all heads."""
+    topology — one vectorized pass over all heads.
+
+    Each non-empty CSR row is a contiguous segment of the value matrix, so
+    the per-row max and sum are segmented reductions (``reduceat``) over
+    those segments, broadcast back by repeating each row's result over
+    its length. Numerically stabilized with the per-row max, like any
+    production softmax.
+    """
     values = np.asarray(values)
     if values.ndim != 2 or values.shape[0] != a.nnz:
         raise ValueError(
             f"value matrix shape {values.shape} != ({a.nnz}, H)"
         )
-    vals = values.astype(np.float32) * np.float32(scale)
-    h = vals.shape[1]
+    vals = np.multiply(values, np.float32(scale), dtype=np.float32)
     lengths = a.row_lengths
-    row_ids = np.repeat(np.arange(a.n_rows), lengths)
-    row_max = np.full((a.n_rows, h), -np.inf, dtype=np.float32)
-    np.maximum.at(row_max, row_ids, vals)
-    shifted = np.exp(vals - row_max[row_ids])
-    row_sum = np.zeros((a.n_rows, h), dtype=np.float32)
-    np.add.at(row_sum, row_ids, shifted)
-    out = shifted / row_sum[row_ids]
-    return out.astype(values.dtype)
+    nonempty = lengths > 0
+    # reduceat cannot express an empty segment: reduce over the non-empty
+    # rows only, whose starts partition [0, nnz) exactly.
+    starts = a.row_offsets[:-1][nonempty]
+    lengths = lengths[nonempty]
+    vals -= np.repeat(np.maximum.reduceat(vals, starts, axis=0), lengths, axis=0)
+    np.exp(vals, out=vals)
+    vals /= np.repeat(np.add.reduceat(vals, starts, axis=0), lengths, axis=0)
+    return vals.astype(values.dtype, copy=False)
 
 
 def spmm_flops(a: CSRMatrix, n: int) -> float:

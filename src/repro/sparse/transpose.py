@@ -37,11 +37,14 @@ class CachedTranspose:
             )
 
         src_rows = np.repeat(np.arange(rows, dtype=np.int64), a.row_lengths)
-        src_cols = a.column_indices.astype(np.int64)
+        src_cols = a.column_indices
         # Stable argsort by destination row (= source column) keeps nonzeros
         # within each transposed row ordered by source row, i.e. the result
-        # has sorted column indices.
-        self.permutation = np.argsort(src_cols, kind="stable")
+        # has sorted column indices. numpy's stable sort of 16-bit keys is
+        # a radix sort, several times faster than the merge sort it uses
+        # for wider keys, and every column index fits when cols <= 65536.
+        keys = src_cols.astype(np.uint16) if cols <= 1 << 16 else src_cols
+        self.permutation = np.argsort(keys, kind="stable")
         counts = np.bincount(src_cols, minlength=cols)
         self.row_offsets = np.zeros(cols + 1, dtype=np.int64)
         np.cumsum(counts, out=self.row_offsets[1:])

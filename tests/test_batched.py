@@ -12,7 +12,9 @@ VII-C1). These tests pin the contract:
   ONCE for the whole batch: one DispatchReport, one fallback counter tick,
   not H of either;
 - **references** — the chunked SDDMM gathers match the unchunked einsum
-  bit for bit, so bounding peak memory cannot change results;
+  bit for bit, so bounding peak memory cannot change results, and the
+  single-matrix references are exactly the H = 1 column of the batched
+  ones on both SDDMM paths;
 - **plumbing** — model paths (attention, MobileNet) and the sweep's ``h``
   dimension ride the same batched dispatch.
 """
@@ -246,6 +248,12 @@ class TestBatchedReliability:
 # Chunked SDDMM reference (bounded peak memory)
 # ----------------------------------------------------------------------
 class TestChunkedSddmmReference:
+    @pytest.fixture(autouse=True)
+    def _gather_path(self, monkeypatch):
+        """These small masks would take the dense-sample path; force the
+        chunked gathers so chunking is what gets exercised."""
+        monkeypatch.setattr(sparse_ops, "SDDMM_DENSE_SAMPLE_DENSITY", 2.0)
+
     def test_chunked_equals_unchunked(self, rng, monkeypatch):
         """Chunking the gathers over nnz blocks is bit-identical: each
         nonzero's dot product is computed the same way either way."""
@@ -269,19 +277,73 @@ class TestChunkedSddmmReference:
         assert np.array_equal(full.values, chunked.values)
 
     def test_batched_gather_path_matches_dense_sample(self, rng, monkeypatch):
-        """The chunked-gather fallback and the dense-sample fast path of
-        the batched reference agree on the same problem."""
+        """The chunked-gather fallback and the dense-sample fast path agree
+        on the same problem, for the batched and the single reference."""
         mask = random_sparse(rng, 48, 40, 0.3)
         lhs = rng.standard_normal((4, 48, 16)).astype(np.float32)
         rhs = rng.standard_normal((4, 40, 16)).astype(np.float32)
+        monkeypatch.setattr(sparse_ops, "SDDMM_DENSE_SAMPLE_DENSITY", 0.02)
         dense_path = sparse_ops.sddmm_batched_reference(lhs, rhs, mask)
+        dense_single = sparse_ops.sddmm_reference(lhs[0], rhs[0], mask)
         # Force the gather path with a tiny chunk so chunking is exercised.
         monkeypatch.setattr(sparse_ops, "SDDMM_DENSE_SAMPLE_DENSITY", 2.0)
         monkeypatch.setattr(sparse_ops, "SDDMM_CHUNK_NNZ", 16)
         gather_path = sparse_ops.sddmm_batched_reference(lhs, rhs, mask)
+        gather_single = sparse_ops.sddmm_reference(lhs[0], rhs[0], mask)
         np.testing.assert_allclose(
             dense_path, gather_path, rtol=1e-5, atol=1e-5
         )
+        np.testing.assert_allclose(
+            dense_single.values, gather_single.values, rtol=1e-5, atol=1e-5
+        )
+
+
+class TestReferencesBatchedEqualsLooped:
+    """The single-matrix references are the H = 1 case of the batched
+    ones, so the batched value matrix equals the per-head loop exactly."""
+
+    @pytest.mark.parametrize("h", HEADS)
+    @pytest.mark.parametrize("path", ["dense", "gather"])
+    @pytest.mark.parametrize("scale_by_values", [False, True])
+    def test_sddmm(self, rng, monkeypatch, h, path, scale_by_values):
+        if path == "gather":
+            monkeypatch.setattr(sparse_ops, "SDDMM_DENSE_SAMPLE_DENSITY", 2.0)
+            monkeypatch.setattr(sparse_ops, "SDDMM_CHUNK_NNZ", 16)
+        mask = random_sparse(rng, 48, 40, 0.3)
+        lhs = rng.standard_normal((h, 48, 16)).astype(np.float32)
+        rhs = rng.standard_normal((h, 40, 16)).astype(np.float32)
+        batched = sparse_ops.sddmm_batched_reference(
+            lhs, rhs, mask, scale_by_values=scale_by_values
+        )
+        looped = np.stack(
+            [
+                sparse_ops.sddmm_reference(
+                    lhs[i], rhs[i], mask, scale_by_values=scale_by_values
+                ).values
+                for i in range(h)
+            ],
+            axis=1,
+        )
+        assert np.array_equal(batched, looped)
+
+    @pytest.mark.parametrize("h", HEADS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_sparse_softmax(self, rng, h, dtype):
+        a = random_sparse(rng, 64, 64, 0.3, dtype=dtype)
+        values = rng.standard_normal((a.nnz, h)).astype(dtype)
+        batched = sparse_ops.sparse_softmax_batched_reference(
+            a, values, scale=0.5
+        )
+        looped = np.stack(
+            [
+                sparse_ops.sparse_softmax_reference(
+                    a.with_values(values[:, i]), scale=0.5
+                ).values
+                for i in range(h)
+            ],
+            axis=1,
+        )
+        assert np.array_equal(batched, looped)
 
 
 # ----------------------------------------------------------------------

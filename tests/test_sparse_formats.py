@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.sparse import (
     BlockSparseMatrix,
@@ -77,6 +78,72 @@ class TestTranspose:
         dense[1, 2] = 3.0
         t = transpose(CSRMatrix.from_dense(dense))
         assert np.array_equal(t.to_dense(), dense.T)
+
+
+def coordinate_matrix(rows, cols, row_ids, col_ids, dtype=np.float32):
+    """CSR matrix with ones at the given (row, col) pairs (deduplicated)."""
+    coo = sp.coo_matrix(
+        (np.ones(len(row_ids)), (row_ids, col_ids)), shape=(rows, cols)
+    )
+    return CSRMatrix.from_scipy(coo, dtype=dtype)
+
+
+def argsort_transpose(a):
+    """The plan a 64-bit-key stable argsort gives: permutation, transposed
+    row offsets and transposed column indices."""
+    src_cols = a.column_indices.astype(np.int64)
+    perm = np.argsort(src_cols, kind="stable")
+    offsets = np.zeros(a.n_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src_cols, minlength=a.n_cols), out=offsets[1:])
+    src_rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_lengths)
+    return perm, offsets, src_rows[perm]
+
+
+class TestCachedTransposeKeys:
+    """The narrow sort keys must reproduce the 64-bit stable argsort."""
+
+    @staticmethod
+    def assert_matches_argsort(a):
+        plan = CachedTranspose(a)
+        perm, offsets, indices = argsort_transpose(a)
+        assert np.array_equal(plan.permutation, perm)
+        assert np.array_equal(plan.row_offsets, offsets)
+        assert np.array_equal(plan.column_indices, indices)
+        assert plan.column_indices.dtype == a.column_indices.dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_uniform(self, rng, dtype):
+        rows, cols = 300, 257
+        dense = rng.random((rows, cols)) < 0.1
+        self.assert_matches_argsort(CSRMatrix.from_mask(dense, dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_power_law(self, rng, dtype):
+        """Zipf-distributed columns: a few very long transposed rows."""
+        rows, cols, nnz = 400, 3000, 20000
+        row_ids = rng.integers(0, rows, nnz)
+        col_ids = np.minimum(rng.zipf(1.5, nnz) - 1, cols - 1)
+        a = coordinate_matrix(rows, cols, row_ids, col_ids, dtype=dtype)
+        self.assert_matches_argsort(a)
+
+    @pytest.mark.parametrize("cols", [65536, 65537])
+    def test_16_bit_key_boundary(self, rng, cols):
+        """Columns up to 65535 fit a 16-bit key; one more does not."""
+        rows, nnz = 8, 4000
+        row_ids = rng.integers(0, rows, nnz)
+        col_ids = rng.integers(0, cols, nnz)
+        row_ids[:2] = [0, 5]
+        col_ids[:2] = [cols - 1, cols - 1]
+        row_ids[2:4] = [3, 3]
+        col_ids[2:4] = [cols - 2, 0]
+        a = coordinate_matrix(rows, cols, row_ids, col_ids)
+        self.assert_matches_argsort(a)
+        assert np.array_equal(transpose(a).to_dense(), a.to_dense().T)
+
+    def test_no_nonzeros(self):
+        a = CSRMatrix.from_mask(np.zeros((6, 9), dtype=bool))
+        self.assert_matches_argsort(a)
+        assert transpose(a).shape == (9, 6)
 
 
 class TestPadding:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sparse import (
     CSRMatrix,
@@ -11,6 +13,47 @@ from repro.sparse import (
     spmm_flops,
     spmm_reference,
 )
+from repro.sparse.ops import sparse_softmax_batched_reference
+
+
+def scatter_softmax(a: CSRMatrix, values: np.ndarray, scale: float = 1.0):
+    """Independent softmax oracle: per-nonzero ``ufunc.at`` scatters of the
+    row max and row sum, against which the segmented reductions of
+    :func:`sparse_softmax_batched_reference` are checked."""
+    vals = values.astype(np.float32) * np.float32(scale)
+    h = vals.shape[1]
+    row_ids = np.repeat(np.arange(a.n_rows), a.row_lengths)
+    row_max = np.full((a.n_rows, h), -np.inf, dtype=np.float32)
+    np.maximum.at(row_max, row_ids, vals)
+    shifted = np.exp(vals - row_max[row_ids])
+    row_sum = np.zeros((a.n_rows, h), dtype=np.float32)
+    np.add.at(row_sum, row_ids, shifted)
+    return (shifted / row_sum[row_ids]).astype(values.dtype)
+
+
+@st.composite
+def softmax_problems(draw):
+    """A CSR topology whose rows are often empty or of length 1, plus an
+    ``(nnz, H)`` value matrix, a dtype and a scale."""
+    rows = draw(st.integers(0, 24))
+    cols = draw(st.integers(1, 24))
+    lengths = draw(
+        st.lists(
+            st.sampled_from([0, 1]) | st.integers(0, cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    mask = np.zeros((rows, cols), dtype=bool)
+    for i, length in enumerate(lengths):
+        mask[i, rng.permutation(cols)[:length]] = True
+    dtype = draw(st.sampled_from([np.float32, np.float16]))
+    a = CSRMatrix.from_mask(mask, dtype=dtype)
+    h = draw(st.sampled_from([1, 4, 8]))
+    values = (4 * rng.standard_normal((a.nnz, h))).astype(dtype)
+    scale = draw(st.sampled_from([1.0, 0.125, 3.0]))
+    return a, values, scale
 
 
 class TestSpmmReference:
@@ -37,6 +80,18 @@ class TestSpmmReference:
         a = CSRMatrix.from_dense(np.eye(8, dtype=np.float32))
         b = np.arange(8 * 3, dtype=np.float32).reshape(8, 3)
         assert np.allclose(spmm_reference(a, b), b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_bit_identical_to_fp64_scipy_operand(self, small_sparse, rng, dtype):
+        """Building the scipy operand from the native fp32 values and index
+        arrays gives the same product as the fp64 ``to_scipy`` operand cast
+        back to fp32: the fp32 -> fp64 -> fp32 round trip is exact."""
+        a = small_sparse.astype(dtype)
+        b = rng.standard_normal((a.n_cols, 16)).astype(dtype)
+        oracle = a.to_scipy().astype(np.float32) @ b.astype(np.float32)
+        out = spmm_reference(a, b)
+        assert out.dtype == dtype
+        assert np.array_equal(out, np.asarray(oracle, dtype=dtype))
 
 
 class TestSddmmReference:
@@ -118,6 +173,26 @@ class TestSparseSoftmax:
     def test_empty_rows_stay_empty(self, small_sparse):
         out = sparse_softmax_reference(small_sparse)
         assert out.row_lengths[7] == 0
+
+    @settings(deadline=None, max_examples=60)
+    @given(softmax_problems())
+    def test_segmented_matches_scatter_oracle(self, problem):
+        a, values, scale = problem
+        out = sparse_softmax_batched_reference(a, values, scale)
+        assert out.dtype == values.dtype
+        tol = 1e-6 if values.dtype == np.float32 else 1e-3
+        np.testing.assert_allclose(
+            out, scatter_softmax(a, values, scale), rtol=tol, atol=tol
+        )
+
+    @pytest.mark.parametrize("h", [1, 4, 8])
+    @pytest.mark.parametrize("rows", [0, 5])
+    def test_all_empty_matrix(self, rows, h):
+        a = CSRMatrix.from_mask(np.zeros((rows, 6), dtype=bool))
+        values = np.zeros((0, h), dtype=np.float32)
+        out = sparse_softmax_batched_reference(a, values, scale=2.0)
+        assert out.shape == (0, h)
+        assert sparse_softmax_reference(a).nnz == 0
 
 
 class TestFlopCounts:
