@@ -395,16 +395,11 @@ def _operand_bytes(matrix) -> int:
 def _residency_key(matrix, backend: str) -> tuple[str, str]:
     """Device-residency identity of one sparse operand.
 
-    CSR matrices carry a memoized construction-time structure checksum, so
-    the hot path pays a ``getattr`` instead of a second content hash; CSC
-    (and anything else) falls back to :func:`matrix_fingerprint`. The
-    backend class is part of the key because ASpT keeps its own inflated
-    tiled representation resident next to the CSR arrays.
+    The structure part is the matrix's memoized fingerprint. The backend
+    class is part of the key because ASpT keeps its own inflated tiled
+    representation resident next to the CSR arrays.
     """
-    checksum = getattr(matrix, "_structure_checksum", None)
-    if checksum is None:
-        checksum = matrix_fingerprint(matrix)
-    return (checksum, "aspt" if backend == "aspt" else "csr")
+    return (matrix.fingerprint, "aspt" if backend == "aspt" else "csr")
 
 
 class _MemoryScope:

@@ -7,15 +7,15 @@ update weight values in place, attention heads sharing one connectivity
 pattern, and repeated benchmark invocations all hit the same plan.
 
 The cache key is a :func:`matrix_fingerprint` — a content hash of the
-structure arrays — so "matrix identity" is structural, not ``id()``-based:
-rebuilding an identical CSR matrix still hits, and mutating a topology in
-place misses (the fingerprint changes), which is exactly the invalidation
-the paper's setup/compute split requires (Section IX).
+structure arrays, memoized on the matrix — so "matrix identity" is
+structural, not ``id()``-based: rebuilding an identical CSR matrix still
+hits, and a topology edited in place and then ``invalidate()``-d misses
+(the fingerprint changes), which is exactly the invalidation the paper's
+setup/compute split requires (Section IX).
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
@@ -52,52 +52,20 @@ DEFAULT_MAX_PLANS = 512
 
 
 def matrix_fingerprint(matrix: Any) -> str:
-    """Hash a sparse matrix's *structure*: offsets, indices, shape, dtype.
+    """A sparse matrix's structure identity: offsets, indices, shape, dtype.
 
     Values are deliberately excluded — plans are valid across value updates
-    (e.g. an optimizer step on a fixed sparsity pattern). Works on CSR
-    (``row_offsets``/``column_indices``) and CSC (``col_offsets``/
-    ``row_indices``) matrices by duck typing.
+    (e.g. an optimizer step on a fixed sparsity pattern). CSR and CSC
+    matrices hash their structure once, at construction, so this is an
+    attribute read (see :class:`~repro.sparse.csr.StructureIdentity`).
     """
-    cached = getattr(matrix, "_structure_fp", None)
-    if cached is not None:
-        return cached
-    if hasattr(matrix, "row_offsets"):
-        kind = b"csr"
-        offsets = matrix.row_offsets
-        indices = matrix.column_indices
-    elif hasattr(matrix, "col_offsets"):
-        kind = b"csc"
-        offsets = matrix.col_offsets
-        indices = matrix.row_indices
-    else:
+    try:
+        return matrix.fingerprint
+    except AttributeError:
         raise TypeError(
             f"cannot fingerprint {type(matrix).__name__}: expected a CSR or "
             "CSC matrix"
-        )
-    h = hashlib.blake2b(digest_size=16)
-    h.update(kind)
-    h.update(repr(tuple(matrix.shape)).encode())
-    h.update(str(matrix.values.dtype).encode())
-    h.update(np.ascontiguousarray(offsets).tobytes())
-    h.update(np.ascontiguousarray(indices).tobytes())
-    return h.hexdigest()
-
-
-def _stamp_fingerprint(matrix: Any, fp: str) -> None:
-    """Memoize ``fp`` on ``matrix`` (``_structure_fp``).
-
-    Only :func:`topology_delta` stamps: matrices flowing through the
-    dynamic-sparsity path are structurally immutable by contract (each
-    mutation builds a *new* child CSR), so re-hashing ~nnz bytes on every
-    plan lookup of a training step is pure waste. Matrices that never meet
-    a delta keep the hash-on-every-call behaviour, including the
-    documented in-place-mutation-changes-the-fingerprint property.
-    """
-    try:
-        object.__setattr__(matrix, "_structure_fp", fp)
-    except (AttributeError, TypeError):  # slots / exotic duck types
-        pass
+        ) from None
 
 
 def topology_delta(
@@ -117,19 +85,12 @@ def topology_delta(
     """
     if rows is None:
         rows = edited_rows(parent, child)
-    parent_fp = matrix_fingerprint(parent)
-    child_fp = matrix_fingerprint(child)
-    # Memoize on both endpoints: the child is the next dispatch's operand
-    # (and the next mutation's parent), so every subsequent plan lookup —
-    # and the next step's delta — skips the O(nnz) hash.
-    _stamp_fingerprint(parent, parent_fp)
-    _stamp_fingerprint(child, child_fp)
     return make_delta(
         parent,
         child,
         rows,
-        parent_fp=parent_fp,
-        child_fp=child_fp,
+        parent_fp=matrix_fingerprint(parent),
+        child_fp=matrix_fingerprint(child),
         values_preserved=values_preserved,
     )
 

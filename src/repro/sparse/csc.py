@@ -7,16 +7,17 @@ CSC also backs the transposed-operand path used in training (Section IX).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .csr import INDEX_DTYPE_FOR_VALUES, CSRMatrix
+from .csr import INDEX_DTYPE_FOR_VALUES, CSRMatrix, StructureIdentity
 
 
 @dataclass
-class CSCMatrix:
+class CSCMatrix(StructureIdentity):
     """A sparse matrix in compressed-sparse-column format."""
 
     shape: tuple[int, int]
@@ -24,8 +25,13 @@ class CSCMatrix:
     row_indices: np.ndarray
     values: np.ndarray
 
+    _KIND = b"csc"
+
+    def _structure(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.col_offsets, self.row_indices
+
     def __post_init__(self) -> None:
-        rows, cols = self.shape
+        self.shape = rows, cols = tuple(map(operator.index, self.shape))
         self.col_offsets = np.ascontiguousarray(self.col_offsets, dtype=np.int64)
         self.row_indices = np.ascontiguousarray(self.row_indices)
         self.values = np.ascontiguousarray(self.values)
@@ -45,6 +51,7 @@ class CSCMatrix:
             int(self.row_indices.min()) < 0 or int(self.row_indices.max()) >= rows
         ):
             raise ValueError("row index out of range")
+        self._fingerprint = self.structure_checksum()
 
     @property
     def nnz(self) -> int:
@@ -55,9 +62,10 @@ class CSCMatrix:
         return np.diff(self.col_offsets)
 
     def to_dense(self) -> np.ndarray:
+        # Duplicate (row, col) entries sum, as in CSRMatrix.to_dense.
         out = np.zeros(self.shape, dtype=self.values.dtype)
         cols = np.repeat(np.arange(self.shape[1]), self.col_lengths)
-        out[self.row_indices.astype(np.int64), cols] = self.values
+        np.add.at(out, (self.row_indices.astype(np.int64), cols), self.values)
         return out
 
     def to_scipy(self) -> sp.csc_matrix:

@@ -15,7 +15,8 @@ stored per-nonzero).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import operator
+from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,8 +48,49 @@ def check_column_capacity(cols: int, value_dtype: np.dtype) -> np.dtype:
     return idt
 
 
+def structure_hash(kind: bytes, shape, dtype, offsets, indices) -> str:
+    """Content hash of a compressed matrix's structure (not its values).
+
+    It keys the plan cache and the PlanStore, so this byte layout is part
+    of the persisted format.
+    """
+    h = hashlib.blake2b(digest_size=16)
+    h.update(kind)
+    h.update(repr(tuple(shape)).encode())
+    h.update(str(dtype).encode())
+    h.update(offsets.tobytes())
+    h.update(indices.tobytes())
+    return h.hexdigest()
+
+
+class StructureIdentity:
+    """One memoized structure identity per sparse matrix (``_KIND`` plus
+    the ``_structure()`` arrays), hashed once at construction.
+
+    After a deliberate in-place edit of offsets or indices, call
+    :meth:`invalidate` on every matrix sharing the edited arrays; an edit
+    without it keeps the stale plan key and is what ``validate_deep``
+    reports as corruption.
+    """
+
+    def structure_checksum(self) -> str:
+        """Recompute the structure hash from the current arrays."""
+        return structure_hash(
+            self._KIND, self.shape, self.values.dtype, *self._structure()
+        )
+
+    @property
+    def fingerprint(self) -> str:
+        """The memoized structure hash: the plan-cache key."""
+        return self._fingerprint
+
+    def invalidate(self) -> None:
+        """Re-derive the identity after a deliberate in-place edit."""
+        self._fingerprint = self.structure_checksum()
+
+
 @dataclass
-class CSRMatrix:
+class CSRMatrix(StructureIdentity):
     """A sparse matrix in compressed-sparse-row format.
 
     Attributes:
@@ -63,14 +105,28 @@ class CSRMatrix:
     row_offsets: np.ndarray
     column_indices: np.ndarray
     values: np.ndarray
+    _: KW_ONLY
+    #: A same-structure source's identity: skips the hash, not the checks.
+    _identity: InitVar[str | None] = None
 
-    def __post_init__(self) -> None:
-        rows, cols = self.shape
-        if rows < 0 or cols < 0:
-            raise ValueError(f"invalid shape {self.shape}")
+    _KIND = b"csr"
+
+    def _structure(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.row_offsets, self.column_indices
+
+    def __post_init__(self, _identity: str | None) -> None:
+        self.shape = tuple(map(operator.index, self.shape))
         self.row_offsets = np.ascontiguousarray(self.row_offsets, dtype=np.int64)
         self.column_indices = np.ascontiguousarray(self.column_indices)
         self.values = np.ascontiguousarray(self.values)
+        self._check_structure()
+        self._fingerprint = _identity or self.structure_checksum()
+
+    def _check_structure(self) -> None:
+        """Raise ValueError/TypeError on the first broken invariant."""
+        rows, cols = self.shape
+        if rows < 0 or cols < 0:
+            raise ValueError(f"invalid shape {self.shape}")
         if self.row_offsets.shape != (rows + 1,):
             raise ValueError("row_offsets must have length rows + 1")
         if self.row_offsets[0] != 0:
@@ -101,28 +157,12 @@ class CSRMatrix:
             or int(self.column_indices.max()) >= cols
         ):
             raise ValueError("column index out of range")
-        self._structure_checksum = self.structure_checksum()
 
     # ------------------------------------------------------------------
     # Deep validation (reliability layer)
     # ------------------------------------------------------------------
-    def structure_checksum(self) -> str:
-        """Content hash of the structural metadata (not the values).
-
-        Computed once at construction; :meth:`validate_deep` recomputes and
-        compares, so any later in-place mutation of offsets or indices —
-        including a single bit flip that keeps every invariant intact —
-        is detectable.
-        """
-        h = hashlib.blake2b(digest_size=16)
-        h.update(repr(self.shape).encode())
-        h.update(str(self.values.dtype).encode())
-        h.update(self.row_offsets.tobytes())
-        h.update(self.column_indices.tobytes())
-        return h.hexdigest()
-
     def validate_deep(self) -> None:
-        """Re-verify every structural invariant plus the stored checksum.
+        """Re-verify every structural invariant plus the memoized identity.
 
         Raises :class:`~repro.reliability.errors.InvalidTopologyError` on
         the first violation. This is the guardrail the fault injector's
@@ -131,28 +171,11 @@ class CSRMatrix:
         """
         from ..reliability.errors import InvalidTopologyError
 
-        rows, cols = self.shape
-        if self.row_offsets.shape != (rows + 1,) or self.row_offsets[0] != 0:
-            raise InvalidTopologyError(
-                f"corrupt row_offsets: shape {self.row_offsets.shape}, "
-                f"first entry {self.row_offsets[:1]}"
-            )
-        if np.any(np.diff(self.row_offsets) < 0):
-            raise InvalidTopologyError("corrupt row_offsets: not monotone")
-        nnz = int(self.row_offsets[-1])
-        if nnz < 0 or self.column_indices.shape != (nnz,):
-            raise InvalidTopologyError(
-                f"corrupt nnz: offsets say {nnz}, "
-                f"{self.column_indices.shape[0]} indices present"
-            )
-        if nnz and (
-            int(self.column_indices.min()) < 0
-            or int(self.column_indices.max()) >= cols
-        ):
-            raise InvalidTopologyError(
-                "corrupt column_indices: index outside [0, cols)"
-            )
-        if self.structure_checksum() != self._structure_checksum:
+        try:
+            self._check_structure()
+        except (ValueError, TypeError) as exc:
+            raise InvalidTopologyError(f"corrupt structure: {exc}") from exc
+        if self.structure_checksum() != self._fingerprint:
             raise InvalidTopologyError(
                 "structure checksum mismatch: metadata mutated since "
                 "construction (simulated memory corruption)"
@@ -250,6 +273,7 @@ class CSRMatrix:
             self.row_offsets.copy(),
             self.column_indices.astype(idt),
             self.values.astype(vdt),
+            _identity=self._fingerprint if vdt == self.values.dtype else None,
         )
 
     def with_values(self, values: np.ndarray) -> "CSRMatrix":
@@ -258,7 +282,8 @@ class CSRMatrix:
         if values.shape != self.values.shape:
             raise ValueError("value array must match nnz")
         return CSRMatrix(
-            self.shape, self.row_offsets, self.column_indices, values
+            self.shape, self.row_offsets, self.column_indices, values,
+            _identity=self._fingerprint,
         )
 
     def take_rows(self, rows: np.ndarray) -> "CSRMatrix":

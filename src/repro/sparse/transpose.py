@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csr import INDEX_DTYPE_FOR_VALUES, CSRMatrix
+from .csr import INDEX_DTYPE_FOR_VALUES, CSRMatrix, structure_hash
 
 
 class CachedTranspose:
@@ -52,6 +52,11 @@ class CachedTranspose:
         self.shape = (cols, rows)
         self._source_shape = a.shape
         self._source_nnz = nnz
+        # Every applied matrix shares this structure: hash it once.
+        self._fingerprint = structure_hash(
+            CSRMatrix._KIND, self.shape, a.values.dtype,
+            self.row_offsets, self.column_indices,
+        )
 
     def apply(self, values: np.ndarray) -> CSRMatrix:
         """Transpose a value array laid out in the planned source topology."""
@@ -65,6 +70,7 @@ class CachedTranspose:
             row_offsets=self.row_offsets,
             column_indices=self.column_indices,
             values=values[self.permutation],
+            _identity=self._fingerprint,
         )
 
     def transpose(self, a: CSRMatrix) -> CSRMatrix:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.sparse import CSRMatrix
+from repro.sparse import CSRMatrix, csc_to_csr, csr_to_csc
 
 
 class TestConstruction:
@@ -141,3 +141,15 @@ class TestProperties:
             np.array([2.0, 3.0], np.float32),
         )
         assert a.to_dense()[0, 1] == pytest.approx(5.0)
+
+    def test_duplicate_entries_sum_in_csc_to_dense(self):
+        a = CSRMatrix(
+            (1, 3),
+            np.array([0, 2]),
+            np.array([1, 1], np.int32),
+            np.array([1.0, 2.0], np.float32),
+        )
+        c = csr_to_csc(a)
+        assert c.to_dense()[0, 1] == pytest.approx(3.0)
+        assert np.array_equal(c.to_dense(), a.to_dense())
+        assert np.array_equal(csc_to_csr(c).to_dense(), a.to_dense())

@@ -75,8 +75,10 @@ class TestPlanCacheInvariants:
         b = dense_batch(rng, 32, 16)
         ops.spmm(a, b, context=ctx)
         fp_before = matrix_fingerprint(a)
-        # Move row 0's nonzero from column 0 to column 1 in place.
+        # Move row 0's nonzero from column 0 to column 1 in place, then
+        # re-derive the memoized identity as the in-place-edit contract asks.
         a.column_indices[0] = 1
+        a.invalidate()
         assert matrix_fingerprint(a) != fp_before
         ops.spmm(a, b, context=ctx)
         stats = ctx.telemetry.stats[("spmm", "sputnik")]
