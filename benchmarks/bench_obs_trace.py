@@ -48,7 +48,6 @@ from repro.obs import (
     read_jsonl,
     validate_chrome_trace,
 )
-from repro.ops.operators import _fast_path
 from repro.ops.registry import get_impl
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -286,15 +285,17 @@ def bench_dispatch_overhead(repeats: int, calls: int) -> dict:
         for _ in range(calls):
             ops.spmm_cost(a, 64, context=ctx)
 
-    impl = get_impl("spmm", "sputnik")
+    workspace = (a.shape[0] + a.shape[1]) * 64 * a.values.dtype.itemsize
 
     def baseline_loop():
-        # The pre-instrumentation fast path: resolve, registry, cost, count.
+        # The un-instrumented launch: resolve, registry, HBM charge, cost,
+        # count.
         for _ in range(calls):
             c = ops.resolve_context(ctx, None)
-            if _fast_path(c, "sputnik", False):
+            impl = get_impl("spmm", "sputnik")
+            with c.memory_scope("spmm", "sputnik", (a,), workspace):
                 result = impl.cost(c, a, 64, None, "heuristic")
-                c.telemetry.record_launch("spmm", "sputnik", result)
+            c.telemetry.record_launch("spmm", "sputnik", result)
 
     t_wrapper, t_baseline = _paired_best(
         wrapper_loop, baseline_loop, pairs=max(repeats * 4, 12)

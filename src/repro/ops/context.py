@@ -13,7 +13,7 @@ automatically across layers and training steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from contextlib import nullcontext
 from ..baselines.aspt import memory_overhead_bytes as aspt_overhead_bytes
 from ..baselines.cublas import gemm_execution
 from ..core.config import SddmmConfig, SpmmConfig
+# The plan_* builders and repair_* functions are used by name via _PLANS.
 from ..core.csc_spmm import plan_spmm_csc
 from ..core.repair import TopologyDelta
 from ..core.sddmm import (
@@ -63,7 +64,6 @@ from ..reliability.errors import (
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
 from ..tune import TuningResult, resolve_selector
-from ..tune import SELECTORS as SELECTORS  # noqa: PLC0414 - re-export
 from .plans import (
     DEFAULT_MAX_PLANS,
     PlanCache,
@@ -82,67 +82,65 @@ TELEMETRY_SCHEMA: dict[str, type] = {
     "cache_hits": int,
     "cache_misses": int,
     "simulated_seconds": float,
+    # Reliability counters (fed by the dispatch policy loop).
     "retries": int,
     "fallbacks": int,
     "degraded": int,
     "failures": int,
     "faults_injected": int,
     "backoff_seconds": float,
+    # Persistent plan-store counters (populated when a store is attached).
     "store_hits": int,
     "store_misses": int,
     "store_evictions": int,
+    # Memory-pressure counters (populated when a device allocator is
+    # attached): allocation failures observed, resident plans evicted under
+    # pressure, and total bytes (plans + tensors) reclaimed.
     "oom_events": int,
     "plan_evictions": int,
     "bytes_evicted": int,
+    # Dynamic-sparsity counters (populated by the plan-repair path): plans
+    # produced by incremental repair instead of a cold build, the total
+    # edited rows those repairs re-planned, and cache entries evicted by
+    # topology invalidation.
     "plan_repairs": int,
     "plan_repair_rows": int,
     "plan_invalidations": int,
 }
 
 
-@dataclass
-class OpStats:
-    """Running counters for one (op, backend) pair.
+def _as_dict(self) -> dict[str, int | float]:
+    """Snapshot row, coerced to the :data:`TELEMETRY_SCHEMA` types."""
+    return {
+        name: kind(getattr(self, name))
+        for name, kind in TELEMETRY_SCHEMA.items()
+    }
 
-    Fields mirror :data:`TELEMETRY_SCHEMA`: counts are ints, accumulated
-    times are float seconds.
-    """
 
-    launches: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    simulated_seconds: float = 0.0
-    # Reliability counters (populated by policy-dispatched calls).
-    retries: int = 0
-    fallbacks: int = 0
-    degraded: int = 0
-    failures: int = 0
-    faults_injected: int = 0
-    backoff_seconds: float = 0.0
-    # Persistent plan-store counters (populated when a store is attached).
-    store_hits: int = 0
-    store_misses: int = 0
-    store_evictions: int = 0
-    # Memory-pressure counters (populated when a device allocator is
-    # attached): allocation failures observed, resident plans evicted under
-    # pressure, and total bytes (plans + tensors) reclaimed.
-    oom_events: int = 0
-    plan_evictions: int = 0
-    bytes_evicted: int = 0
-    # Dynamic-sparsity counters (populated by the plan-repair path):
-    # plans produced by incremental repair instead of a cold build, the
-    # total edited rows those repairs re-planned, and cache entries
-    # evicted by topology invalidation.
-    plan_repairs: int = 0
-    plan_repair_rows: int = 0
-    plan_invalidations: int = 0
+OpStats = make_dataclass(
+    "OpStats",
+    [
+        (name, kind, field(default=kind()))
+        for name, kind in TELEMETRY_SCHEMA.items()
+    ],
+    namespace={
+        "__doc__": "Running counters for one (op, backend) pair: one "
+        "zero-initialised field per :data:`TELEMETRY_SCHEMA` counter.",
+        "as_dict": _as_dict,
+    },
+)
+OpStats.__module__ = __name__
 
-    def as_dict(self) -> dict[str, int | float]:
-        """Snapshot row, coerced to the :data:`TELEMETRY_SCHEMA` types."""
-        return {
-            name: kind(getattr(self, name))
-            for name, kind in TELEMETRY_SCHEMA.items()
-        }
+
+def _counter(name: str, doc: str):
+    """A ``record_*`` method adding ``amount`` to one counter."""
+
+    def record(self, op: str, backend: str, amount=1) -> None:
+        stats = self._get(op, backend)
+        setattr(stats, name, getattr(stats, name) + amount)
+
+    record.__doc__ = doc
+    return record
 
 
 @dataclass
@@ -165,7 +163,8 @@ class Telemetry:
     flight: object | None = field(default=None, repr=False)
 
     def _get(self, op: str, backend: str) -> OpStats:
-        return self.stats.setdefault((op, backend), OpStats())
+        key = (op, backend)
+        return self.stats.get(key) or self.stats.setdefault(key, OpStats())
 
     def attach_histogram(self, histogram) -> None:
         """Feed simulated launch runtimes into an (op, backend)-labeled
@@ -208,42 +207,36 @@ class Telemetry:
             entry.store_misses += 1
 
     # -- reliability counters (fed by repro.reliability.policy) ----------
-    def record_retry(self, op: str, backend: str) -> None:
-        self._get(op, backend).retries += 1
-
-    def record_fallback(self, op: str, backend: str) -> None:
-        """A backend was abandoned for the next one in its chain."""
-        self._get(op, backend).fallbacks += 1
-
-    def record_degraded(self, op: str, backend: str) -> None:
-        """A degraded-mode completion (fp32 re-run after fp16 overflow)."""
-        self._get(op, backend).degraded += 1
-
-    def record_failure(self, op: str, backend: str) -> None:
-        """A terminal failure (taxonomy error propagated to the caller)."""
-        self._get(op, backend).failures += 1
-
-    def record_fault(self, op: str, backend: str) -> None:
-        """One injected fault landed on this (op, backend)."""
-        self._get(op, backend).faults_injected += 1
-
-    def record_backoff(self, op: str, backend: str, seconds: float) -> None:
-        self._get(op, backend).backoff_seconds += seconds
+    record_retry = _counter("retries", "A retry of the same backend.")
+    record_fallback = _counter(
+        "fallbacks", "A backend was abandoned for the next one in its chain."
+    )
+    record_degraded = _counter(
+        "degraded", "A degraded-mode completion (fp32 re-run after overflow)."
+    )
+    record_failure = _counter(
+        "failures", "A terminal failure (taxonomy error raised to the caller)."
+    )
+    record_fault = _counter(
+        "faults_injected", "One injected fault landed on this (op, backend)."
+    )
+    record_backoff = _counter(
+        "backoff_seconds", "Simulated seconds spent backing off a retry."
+    )
 
     # -- memory-pressure counters (fed by the context's allocator hooks) --
-    def record_oom(self, op: str, backend: str) -> None:
-        """One device allocation failure observed during this op."""
-        self._get(op, backend).oom_events += 1
+    record_oom = _counter(
+        "oom_events", "One device allocation failure observed during this op."
+    )
+    record_bytes_evicted = _counter(
+        "bytes_evicted", "Tensor-residency bytes reclaimed under pressure."
+    )
 
     def record_plan_eviction(self, op: str, backend: str, nbytes: int) -> None:
         """One resident plan evicted under memory pressure."""
         entry = self._get(op, backend)
         entry.plan_evictions += 1
         entry.bytes_evicted += nbytes
-
-    def record_bytes_evicted(self, op: str, backend: str, nbytes: int) -> None:
-        """Tensor-residency bytes reclaimed under memory pressure."""
-        self._get(op, backend).bytes_evicted += nbytes
 
     # -- dynamic-sparsity counters (fed by the plan-repair path) ----------
     def record_plan_repair(self, op: str, backend: str, rows: int) -> None:
@@ -252,11 +245,9 @@ class Telemetry:
         entry.plan_repairs += 1
         entry.plan_repair_rows += int(rows)
 
-    def record_plan_invalidation(
-        self, op: str, backend: str, count: int = 1
-    ) -> None:
-        """``count`` cached entries evicted by a topology invalidation."""
-        self._get(op, backend).plan_invalidations += int(count)
+    record_plan_invalidation = _counter(
+        "plan_invalidations", "Cached entries evicted by a topology change."
+    )
 
     def reset(self) -> None:
         """Zero every counter (plans/caches are unaffected)."""
@@ -275,108 +266,34 @@ class Telemetry:
             for (op, backend), stats in sorted(self.stats.items())
         }
 
-    @property
-    def launches(self) -> int:
-        return sum(s.launches for s in self.stats.values())
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(s.cache_hits for s in self.stats.values())
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(s.cache_misses for s in self.stats.values())
-
-    @property
-    def simulated_seconds(self) -> float:
-        return sum(s.simulated_seconds for s in self.stats.values())
-
-    @property
-    def retries(self) -> int:
-        return sum(s.retries for s in self.stats.values())
-
-    @property
-    def fallbacks(self) -> int:
-        return sum(s.fallbacks for s in self.stats.values())
-
-    @property
-    def degraded(self) -> int:
-        return sum(s.degraded for s in self.stats.values())
-
-    @property
-    def failures(self) -> int:
-        return sum(s.failures for s in self.stats.values())
-
-    @property
-    def faults_injected(self) -> int:
-        return sum(s.faults_injected for s in self.stats.values())
-
-    @property
-    def store_hits(self) -> int:
-        return sum(s.store_hits for s in self.stats.values())
-
-    @property
-    def store_misses(self) -> int:
-        return sum(s.store_misses for s in self.stats.values())
-
-    @property
-    def store_evictions(self) -> int:
-        return sum(s.store_evictions for s in self.stats.values())
-
-    @property
-    def oom_events(self) -> int:
-        return sum(s.oom_events for s in self.stats.values())
-
-    @property
-    def plan_evictions(self) -> int:
-        return sum(s.plan_evictions for s in self.stats.values())
-
-    @property
-    def bytes_evicted(self) -> int:
-        return sum(s.bytes_evicted for s in self.stats.values())
-
-    @property
-    def plan_repairs(self) -> int:
-        return sum(s.plan_repairs for s in self.stats.values())
-
-    @property
-    def plan_repair_rows(self) -> int:
-        return sum(s.plan_repair_rows for s in self.stats.values())
-
-    @property
-    def plan_invalidations(self) -> int:
-        return sum(s.plan_invalidations for s in self.stats.values())
-
     def summary(self) -> str:
-        """One line per (op, backend), for logs and examples."""
-        lines = []
-        for (op, backend), s in sorted(self.stats.items()):
-            line = (
-                f"{op}/{backend}: launches={s.launches} "
-                f"hits={s.cache_hits} misses={s.cache_misses} "
-                f"simulated={s.simulated_seconds * 1e6:.1f}us"
+        """One line per (op, backend) with its nonzero counters, for logs
+        and examples."""
+        return "\n".join(
+            f"{key}: "
+            + " ".join(
+                f"{name}={value:.3g}" if isinstance(value, float)
+                else f"{name}={value}"
+                for name, value in row.items()
+                if value
             )
-            if s.retries or s.fallbacks or s.degraded or s.failures:
-                line += (
-                    f" retries={s.retries} fallbacks={s.fallbacks} "
-                    f"degraded={s.degraded} failures={s.failures}"
-                )
-            if s.faults_injected:
-                line += f" faults={s.faults_injected}"
-            if s.store_hits or s.store_misses:
-                line += (
-                    f" store_hits={s.store_hits} store_misses={s.store_misses}"
-                )
-                if s.store_evictions:
-                    line += f" store_evictions={s.store_evictions}"
-            if s.plan_repairs or s.plan_invalidations:
-                line += (
-                    f" repairs={s.plan_repairs}"
-                    f" repair_rows={s.plan_repair_rows}"
-                    f" invalidations={s.plan_invalidations}"
-                )
-            lines.append(line)
-        return "\n".join(lines)
+            for key, row in self.snapshot().items()
+        )
+
+
+def _total(name: str) -> property:
+    def total(self: Telemetry) -> int | float:
+        return sum(getattr(s, name) for s in self.stats.values())
+
+    total.__name__ = name
+    return property(total, doc=f"``{name}`` summed over every (op, backend).")
+
+
+# The aggregate accessors (``telemetry.launches``, ``.oom_events``, ...):
+# one per TELEMETRY_SCHEMA counter.
+for _name in TELEMETRY_SCHEMA:
+    setattr(Telemetry, _name, _total(_name))
+del _name
 
 
 def _operand_bytes(matrix) -> int:
@@ -392,107 +309,65 @@ def _operand_bytes(matrix) -> int:
     return total
 
 
-def _residency_key(matrix, backend: str) -> tuple[str, str]:
-    """Device-residency identity of one sparse operand.
-
-    The structure part is the matrix's memoized fingerprint. The backend
-    class is part of the key because ASpT keeps its own inflated tiled
-    representation resident next to the CSR arrays.
-    """
-    return (matrix.fingerprint, "aspt" if backend == "aspt" else "csr")
-
-
 class _MemoryScope:
-    """Charges one dispatch's operands + workspace against the allocator.
+    """``with`` form of :meth:`ExecutionContext._hold` and ``_release``."""
 
-    ``__enter__`` makes every sparse operand device-resident (pinning it so
-    concurrent reclaim cannot evict what the running kernel reads), charges
-    ASpT's inflated metadata footprint for aspt dispatches, and allocates
-    the transient workspace. ``__exit__`` frees the workspace and unpins —
-    residency itself stays cached in the context until evicted under
-    pressure, which is what makes a sustained sweep accumulate footprint.
-    """
-
-    __slots__ = ("ctx", "op", "backend", "operands", "workspace",
-                 "_pinned", "_ws_alloc")
+    __slots__ = ("ctx", "request", "held")
 
     def __init__(self, ctx, op, backend, operands, workspace) -> None:
         self.ctx = ctx
-        self.op = op
-        self.backend = backend
-        self.operands = operands
-        self.workspace = workspace
-        self._pinned: list = []
-        self._ws_alloc = None
+        self.request = (op, backend, operands, workspace)
 
     def __enter__(self):
-        ctx = self.ctx
-        try:
-            for matrix in self.operands:
-                if not hasattr(matrix, "values"):
-                    continue
-                key = _residency_key(matrix, self.backend)
-                self._pin(key, matrix)
-                if key[1] == "aspt":
-                    # The CSR arrays stay resident alongside ASpT's
-                    # reordered tiles (the paper's ~3x metadata penalty).
-                    self._pin(_residency_key(matrix, "csr"), matrix)
-            if self.workspace > 0:
-                self._ws_alloc = ctx.try_allocate(
-                    self.workspace, "workspace", self.op, self.backend
-                )
-        except DeviceOOMError:
-            self._release()
-            raise
+        self.held = self.ctx._hold(*self.request)
         return self
 
-    def _pin(self, key, matrix) -> None:
-        ctx = self.ctx
-        alloc = ctx._resident.get(key)
-        if alloc is None:
-            nbytes = (
-                aspt_overhead_bytes(matrix)
-                if key[1] == "aspt"
-                else _operand_bytes(matrix)
-            )
-            alloc = ctx.try_allocate(
-                nbytes, "tensor", self.op, self.backend, protect=None
-            )
-            ctx._resident[key] = alloc
-            if key in ctx._evicted_keys:
-                # An evicted operand coming back means a host->device
-                # re-upload; the benchmark charges it at PCIe bandwidth.
-                ctx._evicted_keys.discard(key)
-                ctx.bytes_reuploaded += alloc.nbytes
-        else:
-            ctx._resident.move_to_end(key)
-        ctx._pinned[key] = ctx._pinned.get(key, 0) + 1
-        self._pinned.append(key)
-
-    def _release(self) -> None:
-        ctx = self.ctx
-        if self._ws_alloc is not None:
-            ctx.memory.free(self._ws_alloc)
-            self._ws_alloc = None
-        for key in self._pinned:
-            count = ctx._pinned.get(key, 0) - 1
-            if count > 0:
-                ctx._pinned[key] = count
-            else:
-                ctx._pinned.pop(key, None)
-        self._pinned = []
-
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._release()
+        self.ctx._release(self.held)
 
 
 #: Shared no-op scope for contexts with accounting disabled.
 _NULL_SCOPE = nullcontext()
+#: Representations an operand keeps resident, for non-aspt and aspt.
+_KINDS = (("csr",), ("aspt", "csr"))
 
 #: Registered topology deltas kept per context (LRU): one entry per live
 #: mutated topology is plenty — dynamic training registers one delta per
 #: update step and the repaired plans land in the regular cache.
 MAX_TOPOLOGY_DELTAS = 64
+
+
+@dataclass(frozen=True)
+class _PlanKind:
+    """One plan family: how :meth:`ExecutionContext._plan` builds it.
+
+    Builders are held by name and looked up in this module when called, so
+    a rebinding of a module name (a tracer's wrapper, a test) reaches them.
+    """
+
+    #: ``build(matrix, *dims, device[, config])``.
+    build: str
+    #: ``repair(plan, matrix, delta)``, for families that repair
+    #: incrementally under a registered topology delta.
+    repair: str | None = None
+    #: The config-selection method (``"spmm_config"``/``"sddmm_config"``)
+    #: that resolves a missing config; ``None`` uses the config as given.
+    select: str | None = None
+    #: Whether the kernel takes a config (and the cache key carries it).
+    configured: bool = True
+
+
+_PLANS: dict[str, _PlanKind] = {
+    "spmm": _PlanKind("plan_spmm", "repair_spmm_plan", "spmm_config"),
+    "sddmm": _PlanKind("plan_sddmm", "repair_sddmm_plan", "sddmm_config"),
+    "sparse_softmax": _PlanKind("plan_sparse_softmax", configured=False),
+    "spmm_batched": _PlanKind("plan_spmm_batched", select="spmm_config"),
+    "sddmm_batched": _PlanKind("plan_sddmm_batched", select="sddmm_config"),
+    "sparse_softmax_batched": _PlanKind(
+        "plan_sparse_softmax_batched", configured=False
+    ),
+    "csc_spmm": _PlanKind("plan_spmm_csc"),
+}
 
 
 class ExecutionContext:
@@ -540,9 +415,7 @@ class ExecutionContext:
         self.telemetry = Telemetry()
         #: Optional disk-backed :class:`~repro.ops.store.PlanStore` consulted
         #: between the in-memory cache and a plan rebuild; a path builds one.
-        self.store = (
-            PlanStore(store) if isinstance(store, (str, Path)) else store
-        )
+        self.attach_store(store)
         #: A :class:`~repro.reliability.injector.FaultInjector`, or ``None``.
         #: When set, every dispatched op runs through the policy loop even
         #: for single-backend calls, so injected faults are retried.
@@ -846,6 +719,72 @@ class ExecutionContext:
             return _NULL_SCOPE
         return _MemoryScope(self, op, backend, operands, int(workspace))
 
+    def _hold(self, op: str, backend: str, operands, workspace: int):
+        """Charge one attempt: pin every sparse operand device-resident (so
+        concurrent reclaim cannot evict what the running kernel reads),
+        charge ASpT's inflated metadata for aspt, and allocate the
+        transient workspace. Returns what :meth:`_release` gives back; an
+        OOM undoes the partial charge before it propagates.
+
+        Residency stays cached in the context after the release, until it
+        is evicted under pressure, which is what makes a sustained sweep
+        accumulate footprint.
+        """
+        held: list = []
+        pinned = self._pinned
+        try:
+            for matrix in operands:
+                if not hasattr(matrix, "values"):
+                    continue
+                # The residency key is the matrix's memoized structure
+                # fingerprint and its representation. The CSR arrays stay
+                # resident alongside ASpT's reordered tiles (the paper's
+                # ~3x metadata penalty).
+                for kind in _KINDS[backend == "aspt"]:
+                    key = (matrix.fingerprint, kind)
+                    try:
+                        self._resident.move_to_end(key)
+                    except KeyError:
+                        self._upload(key, matrix, op, backend)
+                    pinned[key] = pinned.get(key, 0) + 1
+                    held.append(key)
+            workspace = (
+                self.try_allocate(workspace, "workspace", op, backend)
+                if workspace > 0 else None
+            )
+        except DeviceOOMError:
+            self._release((held, None))
+            raise
+        return held, workspace
+
+    def _upload(self, key, matrix, op: str, backend: str) -> None:
+        """Make one operand representation device-resident."""
+        nbytes = (
+            aspt_overhead_bytes(matrix)
+            if key[1] == "aspt"
+            else _operand_bytes(matrix)
+        )
+        alloc = self.try_allocate(nbytes, "tensor", op, backend, protect=None)
+        self._resident[key] = alloc
+        if key in self._evicted_keys:
+            # An evicted operand coming back means a host->device
+            # re-upload; the benchmark charges it at PCIe bandwidth.
+            self._evicted_keys.discard(key)
+            self.bytes_reuploaded += alloc.nbytes
+
+    def _release(self, held) -> None:
+        """Free an attempt's workspace and unpin its operands."""
+        held, workspace = held
+        if workspace is not None:
+            self.memory.free(workspace)
+        pinned = self._pinned
+        for key in held:
+            count = pinned.get(key, 0) - 1
+            if count > 0:
+                pinned[key] = count
+            else:
+                pinned.pop(key, None)
+
     def try_allocate(
         self,
         nbytes: int,
@@ -1098,16 +1037,28 @@ class ExecutionContext:
     # ------------------------------------------------------------------
     # Config selection (cached per topology, via the selector protocol)
     # ------------------------------------------------------------------
-    def _select_config(self, op: str, sel, key: tuple, build):
-        """Resolve a config through one selector, with selector-aware
-        caching and span labeling.
+    def _select_config(self, op: str, build_with: str, matrix, dim: int,
+                       selector, fingerprint: str | None):
+        """Resolve an ``op`` (``"spmm_config"``/``"sddmm_config"``) through
+        one selector's ``build_with`` method, with selector-aware caching
+        and span labeling.
 
+        Precision follows the matrix's value dtype: fp16 values select a
+        mixed-precision config (fp16 value bytes, int16 index bytes).
         ``persist`` selectors (oracle, tuned — anything that costs
         candidates) go through the two-tier :meth:`_cached` path so their
         winners amortize across processes; the heuristic stays memory-only.
         A :class:`~repro.tune.TuningResult` is cached whole (stats and
         all) and unwrapped to its config here.
         """
+        sel = resolve_selector(selector)
+        fp = fingerprint or matrix_fingerprint(matrix)
+        precision = "mixed" if matrix.values.dtype == np.float16 else "fp32"
+        key = (op, fp, dim, precision, sel.name)
+
+        def build():
+            return getattr(sel, build_with)(self, matrix, dim, precision)
+
         span = self.tracer.current if self.tracer is not None else None
         if span is not None:
             span.set(selector=sel.name)
@@ -1134,10 +1085,7 @@ class ExecutionContext:
         return value
 
     def spmm_config(
-        self,
-        a: CSRMatrix,
-        n: int,
-        selector: str = "heuristic",
+        self, a: CSRMatrix, n: int, selector: str = "heuristic",
         fingerprint: str | None = None,
     ) -> SpmmConfig:
         """Resolve an SpMM config through a selector (name or instance).
@@ -1146,171 +1094,100 @@ class ExecutionContext:
         heuristic for uniformity, the oracle and the tuner because they
         cost candidate variants on the simulator (Section VII-B).
         """
-        sel = resolve_selector(selector)
-        fp = fingerprint or matrix_fingerprint(a)
-        precision = "mixed" if a.values.dtype == np.float16 else "fp32"
-        key = ("spmm_config", fp, n, precision, sel.name)
         return self._select_config(
-            "spmm_config", sel, key, lambda: sel.build_spmm(self, a, n, precision)
+            "spmm_config", "build_spmm", a, n, selector, fingerprint
         )
 
     def sddmm_config(
-        self,
-        mask: CSRMatrix,
-        k: int,
-        selector: str = "heuristic",
+        self, mask: CSRMatrix, k: int, selector: str = "heuristic",
         fingerprint: str | None = None,
     ) -> SddmmConfig:
-        """Resolve an SDDMM config through a selector (name or instance).
-
-        Precision is derived from the mask's value dtype — an fp16 mask
-        selects a mixed-precision config (fp16 value bytes, int16 index
-        bytes) exactly like :meth:`spmm_config` does for SpMM.
-        """
-        sel = resolve_selector(selector)
-        fp = fingerprint or matrix_fingerprint(mask)
-        precision = "mixed" if mask.values.dtype == np.float16 else "fp32"
-        key = ("sddmm_config", fp, k, precision, sel.name)
+        """Resolve an SDDMM config through a selector (name or instance)."""
         return self._select_config(
-            "sddmm_config",
-            sel,
-            key,
-            lambda: sel.build_sddmm(self, mask, k, precision),
+            "sddmm_config", "build_sddmm", mask, k, selector, fingerprint
         )
 
     # ------------------------------------------------------------------
     # Plans (cached per topology x config x problem dims)
     # ------------------------------------------------------------------
-    def spmm_plan(
-        self,
-        a: CSRMatrix,
-        n: int,
-        config: SpmmConfig | None = None,
-        selector: str = "heuristic",
-        backend: str = "sputnik",
-    ) -> SpmmPlan:
-        fp = matrix_fingerprint(a)
-        if config is None:
-            config = self.spmm_config(a, n, selector, fingerprint=fp)
-        key = ("spmm", fp, n, config)
-        return self._cached(
-            "spmm",
-            backend,
-            key,
-            lambda: plan_spmm(a, n, self.device, config),
-            repair=self._repairable_plan(
+    def _plan(
+        self, op: str, matrix, dims: tuple, config=None,
+        selector: str = "heuristic", backend: str = "sputnik",
+    ):
+        """The cached plan of ``op`` over ``matrix`` (see :data:`_PLANS`).
+
+        The key is ``(op, fingerprint, *dims)``, plus the config for
+        configured kernels. A missing config is resolved through the
+        selector when the family selects one; with a registered topology
+        delta a cache miss repairs the parent's plan instead of building.
+        """
+        kind = _PLANS[op]
+        fp = matrix_fingerprint(matrix)
+        if config is None and kind.select is not None:
+            select = getattr(self, kind.select)
+            config = select(matrix, dims[0], selector, fingerprint=fp)
+        tail = (config,) if kind.configured else ()
+        repair = None
+        if kind.repair is not None and fp in self._deltas:
+            repair_with = globals()[kind.repair]
+            repair = self._repairable_plan(
                 fp,
-                lambda parent_fp: ("spmm", parent_fp, n, config),
-                lambda plan, delta: repair_spmm_plan(plan, a, delta),
-            ),
+                lambda parent_fp: (op, parent_fp, *dims, *tail),
+                lambda plan, delta: repair_with(plan, matrix, delta),
+            )
+        build = globals()[kind.build]
+        return self._cached(
+            op, backend, (op, fp, *dims, *tail),
+            lambda: build(matrix, *dims, self.device, *tail), repair=repair,
         )
 
+    def spmm_plan(
+        self, a: CSRMatrix, n: int, config: SpmmConfig | None = None,
+        selector: str = "heuristic", backend: str = "sputnik",
+    ) -> SpmmPlan:
+        return self._plan("spmm", a, (n,), config, selector, backend)
+
     def sddmm_plan(
-        self,
-        mask: CSRMatrix,
-        k: int,
-        config: SddmmConfig | None = None,
-        selector: str = "heuristic",
-        backend: str = "sputnik",
+        self, mask: CSRMatrix, k: int, config: SddmmConfig | None = None,
+        selector: str = "heuristic", backend: str = "sputnik",
     ) -> SddmmPlan:
-        fp = matrix_fingerprint(mask)
-        if config is None:
-            config = self.sddmm_config(mask, k, selector, fingerprint=fp)
-        key = ("sddmm", fp, k, config)
-        return self._cached(
-            "sddmm",
-            backend,
-            key,
-            lambda: plan_sddmm(mask, k, self.device, config),
-            repair=self._repairable_plan(
-                fp,
-                lambda parent_fp: ("sddmm", parent_fp, k, config),
-                lambda plan, delta: repair_sddmm_plan(plan, mask, delta),
-            ),
-        )
+        return self._plan("sddmm", mask, (k,), config, selector, backend)
 
     def sparse_softmax_plan(
         self, a: CSRMatrix, backend: str = "sputnik"
     ) -> SparseSoftmaxPlan:
-        fp = matrix_fingerprint(a)
-        key = ("sparse_softmax", fp)
-        return self._cached(
-            "sparse_softmax",
-            backend,
-            key,
-            lambda: plan_sparse_softmax(a, self.device),
-        )
+        return self._plan("sparse_softmax", a, (), backend=backend)
 
     def spmm_batched_plan(
-        self,
-        a: CSRMatrix,
-        n: int,
-        h: int,
-        config: SpmmConfig | None = None,
-        selector: str = "heuristic",
-        backend: str = "sputnik",
+        self, a: CSRMatrix, n: int, h: int, config: SpmmConfig | None = None,
+        selector: str = "heuristic", backend: str = "sputnik",
     ) -> SpmmBatchedPlan:
         """One plan for ``h`` SpMMs sharing ``a``'s topology (one launch)."""
-        fp = matrix_fingerprint(a)
-        if config is None:
-            config = self.spmm_config(a, n, selector, fingerprint=fp)
-        key = ("spmm_batched", fp, n, h, config)
-        return self._cached(
-            "spmm_batched",
-            backend,
-            key,
-            lambda: plan_spmm_batched(a, n, h, self.device, config),
+        return self._plan(
+            "spmm_batched", a, (n, h), config, selector, backend
         )
 
     def sddmm_batched_plan(
-        self,
-        mask: CSRMatrix,
-        k: int,
-        h: int,
-        config: SddmmConfig | None = None,
-        selector: str = "heuristic",
+        self, mask: CSRMatrix, k: int, h: int,
+        config: SddmmConfig | None = None, selector: str = "heuristic",
         backend: str = "sputnik",
     ) -> SddmmBatchedPlan:
         """One plan for ``h`` SDDMMs sharing ``mask``'s topology."""
-        fp = matrix_fingerprint(mask)
-        if config is None:
-            config = self.sddmm_config(mask, k, selector, fingerprint=fp)
-        key = ("sddmm_batched", fp, k, h, config)
-        return self._cached(
-            "sddmm_batched",
-            backend,
-            key,
-            lambda: plan_sddmm_batched(mask, k, h, self.device, config),
+        return self._plan(
+            "sddmm_batched", mask, (k, h), config, selector, backend
         )
 
     def sparse_softmax_batched_plan(
         self, a: CSRMatrix, h: int, backend: str = "sputnik"
     ) -> SparseSoftmaxBatchedPlan:
         """One plan for ``h`` row softmaxes over ``a``'s topology."""
-        fp = matrix_fingerprint(a)
-        key = ("sparse_softmax_batched", fp, h)
-        return self._cached(
-            "sparse_softmax_batched",
-            backend,
-            key,
-            lambda: plan_sparse_softmax_batched(a, h, self.device),
-        )
+        return self._plan("sparse_softmax_batched", a, (h,), backend=backend)
 
     def csc_spmm_plan(
-        self,
-        a: CSCMatrix,
-        n: int,
-        config: SpmmConfig | None = None,
+        self, a: CSCMatrix, n: int, config: SpmmConfig | None = None,
         backend: str = "sputnik",
     ) -> SpmmPlan:
-        fp = matrix_fingerprint(a)
-        key = ("csc_spmm", fp, n, config)
-        return self._cached(
-            "csc_spmm",
-            backend,
-            key,
-            lambda: plan_spmm_csc(a, n, self.device, config),
-        )
+        return self._plan("csc_spmm", a, (n,), config, backend=backend)
 
     # ------------------------------------------------------------------
     # Cost-only results (cached; used by benchmarks and model cost paths)

@@ -1,7 +1,8 @@
-"""Operator wrappers: the single entry point for every sparse kernel.
+"""Operator entry points: one table-driven dispatch path for every kernel.
 
-Each wrapper resolves (context, backend, config) and dispatches through the
-:mod:`~repro.ops.registry`:
+Each public function here keeps its own signature and docstring, and its
+body is a single :func:`_dispatch` call with the :class:`OpSpec` that says
+how the call drives the :mod:`~repro.ops.registry`:
 
 - ``device``/``context``: pass an explicit :class:`ExecutionContext` to
   manage caching yourself, or just a :class:`DeviceSpec` to share the
@@ -15,29 +16,32 @@ Each wrapper resolves (context, backend, config) and dispatches through the
   the :mod:`repro.tune` selector protocol — ``selector`` names a policy:
   ``"heuristic"`` (the paper's rules), ``"oracle"`` (costs every
   candidate, Section VII-B), or ``"tuned"`` (hill-climbing autotuner) —
-  with the choice cached per topology and selector;
+  with the choice cached per topology and selector. An explicit config
+  goes only to the chain's primary backend and to Sputnik;
 - ``validate``: run the numerical guardrails on the output (NaN/Inf scan;
-  fp16 overflow triggers an automatic fp32 degraded-mode re-run).
+  fp16 overflow triggers an automatic fp32 degraded-mode re-run with
+  every fp16 operand upcast).
 
 ``*_cost`` variants return the simulated :class:`ExecutionResult` only —
 the benchmark path, also plan-cached.
 
-A plain string backend with no guardrails and no fault injector takes the
-zero-overhead legacy path. Chains, ``validate=True``, or an attached
-:class:`~repro.reliability.injector.FaultInjector` route the call through
-:func:`repro.reliability.policy.run_with_policy`; the resulting
-:class:`~repro.reliability.policy.DispatchReport` rides on
-``result.reliability`` (and ``context.last_dispatch_report``).
-
-When the context carries a :class:`~repro.obs.tracing.Tracer`, every
-dispatch opens an ``op``-category span annotated with the backend chosen,
-plan-cache outcome (hit/miss + memory/store/built tier, set by the plan
-cache), simulated seconds, and any reliability events (retry / fallback /
-degraded, set by the policy loop). With no tracer attached, the only cost
-is one attribute check and the shared no-op span.
+There is one path: a plain string is a cached one-backend
+:class:`~repro.reliability.policy.FallbackPolicy`, so every call runs
+through :func:`repro.reliability.policy.run_with_policy`, charges its
+operands and workspace to the HBM allocator per attempt, records one
+launch in telemetry and carries its
+:class:`~repro.reliability.policy.DispatchReport` on
+``result.reliability`` (and ``context.last_dispatch_report``). A traced
+context also gets one ``op``-category span per call, annotated with the
+backend used, the plan-cache outcome, simulated seconds and any
+reliability events.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -45,12 +49,11 @@ from ..core.config import SddmmConfig, SpmmConfig
 from ..core.types import KernelResult
 from ..gpu.device import DeviceSpec
 from ..gpu.executor import ExecutionResult
-from ..obs.tracing import NO_SPAN
 from ..reliability.policy import as_policy, run_with_policy
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
 from .context import ExecutionContext, default_context
-from .registry import available, exact_backends, get_impl
+from .registry import BACKEND_SETS, NO_BACKENDS, get_impl
 
 
 def resolve_context(
@@ -65,11 +68,6 @@ def resolve_context(
             )
         return context
     return default_context(device) if device is not None else default_context()
-
-
-def _fast_path(ctx: ExecutionContext, backend, validate: bool) -> bool:
-    """Plain string backend, no guardrails, no injector: legacy dispatch."""
-    return isinstance(backend, str) and not validate and ctx.injector is None
 
 
 # ----------------------------------------------------------------------
@@ -94,99 +92,240 @@ def _gemm_workspace(m: int, n: int, k: int, element_bytes: int = 4) -> int:
     return (m * k + k * n + m * n) * element_bytes
 
 
-def _op_span(ctx: ExecutionContext, op: str, backend):
-    """A dispatch span when the context is traced, else the no-op span."""
-    tracer = ctx.tracer
-    if tracer is None:
-        return NO_SPAN
-    requested = (
-        backend
-        if isinstance(backend, str)
-        else "/".join(as_policy(backend).backends)
-    )
-    attrs = {"backend": requested, "device": ctx.device.name}
-    if ctx.device_id is not None:
-        attrs["device_id"] = ctx.device_id
-    return tracer.span(op, category="op", **attrs)
+def _batch_size(operand: np.ndarray, ndim: int, axis: int, layout: str):
+    """Batch size of a stacked operand; ``layout`` names the expected one."""
+    if operand.ndim != ndim:
+        raise ValueError(f"{layout}, got {operand.shape}")
+    return operand.shape[axis]
 
 
-def _policy_dispatch(
-    ctx: ExecutionContext,
-    op: str,
-    backend,
-    validate: bool,
-    call,
-    *,
-    operands=(),
-    fp32_call=None,
-    cost: bool = False,
-    span=NO_SPAN,
-    workspace: int = 0,
-):
-    """Route one op call through the reliability policy loop.
+# ----------------------------------------------------------------------
+# The operator table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class OpSpec:
+    """How one entry point drives a registered operator.
 
-    When the context accounts HBM capacity, every attempt is wrapped in a
-    per-backend memory scope — so falling back from aspt to sputnik really
-    does shrink the charged footprint, which is stage 3 of the OOM
-    degradation ladder.
+    ``args`` below is the entry point's operand tuple, in the order the
+    registry's ``run``/``cost`` callables take them after the context.
     """
-    policy = as_policy(backend, validate=True if validate else None)
-    attempt = call
-    fp32_attempt = fp32_call
-    if ctx.memory is not None:
 
-        def attempt(be: str, _call=call):
-            with ctx.memory_scope(op, be, operands, workspace):
-                return _call(be)
+    #: Registry operator name.
+    op: str
+    #: ``workspace(*args)``: transient bytes charged for one attempt.
+    workspace: Callable[..., int]
+    #: Call the backends' ``cost`` (simulated cost only) instead of ``run``.
+    cost: bool = False
+    #: Position in ``args`` of the sparse operand charged to HBM,
+    #: validated and faulted (``None`` for dense GEMM).
+    charge: int | None = 0
+    #: Position in ``args`` of the explicit Sputnik kernel config.
+    config: int | None = None
+    #: ``batch(*args)``: checks a stacked operand, returns the batch size.
+    batch: Callable[..., int] | None = None
+    #: Name of the :mod:`repro.dist` function that serves ``shard=``.
+    shard: str | None = None
 
-        if fp32_call is not None:
-
-            def fp32_attempt(be: str, _call=fp32_call):
-                with ctx.memory_scope(op, be, operands, workspace):
-                    return _call(be)
-
-    result = run_with_policy(
-        ctx,
-        op,
-        policy,
-        attempt,
-        operands=operands,
-        fp32_attempt=fp32_attempt,
-        registered=set(available(op)),
-        exact_backends=exact_backends(op),
-    )
-    report = ctx.last_dispatch_report
-    used = report.backend_used
-    execution = result if cost else result.execution
-    ctx.telemetry.record_launch(op, used, execution)
-    span.set(backend_used=used)
-    if not report.clean:
-        span.set(
-            retries=report.retries,
-            fallbacks=report.fallbacks,
-            degraded=report.degraded,
-        )
-    span.add_sim(execution.runtime_s)
-    return result
+    def _no_config(self, args: tuple) -> tuple:
+        pos = self.config
+        return args if pos is None else args[:pos] + (None,) + args[pos + 1:]
 
 
-def _shard_route(shard, context, device, config):
-    """Validate the ``shard=`` kwarg (a :class:`repro.dist.DeviceGroup`).
+_SPMM = OpSpec(
+    "spmm", lambda a, b, *_: _spmm_workspace(a, b.shape[1]),
+    config=2, shard="sharded_spmm",
+)
+_SPMM_COST = OpSpec(
+    "spmm", lambda a, n, *_: _spmm_workspace(a, n),
+    cost=True, config=2, shard="sharded_spmm_cost",
+)
+_SDDMM = OpSpec(
+    "sddmm", lambda lhs, rhs, mask, *_: _sddmm_workspace(mask, lhs.shape[1]),
+    charge=2, config=3, shard="sharded_sddmm",
+)
+_SDDMM_COST = OpSpec(
+    "sddmm", lambda mask, k, *_: _sddmm_workspace(mask, k),
+    cost=True, config=2, shard="sharded_sddmm_cost",
+)
+_SOFTMAX = OpSpec(
+    "sparse_softmax", lambda a, _scale: _softmax_workspace(a)
+)
+_SOFTMAX_COST = OpSpec("sparse_softmax", _softmax_workspace, cost=True)
+_SPMM_BATCHED = OpSpec(
+    "spmm_batched",
+    lambda a, b, *_: _spmm_workspace(a, b.shape[2], b.shape[0]),
+    config=2,
+    batch=lambda a, b, *_: _batch_size(b, 3, 0, "B stack must be (H, k, n)"),
+)
+_SPMM_BATCHED_COST = OpSpec(
+    "spmm_batched", lambda a, n, h, *_: _spmm_workspace(a, n, h),
+    cost=True, config=3, batch=lambda a, n, h, *_: h,
+)
+_SDDMM_BATCHED = OpSpec(
+    "sddmm_batched",
+    lambda lhs, rhs, mask, *_: _sddmm_workspace(
+        mask, lhs.shape[2], lhs.shape[0]
+    ),
+    charge=2, config=3,
+    batch=lambda lhs, *_: _batch_size(
+        lhs, 3, 0, "lhs stack must be (H, rows, k)"
+    ),
+)
+_SDDMM_BATCHED_COST = OpSpec(
+    "sddmm_batched", lambda mask, k, h, *_: _sddmm_workspace(mask, k, h),
+    cost=True, config=3, batch=lambda mask, k, h, *_: h,
+)
+_SOFTMAX_BATCHED = OpSpec(
+    "sparse_softmax_batched",
+    lambda a, values, _scale: _softmax_workspace(a, values.shape[1]),
+    batch=lambda a, values, _scale: _batch_size(
+        values, 2, 1, "value matrix must be (nnz, H)"
+    ),
+)
+_SOFTMAX_BATCHED_COST = OpSpec(
+    "sparse_softmax_batched", _softmax_workspace,
+    cost=True, batch=lambda a, h: h,
+)
+_CSC_SPMM = OpSpec(
+    "csc_spmm", lambda b, a, _config: _spmm_workspace(a, b.shape[0]),
+    charge=1, config=2,
+)
+_CSC_SPMM_COST = OpSpec(
+    "csc_spmm", lambda a, n, _config: _spmm_workspace(a, n),
+    cost=True, config=2,
+)
+_MATMUL = OpSpec(
+    "matmul",
+    lambda a, b: _gemm_workspace(
+        a.shape[0], b.shape[1], a.shape[1], a.dtype.itemsize
+    ),
+    charge=None,
+)
+_MATMUL_COST = OpSpec("matmul", _gemm_workspace, cost=True, charge=None)
+
+
+def _fp32(arg):
+    """``arg`` in fp32 if it is a half-precision operand, else ``arg``."""
+    values = getattr(arg, "values", arg)  # a sparse operand's values
+    if isinstance(values, np.ndarray) and values.dtype == np.float16:
+        return arg.astype(np.float32)
+    return arg
+
+
+_NO_KWARGS: dict = {}
+
+
+def _attempt(backend: str, spec: OpSpec, ctx, primary: str, args: tuple,
+             kwargs, operands: tuple, fp32: bool = False):
+    """One attempt of ``spec`` on ``backend``, charging ``operands`` and
+    the workspace to HBM for its duration (the policy loop's attempt).
+
+    ``kwargs`` go to the chain's ``primary`` backend only, and so does an
+    explicit Sputnik config (Sputnik itself takes one too). With
+    ``fp32=True`` this is the degraded re-run: every fp16 operand is upcast
+    and the config re-selected; ``None`` when no operand is half precision.
+    """
+    workspace = spec.workspace(*args)
+    if fp32:
+        upcast = tuple(_fp32(arg) for arg in args)
+        if all(new is old for new, old in zip(upcast, args)):
+            return None
+        args, kwargs = spec._no_config(upcast), _NO_KWARGS
+    elif backend != primary:
+        kwargs = _NO_KWARGS
+        if backend != "sputnik":
+            args = spec._no_config(args)
+    impl = get_impl(spec.op, backend)
+    call = impl.cost if spec.cost else impl.run
+    if kwargs:
+        call = partial(call, **kwargs)
+    if ctx.memory is None:
+        return call(ctx, *args)
+    # The context's memory scope, unrolled on the hot path.
+    held = ctx._hold(spec.op, backend, operands, workspace)
+    try:
+        return call(ctx, *args)
+    finally:
+        ctx._release(held)
+
+
+def _shard(spec: OpSpec, args: tuple, context, device, backend, group,
+           strategy):
+    """Serve ``shard=`` (a :class:`repro.dist.DeviceGroup`).
 
     Sharded dispatch runs through the group's own per-device contexts, so
     an explicit ``context``/``device``/``config`` would be silently
     ignored — reject the combination instead.
     """
-    if shard is None:
-        return False
-    if context is not None or device is not None or config is not None:
+    pos = spec.config
+    if context is not None or device is not None or args[pos] is not None:
         raise ValueError(
             "shard= routes dispatch through the DeviceGroup's own "
             "contexts; do not also pass context/device/config"
         )
-    return True
+    from .. import dist
+
+    kwargs = {"backend": backend, "selector": args[pos + 1]}
+    if strategy is not None:
+        kwargs["strategy"] = strategy
+    return getattr(dist, spec.shard)(*args[:pos], group, **kwargs)
 
 
+def _dispatch(
+    spec: OpSpec, args: tuple, context: ExecutionContext | None,
+    device: DeviceSpec | None, backend, validate: bool, shard=None,
+    strategy: str | None = None, kwargs=_NO_KWARGS, in_span: bool = False,
+):
+    """Run one entry-point call through the policy loop.
+
+    On a traced context the call opens its ``op`` span and re-enters here
+    with ``in_span`` set, so traced and untraced calls share every line
+    below the span.
+    """
+    if shard is not None:
+        return _shard(spec, args, context, device, backend, shard, strategy)
+    ctx = resolve_context(context, device)
+    batch = spec.batch(*args) if spec.batch is not None else None
+    policy = as_policy(backend, validate or None)
+    if ctx.tracer is not None and not in_span:
+        return _traced(spec, args, ctx, policy, kwargs, batch)
+    op = spec.op
+    registered, exact = BACKEND_SETS.get(op, NO_BACKENDS)
+    operands = () if spec.charge is None else (args[spec.charge],)
+    return run_with_policy(
+        ctx, op, policy, _attempt,
+        (spec, ctx, policy.backends[0], args, kwargs, operands),
+        operands, registered, exact,
+    )
+
+
+def _traced(spec: OpSpec, args: tuple, ctx, policy, kwargs, batch):
+    """:func:`_dispatch` inside an ``op`` span annotated with its outcome."""
+    attrs = {"backend": "/".join(policy.backends), "device": ctx.device.name}
+    if ctx.device_id is not None:
+        attrs["device_id"] = ctx.device_id
+    if batch is not None:
+        attrs["batch"] = batch
+    with ctx.tracer.span(spec.op, category="op", **attrs) as span:
+        result = _dispatch(
+            spec, args, ctx, None, policy, policy.validate, kwargs=kwargs,
+            in_span=True,
+        )
+        report = ctx.last_dispatch_report
+        span.set(backend_used=report.backend_used)
+        if not report.clean:
+            span.set(
+                retries=report.retries,
+                fallbacks=report.fallbacks,
+                degraded=report.degraded,
+            )
+        span.add_sim(result.runtime_s)
+        return result
+
+
+# ----------------------------------------------------------------------
+# Public entry points
+# ----------------------------------------------------------------------
 def spmm(
     a: CSRMatrix,
     b: np.ndarray,
@@ -207,44 +346,10 @@ def spmm(
     interconnect-priced collectives; the returned result's ``execution``
     is the group summary and ``result.sharded`` the full breakdown.
     """
-    if _shard_route(shard, context, device, config):
-        from ..dist import sharded_spmm
-
-        return sharded_spmm(
-            a, b, shard, strategy=shard_strategy,
-            backend=backend, selector=selector,
-        )
-    ctx = resolve_context(context, device)
-    with _op_span(ctx, "spmm", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("spmm", backend)
-            ws = _spmm_workspace(a, b.shape[1])
-            with ctx.memory_scope("spmm", backend, (a,), ws):
-                result = impl.run(ctx, a, b, config, selector)
-            ctx.telemetry.record_launch("spmm", backend, result.execution)
-            span.add_sim(result.execution.runtime_s)
-            return result
-
-        primary = as_policy(backend).backends[0]
-
-        def call(be: str) -> KernelResult:
-            # An explicit Sputnik config does not transfer to other backends.
-            cfg = config if be in (primary, "sputnik") else None
-            return get_impl("spmm", be).run(ctx, a, b, cfg, selector)
-
-        fp32_call = None
-        if a.values.dtype == np.float16:
-
-            def fp32_call(be: str) -> KernelResult:
-                a32 = a.astype(np.float32)
-                b32 = np.asarray(b, dtype=np.float32)
-                return get_impl("spmm", be).run(ctx, a32, b32, None, selector)
-
-        return _policy_dispatch(
-            ctx, "spmm", backend, validate, call,
-            operands=(a,), fp32_call=fp32_call, span=span,
-            workspace=_spmm_workspace(a, b.shape[1]),
-        )
+    return _dispatch(
+        _SPMM, (a, b, config, selector), context, device, backend, validate,
+        shard, shard_strategy,
+    )
 
 
 def spmm_cost(
@@ -266,35 +371,10 @@ def spmm_cost(
     With ``shard=`` (a :class:`repro.dist.DeviceGroup`) returns the
     :class:`repro.dist.ShardedExecution` for the group instead.
     """
-    if _shard_route(shard, context, device, config):
-        from ..dist import sharded_spmm_cost
-
-        return sharded_spmm_cost(
-            a, n, shard, strategy=shard_strategy,
-            backend=backend, selector=selector,
-        )
-    ctx = resolve_context(context, device)
-    with _op_span(ctx, "spmm", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("spmm", backend)
-            with ctx.memory_scope("spmm", backend, (a,), _spmm_workspace(a, n)):
-                result = impl.cost(ctx, a, n, config, selector, **kwargs)
-            ctx.telemetry.record_launch("spmm", backend, result)
-            span.add_sim(result.runtime_s)
-            return result
-
-        primary = as_policy(backend).backends[0]
-
-        def call(be: str) -> ExecutionResult:
-            cfg = config if be in (primary, "sputnik") else None
-            extra = kwargs if be == primary else {}
-            return get_impl("spmm", be).cost(ctx, a, n, cfg, selector, **extra)
-
-        return _policy_dispatch(
-            ctx, "spmm", backend, validate, call,
-            operands=(a,), cost=True, span=span,
-            workspace=_spmm_workspace(a, n),
-        )
+    return _dispatch(
+        _SPMM_COST, (a, n, config, selector), context, device, backend,
+        validate, shard, shard_strategy, kwargs,
+    )
 
 
 def sddmm(
@@ -315,42 +395,10 @@ def sddmm(
     ``shard=`` (a :class:`repro.dist.DeviceGroup`) row-shards the mask
     across the group's K devices (see :func:`repro.dist.sharded_sddmm`).
     """
-    if _shard_route(shard, context, device, config):
-        from ..dist import sharded_sddmm
-
-        return sharded_sddmm(
-            lhs, rhs, mask, shard, backend=backend, selector=selector
-        )
-    ctx = resolve_context(context, device)
-    with _op_span(ctx, "sddmm", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("sddmm", backend)
-            ws = _sddmm_workspace(mask, lhs.shape[1])
-            with ctx.memory_scope("sddmm", backend, (mask,), ws):
-                result = impl.run(ctx, lhs, rhs, mask, config, selector)
-            ctx.telemetry.record_launch("sddmm", backend, result.execution)
-            span.add_sim(result.execution.runtime_s)
-            return result
-
-        primary = as_policy(backend).backends[0]
-
-        def call(be: str) -> KernelResult:
-            cfg = config if be in (primary, "sputnik") else None
-            return get_impl("sddmm", be).run(ctx, lhs, rhs, mask, cfg, selector)
-
-        fp32_call = None
-        if mask.values.dtype == np.float16:
-
-            def fp32_call(be: str) -> KernelResult:
-                return get_impl("sddmm", be).run(
-                    ctx, lhs, rhs, mask.astype(np.float32), None, selector
-                )
-
-        return _policy_dispatch(
-            ctx, "sddmm", backend, validate, call,
-            operands=(mask,), fp32_call=fp32_call, span=span,
-            workspace=_sddmm_workspace(mask, lhs.shape[1]),
-        )
+    return _dispatch(
+        _SDDMM, (lhs, rhs, mask, config, selector), context, device, backend,
+        validate, shard,
+    )
 
 
 def sddmm_cost(
@@ -371,35 +419,10 @@ def sddmm_cost(
     With ``shard=`` (a :class:`repro.dist.DeviceGroup`) returns the
     :class:`repro.dist.ShardedExecution` for the group instead.
     """
-    if _shard_route(shard, context, device, config):
-        from ..dist import sharded_sddmm_cost
-
-        return sharded_sddmm_cost(
-            mask, k, shard, strategy=shard_strategy,
-            backend=backend, selector=selector,
-        )
-    ctx = resolve_context(context, device)
-    with _op_span(ctx, "sddmm", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("sddmm", backend)
-            ws = _sddmm_workspace(mask, k)
-            with ctx.memory_scope("sddmm", backend, (mask,), ws):
-                result = impl.cost(ctx, mask, k, config, selector)
-            ctx.telemetry.record_launch("sddmm", backend, result)
-            span.add_sim(result.runtime_s)
-            return result
-
-        primary = as_policy(backend).backends[0]
-
-        def call(be: str) -> ExecutionResult:
-            cfg = config if be in (primary, "sputnik") else None
-            return get_impl("sddmm", be).cost(ctx, mask, k, cfg, selector)
-
-        return _policy_dispatch(
-            ctx, "sddmm", backend, validate, call,
-            operands=(mask,), cost=True, span=span,
-            workspace=_sddmm_workspace(mask, k),
-        )
+    return _dispatch(
+        _SDDMM_COST, (mask, k, config, selector), context, device, backend,
+        validate, shard, shard_strategy,
+    )
 
 
 def sparse_softmax(
@@ -412,36 +435,7 @@ def sparse_softmax(
     validate: bool = False,
 ) -> KernelResult:
     """Row-wise softmax over CSR nonzeros (Section VII-C)."""
-    ctx = resolve_context(context, device)
-    with _op_span(ctx, "sparse_softmax", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("sparse_softmax", backend)
-            with ctx.memory_scope(
-                "sparse_softmax", backend, (a,), _softmax_workspace(a)
-            ):
-                result = impl.run(ctx, a, scale)
-            ctx.telemetry.record_launch(
-                "sparse_softmax", backend, result.execution
-            )
-            span.add_sim(result.execution.runtime_s)
-            return result
-
-        def call(be: str) -> KernelResult:
-            return get_impl("sparse_softmax", be).run(ctx, a, scale)
-
-        fp32_call = None
-        if a.values.dtype == np.float16:
-
-            def fp32_call(be: str) -> KernelResult:
-                return get_impl("sparse_softmax", be).run(
-                    ctx, a.astype(np.float32), scale
-                )
-
-        return _policy_dispatch(
-            ctx, "sparse_softmax", backend, validate, call,
-            operands=(a,), fp32_call=fp32_call, span=span,
-            workspace=_softmax_workspace(a),
-        )
+    return _dispatch(_SOFTMAX, (a, scale), context, device, backend, validate)
 
 
 def sparse_softmax_cost(
@@ -453,26 +447,7 @@ def sparse_softmax_cost(
     validate: bool = False,
 ) -> ExecutionResult:
     """Simulated sparse-softmax cost only."""
-    ctx = resolve_context(context, device)
-    with _op_span(ctx, "sparse_softmax", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("sparse_softmax", backend)
-            with ctx.memory_scope(
-                "sparse_softmax", backend, (a,), _softmax_workspace(a)
-            ):
-                result = impl.cost(ctx, a)
-            ctx.telemetry.record_launch("sparse_softmax", backend, result)
-            span.add_sim(result.runtime_s)
-            return result
-
-        def call(be: str) -> ExecutionResult:
-            return get_impl("sparse_softmax", be).cost(ctx, a)
-
-        return _policy_dispatch(
-            ctx, "sparse_softmax", backend, validate, call,
-            operands=(a,), cost=True, span=span,
-            workspace=_softmax_workspace(a),
-        )
+    return _dispatch(_SOFTMAX_COST, (a,), context, device, backend, validate)
 
 
 def spmm_batched(
@@ -493,54 +468,13 @@ def spmm_batched(
     ``(H, nnz)`` per-item value matrix over the shared structure (per-head
     attention probabilities). ONE plan is resolved and ONE z-scaled launch
     is costed for the whole stack, amortizing ``H - 1`` launch overheads;
-    a policy-dispatched call produces ONE DispatchReport covering the
-    batch, and guardrail validation scans the whole output stack.
+    the call produces ONE DispatchReport covering the batch, and
+    guardrail validation scans the whole output stack.
     """
-    ctx = resolve_context(context, device)
-    b_stack = np.asarray(b_stack)
-    if b_stack.ndim != 3:
-        raise ValueError(f"B stack must be (H, k, n), got {b_stack.shape}")
-    h = b_stack.shape[0]
-    with _op_span(ctx, "spmm_batched", backend) as span:
-        span.set(batch=h)
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("spmm_batched", backend)
-            ws = _spmm_workspace(a, b_stack.shape[2], h)
-            with ctx.memory_scope("spmm_batched", backend, (a,), ws):
-                result = impl.run(ctx, a, b_stack, config, selector, values)
-            ctx.telemetry.record_launch(
-                "spmm_batched", backend, result.execution
-            )
-            span.add_sim(result.execution.runtime_s)
-            return result
-
-        primary = as_policy(backend).backends[0]
-
-        def call(be: str) -> KernelResult:
-            cfg = config if be in (primary, "sputnik") else None
-            return get_impl("spmm_batched", be).run(
-                ctx, a, b_stack, cfg, selector, values
-            )
-
-        fp32_call = None
-        if a.values.dtype == np.float16:
-
-            def fp32_call(be: str) -> KernelResult:
-                a32 = a.astype(np.float32)
-                b32 = np.asarray(b_stack, dtype=np.float32)
-                v32 = (
-                    None if values is None
-                    else np.asarray(values, dtype=np.float32)
-                )
-                return get_impl("spmm_batched", be).run(
-                    ctx, a32, b32, None, selector, v32
-                )
-
-        return _policy_dispatch(
-            ctx, "spmm_batched", backend, validate, call,
-            operands=(a,), fp32_call=fp32_call, span=span,
-            workspace=_spmm_workspace(a, b_stack.shape[2], h),
-        )
+    return _dispatch(
+        _SPMM_BATCHED, (a, np.asarray(b_stack), config, selector, values),
+        context, device, backend, validate,
+    )
 
 
 def spmm_batched_cost(
@@ -556,31 +490,10 @@ def spmm_batched_cost(
     validate: bool = False,
 ) -> ExecutionResult:
     """Simulated batched-SpMM cost only (``h`` stacked products)."""
-    ctx = resolve_context(context, device)
-    with _op_span(ctx, "spmm_batched", backend) as span:
-        span.set(batch=h)
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("spmm_batched", backend)
-            ws = _spmm_workspace(a, n, h)
-            with ctx.memory_scope("spmm_batched", backend, (a,), ws):
-                result = impl.cost(ctx, a, n, h, config, selector)
-            ctx.telemetry.record_launch("spmm_batched", backend, result)
-            span.add_sim(result.runtime_s)
-            return result
-
-        primary = as_policy(backend).backends[0]
-
-        def call(be: str) -> ExecutionResult:
-            cfg = config if be in (primary, "sputnik") else None
-            return get_impl("spmm_batched", be).cost(
-                ctx, a, n, h, cfg, selector
-            )
-
-        return _policy_dispatch(
-            ctx, "spmm_batched", backend, validate, call,
-            operands=(a,), cost=True, span=span,
-            workspace=_spmm_workspace(a, n, h),
-        )
+    return _dispatch(
+        _SPMM_BATCHED_COST, (a, n, h, config, selector), context, device,
+        backend, validate,
+    )
 
 
 def sddmm_batched(
@@ -601,41 +514,11 @@ def sddmm_batched(
     shared mask topology — exactly what :func:`sparse_softmax_batched`
     and the ``values`` form of :func:`spmm_batched` consume.
     """
-    ctx = resolve_context(context, device)
-    lhs_stack = np.asarray(lhs_stack)
-    if lhs_stack.ndim != 3:
-        raise ValueError(
-            f"lhs stack must be (H, rows, k), got {lhs_stack.shape}"
-        )
-    h = lhs_stack.shape[0]
-    with _op_span(ctx, "sddmm_batched", backend) as span:
-        span.set(batch=h)
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("sddmm_batched", backend)
-            ws = _sddmm_workspace(mask, lhs_stack.shape[2], h)
-            with ctx.memory_scope("sddmm_batched", backend, (mask,), ws):
-                result = impl.run(
-                    ctx, lhs_stack, rhs_stack, mask, config, selector
-                )
-            ctx.telemetry.record_launch(
-                "sddmm_batched", backend, result.execution
-            )
-            span.add_sim(result.execution.runtime_s)
-            return result
-
-        primary = as_policy(backend).backends[0]
-
-        def call(be: str) -> KernelResult:
-            cfg = config if be in (primary, "sputnik") else None
-            return get_impl("sddmm_batched", be).run(
-                ctx, lhs_stack, rhs_stack, mask, cfg, selector
-            )
-
-        return _policy_dispatch(
-            ctx, "sddmm_batched", backend, validate, call,
-            operands=(mask,), span=span,
-            workspace=_sddmm_workspace(mask, lhs_stack.shape[2], h),
-        )
+    return _dispatch(
+        _SDDMM_BATCHED,
+        (np.asarray(lhs_stack), rhs_stack, mask, config, selector),
+        context, device, backend, validate,
+    )
 
 
 def sddmm_batched_cost(
@@ -651,31 +534,10 @@ def sddmm_batched_cost(
     validate: bool = False,
 ) -> ExecutionResult:
     """Simulated batched-SDDMM cost only (``h`` stacked products)."""
-    ctx = resolve_context(context, device)
-    with _op_span(ctx, "sddmm_batched", backend) as span:
-        span.set(batch=h)
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("sddmm_batched", backend)
-            ws = _sddmm_workspace(mask, k, h)
-            with ctx.memory_scope("sddmm_batched", backend, (mask,), ws):
-                result = impl.cost(ctx, mask, k, h, config, selector)
-            ctx.telemetry.record_launch("sddmm_batched", backend, result)
-            span.add_sim(result.runtime_s)
-            return result
-
-        primary = as_policy(backend).backends[0]
-
-        def call(be: str) -> ExecutionResult:
-            cfg = config if be in (primary, "sputnik") else None
-            return get_impl("sddmm_batched", be).cost(
-                ctx, mask, k, h, cfg, selector
-            )
-
-        return _policy_dispatch(
-            ctx, "sddmm_batched", backend, validate, call,
-            operands=(mask,), cost=True, span=span,
-            workspace=_sddmm_workspace(mask, k, h),
-        )
+    return _dispatch(
+        _SDDMM_BATCHED_COST, (mask, k, h, config, selector), context, device,
+        backend, validate,
+    )
 
 
 def sparse_softmax_batched(
@@ -690,42 +552,10 @@ def sparse_softmax_batched(
 ) -> KernelResult:
     """Row softmax over a ``(nnz, H)`` value matrix sharing ``a``'s
     topology — all ``H`` columns in one launch."""
-    ctx = resolve_context(context, device)
-    values = np.asarray(values)
-    if values.ndim != 2:
-        raise ValueError(f"value matrix must be (nnz, H), got {values.shape}")
-    h = values.shape[1]
-    with _op_span(ctx, "sparse_softmax_batched", backend) as span:
-        span.set(batch=h)
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("sparse_softmax_batched", backend)
-            ws = _softmax_workspace(a, h)
-            with ctx.memory_scope("sparse_softmax_batched", backend, (a,), ws):
-                result = impl.run(ctx, a, values, scale)
-            ctx.telemetry.record_launch(
-                "sparse_softmax_batched", backend, result.execution
-            )
-            span.add_sim(result.execution.runtime_s)
-            return result
-
-        def call(be: str) -> KernelResult:
-            return get_impl("sparse_softmax_batched", be).run(
-                ctx, a, values, scale
-            )
-
-        fp32_call = None
-        if values.dtype == np.float16:
-
-            def fp32_call(be: str) -> KernelResult:
-                return get_impl("sparse_softmax_batched", be).run(
-                    ctx, a, np.asarray(values, dtype=np.float32), scale
-                )
-
-        return _policy_dispatch(
-            ctx, "sparse_softmax_batched", backend, validate, call,
-            operands=(a,), fp32_call=fp32_call, span=span,
-            workspace=_softmax_workspace(a, h),
-        )
+    return _dispatch(
+        _SOFTMAX_BATCHED, (a, np.asarray(values), scale), context, device,
+        backend, validate,
+    )
 
 
 def sparse_softmax_batched_cost(
@@ -738,28 +568,9 @@ def sparse_softmax_batched_cost(
     validate: bool = False,
 ) -> ExecutionResult:
     """Simulated batched sparse-softmax cost only (``h`` value columns)."""
-    ctx = resolve_context(context, device)
-    with _op_span(ctx, "sparse_softmax_batched", backend) as span:
-        span.set(batch=h)
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("sparse_softmax_batched", backend)
-            ws = _softmax_workspace(a, h)
-            with ctx.memory_scope("sparse_softmax_batched", backend, (a,), ws):
-                result = impl.cost(ctx, a, h)
-            ctx.telemetry.record_launch(
-                "sparse_softmax_batched", backend, result
-            )
-            span.add_sim(result.runtime_s)
-            return result
-
-        def call(be: str) -> ExecutionResult:
-            return get_impl("sparse_softmax_batched", be).cost(ctx, a, h)
-
-        return _policy_dispatch(
-            ctx, "sparse_softmax_batched", backend, validate, call,
-            operands=(a,), cost=True, span=span,
-            workspace=_softmax_workspace(a, h),
-        )
+    return _dispatch(
+        _SOFTMAX_BATCHED_COST, (a, h), context, device, backend, validate
+    )
 
 
 def csc_spmm(
@@ -773,24 +584,9 @@ def csc_spmm(
     validate: bool = False,
 ) -> KernelResult:
     """``C = B @ A`` with CSC ``A`` and column-major ``B``/``C``."""
-    ctx = resolve_context(context, device)
-    with _op_span(ctx, "csc_spmm", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("csc_spmm", backend)
-            ws = _spmm_workspace(a, b.shape[0])
-            with ctx.memory_scope("csc_spmm", backend, (a,), ws):
-                result = impl.run(ctx, b, a, config)
-            ctx.telemetry.record_launch("csc_spmm", backend, result.execution)
-            span.add_sim(result.execution.runtime_s)
-            return result
-
-        def call(be: str) -> KernelResult:
-            return get_impl("csc_spmm", be).run(ctx, b, a, config)
-
-        return _policy_dispatch(
-            ctx, "csc_spmm", backend, validate, call, operands=(a,),
-            span=span, workspace=_spmm_workspace(a, b.shape[0]),
-        )
+    return _dispatch(
+        _CSC_SPMM, (b, a, config), context, device, backend, validate
+    )
 
 
 def csc_spmm_cost(
@@ -804,25 +600,9 @@ def csc_spmm_cost(
     validate: bool = False,
 ) -> ExecutionResult:
     """Simulated CSC-SpMM cost only (``n`` = rows of the dense left operand)."""
-    ctx = resolve_context(context, device)
-    with _op_span(ctx, "csc_spmm", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("csc_spmm", backend)
-            ws = _spmm_workspace(a, n)
-            with ctx.memory_scope("csc_spmm", backend, (a,), ws):
-                result = impl.cost(ctx, a, n, config)
-            ctx.telemetry.record_launch("csc_spmm", backend, result)
-            span.add_sim(result.runtime_s)
-            return result
-
-        def call(be: str) -> ExecutionResult:
-            return get_impl("csc_spmm", be).cost(ctx, a, n, config)
-
-        return _policy_dispatch(
-            ctx, "csc_spmm", backend, validate, call,
-            operands=(a,), cost=True, span=span,
-            workspace=_spmm_workspace(a, n),
-        )
+    return _dispatch(
+        _CSC_SPMM_COST, (a, n, config), context, device, backend, validate
+    )
 
 
 def matmul(
@@ -835,30 +615,10 @@ def matmul(
     validate: bool = False,
 ) -> KernelResult:
     """Dense ``A @ B`` (the models' dense projections and baselines)."""
-    ctx = resolve_context(context, device)
-    a = np.asarray(a)
-    b = np.asarray(b)
-    with _op_span(ctx, "matmul", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("matmul", backend)
-            ws = _gemm_workspace(
-                a.shape[0], b.shape[1], a.shape[1], a.dtype.itemsize
-            )
-            with ctx.memory_scope("matmul", backend, (), ws):
-                result = impl.run(ctx, a, b)
-            ctx.telemetry.record_launch("matmul", backend, result.execution)
-            span.add_sim(result.execution.runtime_s)
-            return result
-
-        def call(be: str) -> KernelResult:
-            return get_impl("matmul", be).run(ctx, a, b)
-
-        return _policy_dispatch(
-            ctx, "matmul", backend, validate, call, span=span,
-            workspace=_gemm_workspace(
-                a.shape[0], b.shape[1], a.shape[1], a.dtype.itemsize
-            ),
-        )
+    return _dispatch(
+        _MATMUL, (np.asarray(a), np.asarray(b)), context, device, backend,
+        validate,
+    )
 
 
 def matmul_cost(
@@ -873,21 +633,7 @@ def matmul_cost(
     validate: bool = False,
 ) -> ExecutionResult:
     """Simulated dense-GEMM cost only."""
-    ctx = resolve_context(context, device)
-    with _op_span(ctx, "matmul", backend) as span:
-        if _fast_path(ctx, backend, validate):
-            impl = get_impl("matmul", backend)
-            ws = _gemm_workspace(m, n, k, element_bytes)
-            with ctx.memory_scope("matmul", backend, (), ws):
-                result = impl.cost(ctx, m, n, k, element_bytes)
-            ctx.telemetry.record_launch("matmul", backend, result)
-            span.add_sim(result.runtime_s)
-            return result
-
-        def call(be: str) -> ExecutionResult:
-            return get_impl("matmul", be).cost(ctx, m, n, k, element_bytes)
-
-        return _policy_dispatch(
-            ctx, "matmul", backend, validate, call, cost=True, span=span,
-            workspace=_gemm_workspace(m, n, k, element_bytes),
-        )
+    return _dispatch(
+        _MATMUL_COST, (m, n, k, element_bytes), context, device, backend,
+        validate,
+    )

@@ -148,17 +148,6 @@ class PlanCache:
             if self.on_evict is not None:
                 self.on_evict(old_key, old_value)
 
-    def get_or_build(
-        self, key: Hashable, build: Callable[[], Any]
-    ) -> tuple[Any, bool]:
-        """Return ``(value, was_hit)``, building and inserting on a miss."""
-        value = self.get(key)
-        if value is not None:
-            return value, True
-        value = build()
-        self.put(key, value)
-        return value, False
-
     def clear(self) -> None:
         if self.on_evict is not None:
             for key, value in list(self._entries.items()):

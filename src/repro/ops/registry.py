@@ -23,6 +23,7 @@ cache their launch costing per topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Callable
 
 import numpy as np
@@ -59,23 +60,32 @@ class KernelImpl:
 
 
 _REGISTRY: dict[tuple[str, str], KernelImpl] = {}
+_SETS: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
+#: Per op: its backend names and their bitwise-exact subset, kept current
+#: by :func:`register` so dispatch never scans the registry (read-only).
+BACKEND_SETS = MappingProxyType(_SETS)
+NO_BACKENDS = (frozenset(), frozenset())
 
 
 def register(impl: KernelImpl) -> KernelImpl:
     """Add (or replace) a backend implementation."""
     _REGISTRY[(impl.op, impl.backend)] = impl
+    impls = [i for (op, _), i in _REGISTRY.items() if op == impl.op]
+    _SETS[impl.op] = (
+        frozenset(i.backend for i in impls),
+        frozenset(i.backend for i in impls if i.exact),
+    )
     return impl
 
 
 def get_impl(op: str, backend: str) -> KernelImpl:
     impl = _REGISTRY.get((op, backend))
     if impl is None:
-        backends = available(op)
-        if not backends:
+        if op not in _SETS:
             raise KeyError(f"unknown operator {op!r}")
         raise KeyError(
             f"operator {op!r} has no backend {backend!r}; "
-            f"available: {sorted(backends)}"
+            f"available: {sorted(_SETS[op][0])}"
         )
     return impl
 
@@ -93,9 +103,14 @@ def available(op: str | None = None) -> dict[str, str]:
     }
 
 
-def exact_backends(op: str) -> set[str]:
+def exact_backends(op: str) -> frozenset[str]:
     """Backends of ``op`` whose numerics are mutually bitwise-exact."""
-    return {b for (o, b), impl in _REGISTRY.items() if o == op and impl.exact}
+    return BACKEND_SETS.get(op, NO_BACKENDS)[1]
+
+
+def _plan_cost(plan: str):
+    """The ``cost`` of a planned kernel: its cached plan's execution."""
+    return lambda ctx, *args: getattr(ctx, plan)(*args).execution
 
 
 def _reject_config(backend: str, config: Any) -> None:
@@ -103,6 +118,29 @@ def _reject_config(backend: str, config: Any) -> None:
         raise ValueError(
             f"backend {backend!r} does not take a Sputnik kernel config"
         )
+
+
+def _baseline(op: str, backend: str, numerics, launch=None):
+    """``run`` and ``cost`` of a plan-less baseline model.
+
+    ``numerics(device, *operands)`` computes one result (every run is a
+    plan-cache miss); ``launch(device, matrix, dim)`` prices the cost-only
+    path, cached per topology and dimension.
+    """
+
+    def run(ctx, *args):
+        *operands, config, _selector = args
+        _reject_config(backend, config)
+        result = numerics(ctx.device, *operands)
+        ctx.telemetry.record_cache(op, backend, False)
+        return result
+
+    def cost(ctx, matrix, dim, config, selector):
+        _reject_config(backend, config)
+        key = (op, backend, matrix_fingerprint(matrix), dim)
+        return ctx.cost(key, lambda: launch(ctx.device, matrix, dim))
+
+    return run, cost
 
 
 def _batch_columns(b: np.ndarray) -> int:
@@ -120,16 +158,26 @@ def _sputnik_spmm_run(ctx, a, b, config, selector):
     return execute_spmm(plan, a, b)
 
 
-def _sputnik_spmm_cost(ctx, a, n, config, selector):
-    return ctx.spmm_plan(a, n, config, selector).execution
-
-
-def _cusparse_spmm_run(ctx, a, b, config, selector):
-    _reject_config("cusparse", config)
-    precision = "mixed" if a.values.dtype == np.float16 else "fp32"
-    result = cusparse.cusparse_spmm(a, b, ctx.device, precision)
-    ctx.telemetry.record_cache("spmm", "cusparse", False)
-    return result
+# The baselines' model functions are named inside lambdas so they are
+# looked up when called: a rebinding of a module name reaches them.
+_cusparse_spmm_run = _baseline(
+    "spmm", "cusparse",
+    lambda device, a, b: cusparse.cusparse_spmm(
+        a, b, device, "mixed" if a.values.dtype == np.float16 else "fp32"
+    ),
+)[0]
+_merge_spmm_run, _merge_spmm_cost = _baseline(
+    "spmm", "merge",
+    lambda device, a, b: merge_spmm(a, b, device),
+    lambda device, a, n: execute(merge_spmm_launch(a, n, device), device),
+)
+_aspt_spmm_run, _aspt_spmm_cost = _baseline(
+    "spmm", "aspt",
+    lambda device, a, b: aspt.aspt_spmm(a, b, device),
+    lambda device, a, n: execute(
+        aspt._panel_launch(a, n, device, "aspt_spmm", 2.0 * a.nnz * n), device
+    ),
+)
 
 
 def _cusparse_spmm_cost(ctx, a, n, config, selector, precision="fp32"):
@@ -139,40 +187,6 @@ def _cusparse_spmm_cost(ctx, a, n, config, selector, precision="fp32"):
         key,
         lambda: execute(
             cusparse.spmm_launch(a, n, ctx.device, precision), ctx.device
-        ),
-    )
-
-
-def _merge_spmm_run(ctx, a, b, config, selector):
-    _reject_config("merge", config)
-    result = merge_spmm(a, b, ctx.device)
-    ctx.telemetry.record_cache("spmm", "merge", False)
-    return result
-
-
-def _merge_spmm_cost(ctx, a, n, config, selector):
-    _reject_config("merge", config)
-    key = ("spmm", "merge", matrix_fingerprint(a), n)
-    return ctx.cost(
-        key, lambda: execute(merge_spmm_launch(a, n, ctx.device), ctx.device)
-    )
-
-
-def _aspt_spmm_run(ctx, a, b, config, selector):
-    _reject_config("aspt", config)
-    result = aspt.aspt_spmm(a, b, ctx.device)
-    ctx.telemetry.record_cache("spmm", "aspt", False)
-    return result
-
-
-def _aspt_spmm_cost(ctx, a, n, config, selector):
-    _reject_config("aspt", config)
-    key = ("spmm", "aspt", matrix_fingerprint(a), n)
-    return ctx.cost(
-        key,
-        lambda: execute(
-            aspt._panel_launch(a, n, ctx.device, "aspt_spmm", 2.0 * a.nnz * n),
-            ctx.device,
         ),
     )
 
@@ -220,10 +234,6 @@ def _sputnik_spmm_batched_run(ctx, a, b_stack, config, selector, values=None):
     return execute_spmm_batched(plan, a, b_stack, values)
 
 
-def _sputnik_spmm_batched_cost(ctx, a, n, h, config, selector):
-    return ctx.spmm_batched_plan(a, n, h, config, selector).execution
-
-
 def _dense_spmm_batched_run(ctx, a, b_stack, config, selector, values=None):
     """Densified batched GEMM fallback: one strided-batched cuBLAS call."""
     _reject_config("dense", config)
@@ -269,10 +279,6 @@ def _sputnik_sddmm_batched_run(ctx, lhs_stack, rhs_stack, mask, config, selector
     return execute_sddmm_batched(plan, lhs_stack, rhs_stack, mask)
 
 
-def _sputnik_sddmm_batched_cost(ctx, mask, k, h, config, selector):
-    return ctx.sddmm_batched_plan(mask, k, h, config, selector).execution
-
-
 def _sputnik_softmax_batched_run(ctx, a, values, scale):
     values = np.asarray(values)
     if values.ndim != 2:
@@ -281,10 +287,6 @@ def _sputnik_softmax_batched_run(ctx, a, values, scale):
         )
     plan = ctx.sparse_softmax_batched_plan(a, values.shape[1])
     return execute_sparse_softmax_batched(plan, a, values, scale=scale)
-
-
-def _sputnik_softmax_batched_cost(ctx, a, h):
-    return ctx.sparse_softmax_batched_plan(a, h).execution
 
 
 # ----------------------------------------------------------------------
@@ -296,45 +298,23 @@ def _sputnik_sddmm_run(ctx, lhs, rhs, mask, config, selector):
     return execute_sddmm(plan, lhs, rhs, mask)
 
 
-def _sputnik_sddmm_cost(ctx, mask, k, config, selector):
-    return ctx.sddmm_plan(mask, k, config, selector).execution
-
-
-def _cusparse_sddmm_run(ctx, lhs, rhs, mask, config, selector):
-    _reject_config("cusparse", config)
-    result = cusparse.cusparse_sddmm(lhs, rhs, mask, ctx.device)
-    ctx.telemetry.record_cache("sddmm", "cusparse", False)
-    return result
-
-
-def _cusparse_sddmm_cost(ctx, mask, k, config, selector):
-    _reject_config("cusparse", config)
-    key = ("sddmm", "cusparse", matrix_fingerprint(mask), k)
-    return ctx.cost(
-        key, lambda: cusparse.sddmm_execution(mask, k, ctx.device)
-    )
-
-
-def _aspt_sddmm_run(ctx, lhs, rhs, mask, config, selector):
-    _reject_config("aspt", config)
-    result = aspt.aspt_sddmm(lhs, rhs, mask, ctx.device)
-    ctx.telemetry.record_cache("sddmm", "aspt", False)
-    return result
-
-
-def _aspt_sddmm_cost(ctx, mask, k, config, selector):
-    _reject_config("aspt", config)
-    key = ("sddmm", "aspt", matrix_fingerprint(mask), k)
-    return ctx.cost(
-        key,
-        lambda: execute(
-            aspt._panel_launch(
-                mask, k, ctx.device, "aspt_sddmm", 2.0 * mask.nnz * k,
-                mode="sddmm",
-            ),
-            ctx.device,
+_cusparse_sddmm_run, _cusparse_sddmm_cost = _baseline(
+    "sddmm", "cusparse",
+    lambda device, lhs, rhs, mask: cusparse.cusparse_sddmm(
+        lhs, rhs, mask, device
+    ),
+    lambda device, mask, k: cusparse.sddmm_execution(mask, k, device),
+)
+_aspt_sddmm_run, _aspt_sddmm_cost = _baseline(
+    "sddmm", "aspt",
+    lambda device, lhs, rhs, mask: aspt.aspt_sddmm(lhs, rhs, mask, device),
+    lambda device, mask, k: execute(
+        aspt._panel_launch(
+            mask, k, device, "aspt_sddmm", 2.0 * mask.nnz * k, mode="sddmm"
         ),
-    )
+        device,
+    ),
+)
 
 
 # ----------------------------------------------------------------------
@@ -345,10 +325,6 @@ def _sputnik_softmax_run(ctx, a, scale):
     return execute_sparse_softmax(plan, a, scale=scale)
 
 
-def _sputnik_softmax_cost(ctx, a):
-    return ctx.sparse_softmax_plan(a).execution
-
-
 def _sputnik_csc_spmm_run(ctx, b, a, config):
     b = np.asarray(b)
     if b.ndim != 2 or b.shape[1] != a.shape[0]:
@@ -357,10 +333,6 @@ def _sputnik_csc_spmm_run(ctx, b, a, config):
         )
     plan = ctx.csc_spmm_plan(a, b.shape[0], config)
     return execute_spmm_csc(plan, b, a)
-
-
-def _sputnik_csc_spmm_cost(ctx, a, n, config):
-    return ctx.csc_spmm_plan(a, n, config).execution
 
 
 def _cublas_matmul_run(ctx, a, b):
@@ -384,7 +356,7 @@ def _cublas_matmul_cost(ctx, m, n, k, element_bytes):
 # ----------------------------------------------------------------------
 register(KernelImpl(
     "spmm", "sputnik", "The paper's 1-D tiled SpMM (Section V)",
-    run=_sputnik_spmm_run, cost=_sputnik_spmm_cost,
+    run=_sputnik_spmm_run, cost=_plan_cost("spmm_plan"),
 ))
 register(KernelImpl(
     "spmm", "cusparse", "cusparseSpMM model (generic CSR kernel)",
@@ -405,7 +377,7 @@ register(KernelImpl(
 register(KernelImpl(
     "spmm_batched", "sputnik",
     "Batched shared-topology SpMM: one plan, one z-scaled launch",
-    run=_sputnik_spmm_batched_run, cost=_sputnik_spmm_batched_cost,
+    run=_sputnik_spmm_batched_run, cost=_plan_cost("spmm_batched_plan"),
 ))
 register(KernelImpl(
     "spmm_batched", "dense",
@@ -414,7 +386,7 @@ register(KernelImpl(
 ))
 register(KernelImpl(
     "sddmm", "sputnik", "The paper's strip-mined SDDMM (Section VI)",
-    run=_sputnik_sddmm_run, cost=_sputnik_sddmm_cost,
+    run=_sputnik_sddmm_run, cost=_plan_cost("sddmm_plan"),
 ))
 register(KernelImpl(
     "sddmm", "cusparse", "cusparseConstrainedGeMM + explicit transpose",
@@ -427,20 +399,21 @@ register(KernelImpl(
 register(KernelImpl(
     "sddmm_batched", "sputnik",
     "Batched shared-mask SDDMM: one plan, one z-scaled launch",
-    run=_sputnik_sddmm_batched_run, cost=_sputnik_sddmm_batched_cost,
+    run=_sputnik_sddmm_batched_run, cost=_plan_cost("sddmm_batched_plan"),
 ))
 register(KernelImpl(
     "sparse_softmax", "sputnik", "Row softmax over CSR values (Section VII-C)",
-    run=_sputnik_softmax_run, cost=_sputnik_softmax_cost,
+    run=_sputnik_softmax_run, cost=_plan_cost("sparse_softmax_plan"),
 ))
 register(KernelImpl(
     "sparse_softmax_batched", "sputnik",
     "Batched row softmax over a (nnz, H) value matrix, one launch",
-    run=_sputnik_softmax_batched_run, cost=_sputnik_softmax_batched_cost,
+    run=_sputnik_softmax_batched_run,
+    cost=_plan_cost("sparse_softmax_batched_plan"),
 ))
 register(KernelImpl(
     "csc_spmm", "sputnik", "B @ A with CSC A via the transposed CSR problem",
-    run=_sputnik_csc_spmm_run, cost=_sputnik_csc_spmm_cost,
+    run=_sputnik_csc_spmm_run, cost=_plan_cost("csc_spmm_plan"),
 ))
 register(KernelImpl(
     "matmul", "cublas", "Dense GEMM (tile/split-K dispatch model)",

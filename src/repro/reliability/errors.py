@@ -120,7 +120,7 @@ class DeviceOOMError(ReliabilityError):
         self.snapshot = snapshot
 
 
-@dataclass
+@dataclass(slots=True)
 class AttemptRecord:
     """One dispatch attempt inside a fallback chain."""
 

@@ -18,10 +18,12 @@ funnels through. Classification drives control flow:
 - :class:`InvalidTopologyError` — retry only if the fault injector can
   repair the operand (host re-upload model), otherwise terminal;
 - :class:`NumericalError` with ``kind="fp16_overflow"`` — degraded mode:
-  re-run the attempt in fp32 (when the operator provides an upcast path),
-  flagged on the returned report; any other kind is terminal;
-- an exhausted chain raises :class:`FallbackExhaustedError` carrying the
-  full attempt history.
+  re-run the attempt in fp32 (when the call has an fp16 operand to
+  upcast), flagged on the returned report; any other kind is terminal;
+- an exhausted chain of two or more backends raises
+  :class:`FallbackExhaustedError` carrying the full attempt history; a
+  one-backend chain has nothing to fall back to and re-raises its last
+  error. Either way the flight recorder's window rides on the error.
 
 Everything is recorded twice: per-call in a :class:`DispatchReport`
 (attached to the returned :class:`~repro.core.types.KernelResult` and to
@@ -75,12 +77,26 @@ class FallbackPolicy:
             raise ValueError("backoff must be non-negative and non-shrinking")
 
 
+#: One-backend policies for plain backend strings, by name, without and
+#: with validation.
+_STRING_POLICIES: tuple[dict[str, FallbackPolicy], ...] = ({}, {})
+
+
 def as_policy(backend, validate: bool | None = None) -> FallbackPolicy:
-    """Coerce a backend string / chain / policy into a FallbackPolicy."""
+    """Coerce a backend string / chain / policy into a FallbackPolicy.
+
+    A plain string is a one-backend policy with the default retry budget,
+    built once per (string, validate) and shared afterwards.
+    """
+    if isinstance(backend, str):
+        validate = bool(validate)
+        policy = _STRING_POLICIES[validate].get(backend)
+        if policy is None:
+            policy = FallbackPolicy(backends=(backend,), validate=validate)
+            _STRING_POLICIES[validate][backend] = policy
+        return policy
     if isinstance(backend, FallbackPolicy):
         policy = backend
-    elif isinstance(backend, str):
-        policy = FallbackPolicy(backends=(backend,))
     else:
         policy = FallbackPolicy(backends=tuple(backend))
     if validate is not None and validate != policy.validate:
@@ -88,7 +104,7 @@ def as_policy(backend, validate: bool | None = None) -> FallbackPolicy:
     return policy
 
 
-@dataclass
+@dataclass(slots=True)
 class DispatchReport:
     """What one policy-dispatched operator call actually did."""
 
@@ -117,19 +133,109 @@ class DispatchReport:
         )
 
 
-def _finish(ctx, result, report, extra_seconds):
-    """Attach the report and charge backoff/latency to simulated time."""
+def _event(ctx, name: str, op: str, flight: bool = True, **attrs) -> None:
+    """One reliability event: on the open dispatch span, and (unless
+    ``flight=False``) in the context's always-on flight recorder, so a
+    later postmortem window shows what preceded a failure."""
+    tracer = getattr(ctx, "tracer", None)
+    span = tracer.current if tracer is not None else None
+    if span is not None:
+        span.event(name, **attrs)
+    recorder = getattr(ctx, "flight", None) if flight else None
+    if recorder is not None:
+        recorder.record(name, op, **attrs)
+
+
+def _attach_window(ctx, error: BaseException, reason: str) -> None:
+    recorder = getattr(ctx, "flight", None)
+    if recorder is not None:
+        recorder.attach(error, reason)
+
+
+def _opened(report, op: str, policy: FallbackPolicy) -> DispatchReport:
+    """The call's own report, created at its first event."""
+    if report is None:
+        report = DispatchReport(op=op, requested=policy.backends)
+    return report
+
+
+def _fail(ctx, report, op, policy, backend, attempt_no, error):
+    """Account a terminal failure before its error is raised."""
+    report = _opened(report, op, policy)
+    ctx.telemetry.record_failure(op, backend)
+    report.attempts.append(
+        AttemptRecord(backend, attempt_no, "failed", classify(error))
+    )
+    ctx.last_dispatch_report = report
+    _event(ctx, "failure", op, backend=backend, error=classify(error))
+    return report
+
+
+#: The report of a clean call — first attempt, no event — is the same value
+#: every time, so it is built once per (op, chain, backend) and shared.
+_CLEAN_REPORTS: dict[tuple, DispatchReport] = {}
+
+
+def _clean_report(key: tuple, chain) -> DispatchReport:
+    op, requested, backend, exact_backends = key
+    report = _CLEAN_REPORTS[key] = DispatchReport(
+        op=op,
+        requested=requested,
+        backend_used=backend,
+        attempts=[AttemptRecord(backend, 1, "ok")],
+        exact=exact_backends is None
+        or (backend in exact_backends and chain[0] in exact_backends),
+    )
+    return report
+
+
+def _succeed(ctx, report, chain, exact_backends, backend, attempt_no,
+             result, extra_s, outcome="ok", error=""):
+    """Close the report of a call that saw events, attach it, and charge
+    backoff/latency to simulated time."""
+    report.backend_used = backend
+    report.attempts.append(AttemptRecord(backend, attempt_no, outcome, error))
+    report.exact = not report.degraded and (
+        exact_backends is None
+        or (backend in exact_backends and chain[0] in exact_backends)
+    )
     ctx.last_dispatch_report = report
     if hasattr(result, "execution"):  # KernelResult
-        execution = result.execution
-        if extra_seconds > 0:
-            execution = execution.add_overhead(extra_seconds)
-        return dataclasses.replace(
-            result, execution=execution, reliability=report
-        )
-    if extra_seconds > 0:  # cost-only ExecutionResult
-        result = result.add_overhead(extra_seconds)
+        if extra_s > 0:
+            result = dataclasses.replace(
+                result, execution=result.execution.add_overhead(extra_s)
+            )
+        # Every backend builds a fresh result, so it is stamped in place.
+        result.reliability = report
+        ctx.telemetry.record_launch(report.op, backend, result.execution)
+        return result
+    if extra_s > 0:  # cost-only ExecutionResult
+        result = result.add_overhead(extra_s)
+    ctx.telemetry.record_launch(report.op, backend, result)
     return result
+
+
+def _reclaim(ctx, op: str, backend: str, exc, stage: int) -> int:
+    """One stage of the OOM ladder; returns the bytes it freed."""
+    if stage == 0:
+        flush = getattr(ctx, "flush_device_cache", None)
+        freed = flush() if flush is not None else 0
+        _event(
+            ctx, "oom_flush", op, flight=False, backend=backend,
+            bytes_freed=freed,
+        )
+        return freed
+    evict = getattr(ctx, "evict_device_bytes", None)
+    freed = (
+        evict(max(getattr(exc, "requested", 0), 1), op, backend)
+        if evict is not None
+        else 0
+    )
+    _event(
+        ctx, "oom_evict", op, flight=False, kind="ladder", backend=backend,
+        bytes_freed=freed,
+    )
+    return freed
 
 
 def run_with_policy(
@@ -137,53 +243,36 @@ def run_with_policy(
     op: str,
     policy: FallbackPolicy,
     attempt,
-    *,
+    args: tuple = (),
     operands=(),
-    fp32_attempt=None,
     registered=None,
     exact_backends=None,
 ):
-    """Run ``attempt(backend)`` under a fallback policy.
+    """Run ``attempt(backend, *args)`` under a fallback policy, and record
+    the launch that succeeds in the context's telemetry.
 
+    ``attempt(backend, *args, fp32=True)`` is the degraded fp32 re-run
+    after an fp16 overflow; it returns ``None`` when there is nothing to
+    upcast, and the overflow is then terminal. ``operands`` are the sparse
+    operands the guardrails validate and the injector faults.
     ``registered`` (when given) filters the chain to backends that exist
     for ``op`` — a chain like ``["sputnik", "cusparse", "dense"]`` applies
     unchanged to ops that only register a subset. ``exact_backends`` is the
     set whose numerics are mutually bitwise-exact (for the report's
     ``exact`` flag).
     """
-    chain = [
-        b for b in policy.backends if registered is None or b in registered
-    ]
+    chain = policy.backends
+    if registered is not None and not registered.issuperset(chain):
+        chain = [b for b in chain if b in registered]
     if not chain:
         raise KeyError(
             f"operator {op!r} has no registered backend in "
             f"{policy.backends}; available: {sorted(registered or ())}"
         )
-    report = DispatchReport(op=op, requested=policy.backends)
-    telemetry = ctx.telemetry
+    report = None  # created at the call's first event (see _opened)
     injector = ctx.injector
     check_operands = policy.validate or injector is not None
     extra_s = 0.0
-    # Reliability events land on whatever dispatch span is currently open
-    # (the operator wrappers open one per call when a tracer is attached),
-    # and in the context's always-on flight recorder so a later postmortem
-    # window shows the retries/fallbacks that preceded the failure.
-    tracer = getattr(ctx, "tracer", None)
-    span = tracer.current if tracer is not None else None
-    flight = getattr(ctx, "flight", None)
-
-    def succeed(backend, attempt_no, result, outcome="ok", error=""):
-        report.backend_used = backend
-        report.attempts.append(
-            AttemptRecord(backend, attempt_no, outcome, error)
-        )
-        report.exact = (
-            not report.degraded
-            and (exact_backends is None or backend in exact_backends)
-            and (exact_backends is None or chain[0] in exact_backends)
-        )
-        return _finish(ctx, result, report, extra_s)
-
     # OOM degradation ladder state, shared across the whole chain: stage 0
     # flushes the allocator's segment cache, stage 1 evicts cold residency;
     # each stage runs at most once per call and refunds the attempt it
@@ -191,218 +280,131 @@ def run_with_policy(
     # an ordinary retryable fault — retries burn attempts, then the chain
     # falls back to a lower-footprint backend, then exhausts.
     oom_stage = 0
-
-    for backend_index, backend in enumerate(chain):
-        attempt_no = 0
-        while attempt_no < policy.max_attempts:
-            attempt_no += 1
-            error: Exception | None = None
-            try:
-                if injector is not None:
-                    stall = injector.on_launch(ctx, op, backend, operands)
-                    if stall:
-                        extra_s += stall
-                        report.injected_latency_s += stall
-                        if span is not None:
-                            span.event(
-                                "injected_latency",
-                                backend=backend,
-                                seconds=stall,
-                            )
-                        if flight is not None:
-                            flight.record(
-                                "injected_latency",
-                                op,
-                                backend=backend,
-                                seconds=stall,
-                            )
-                if check_operands:
-                    guardrails.validate_operands(operands)
-                with guardrails.guarded(active=policy.validate):
-                    result = attempt(backend)
-                if policy.validate and hasattr(result, "execution"):
+    index, backend, attempt_no = 0, chain[0], 1
+    while True:
+        try:
+            if injector is not None:
+                stall = injector.on_launch(ctx, op, backend, operands)
+                if stall:
+                    extra_s += stall
+                    report = _opened(report, op, policy)
+                    report.injected_latency_s += stall
+                    _event(
+                        ctx, "injected_latency", op, backend=backend,
+                        seconds=stall,
+                    )
+            if check_operands:
+                guardrails.validate_operands(operands)
+            if policy.validate:
+                with guardrails.guarded():
+                    result = attempt(backend, *args)
+                if hasattr(result, "execution"):
                     guardrails.check_finite_result(result, op, backend)
-            except KernelLaunchError as exc:
-                error = exc
-            except DeviceOOMError as exc:
-                error = exc
-                freed = 0
-                while oom_stage < 2 and not freed:
-                    if oom_stage == 0:
-                        flush = getattr(ctx, "flush_device_cache", None)
-                        freed = flush() if flush is not None else 0
-                        if span is not None:
-                            span.event(
-                                "oom_flush", backend=backend, bytes_freed=freed
-                            )
-                    else:
-                        evict = getattr(ctx, "evict_device_bytes", None)
-                        freed = (
-                            evict(
-                                max(getattr(exc, "requested", 0), 1),
-                                op,
-                                backend,
-                            )
-                            if evict is not None
-                            else 0
-                        )
-                        if span is not None:
-                            span.event(
-                                "oom_evict",
-                                kind="ladder",
-                                backend=backend,
-                                bytes_freed=freed,
-                            )
-                    oom_stage += 1
-                if freed:
-                    # A ladder stage reclaimed memory: the interrupted
-                    # attempt is refunded rather than burned.
-                    attempt_no -= 1
-                    continue
-            except PlanCorruptionError as exc:
-                if exc.key is not None:
-                    ctx.plans.evict(exc.key)
-                error = exc
-            except InvalidTopologyError as exc:
-                repaired = (
-                    injector.repair(operands) if injector is not None else False
-                )
-                if not repaired:
-                    telemetry.record_failure(op, backend)
-                    report.attempts.append(
-                        AttemptRecord(
-                            backend, attempt_no, "failed", classify(exc)
-                        )
-                    )
-                    ctx.last_dispatch_report = report
-                    if span is not None:
-                        span.event(
-                            "failure", backend=backend, error=classify(exc)
-                        )
-                    if flight is not None:
-                        flight.record(
-                            "failure", op, backend=backend, error=classify(exc)
-                        )
-                        flight.attach(exc, "failure")
-                    raise
-                error = exc
-            except NumericalError as exc:
-                if (
-                    exc.kind == "fp16_overflow"
-                    and policy.recompute_fp32
-                    and fp32_attempt is not None
-                ):
-                    with guardrails.guarded(active=True):
-                        result = fp32_attempt(backend)
-                    guardrails.check_finite_result(result, op, backend)
-                    report.degraded = True
-                    telemetry.record_degraded(op, backend)
-                    if span is not None:
-                        span.event(
-                            "degraded", backend=backend, error=classify(exc)
-                        )
-                    if flight is not None:
-                        flight.record(
-                            "degraded", op, backend=backend, error=classify(exc)
-                        )
-                    return succeed(
-                        backend, attempt_no, result, "degraded", classify(exc)
-                    )
-                telemetry.record_failure(op, backend)
-                report.attempts.append(
-                    AttemptRecord(backend, attempt_no, "failed", classify(exc))
-                )
-                ctx.last_dispatch_report = report
-                if span is not None:
-                    span.event(
-                        "failure", backend=backend, error=classify(exc)
-                    )
-                if flight is not None:
-                    flight.record(
-                        "failure", op, backend=backend, error=classify(exc)
-                    )
-                    flight.attach(exc, "failure")
+            else:
+                result = attempt(backend, *args)
+        except KernelLaunchError as exc:
+            error = exc
+        except DeviceOOMError as exc:
+            error = exc
+            freed = 0
+            while oom_stage < 2 and not freed:
+                freed = _reclaim(ctx, op, backend, exc, oom_stage)
+                oom_stage += 1
+            if freed:
+                # A ladder stage reclaimed memory: the interrupted attempt
+                # is refunded rather than burned.
+                continue
+        except PlanCorruptionError as exc:
+            if exc.key is not None:
+                ctx.plans.evict(exc.key)
+            error = exc
+        except InvalidTopologyError as exc:
+            repaired = (
+                injector.repair(operands) if injector is not None else False
+            )
+            if not repaired:
+                _fail(ctx, report, op, policy, backend, attempt_no, exc)
+                _attach_window(ctx, exc, "failure")
                 raise
+            error = exc
+        except NumericalError as exc:
+            result = None
+            if exc.kind == "fp16_overflow" and policy.recompute_fp32:
+                with guardrails.guarded():
+                    result = attempt(backend, *args, fp32=True)
+            if result is None:
+                _fail(ctx, report, op, policy, backend, attempt_no, exc)
+                _attach_window(ctx, exc, "failure")
+                raise
+            guardrails.check_finite_result(result, op, backend)
+            report = _opened(report, op, policy)
+            report.degraded = True
+            ctx.telemetry.record_degraded(op, backend)
+            _event(ctx, "degraded", op, backend=backend, error=classify(exc))
+            return _succeed(
+                ctx, report, chain, exact_backends, backend, attempt_no,
+                result, extra_s, "degraded", classify(exc),
+            )
+        else:
+            if report is not None:
+                return _succeed(
+                    ctx, report, chain, exact_backends, backend, attempt_no,
+                    result, extra_s,
+                )
+            key = (op, policy.backends, backend, exact_backends)
+            ctx.last_dispatch_report = (
+                _CLEAN_REPORTS.get(key) or _clean_report(key, chain)
+            )
+            if hasattr(result, "execution"):
+                result.reliability = ctx.last_dispatch_report
+                ctx.telemetry.record_launch(op, backend, result.execution)
             else:
-                return succeed(backend, attempt_no, result)
+                ctx.telemetry.record_launch(op, backend, result)
+            return result
 
-            # Retryable fault: back off, fall back, or give up.
-            if attempt_no < policy.max_attempts:
-                wait = policy.backoff_base_s * (
-                    policy.backoff_factor ** (attempt_no - 1)
-                )
-                extra_s += wait
-                report.backoff_s += wait
-                report.retries += 1
-                telemetry.record_retry(op, backend)
-                telemetry.record_backoff(op, backend, wait)
-                report.attempts.append(
-                    AttemptRecord(backend, attempt_no, "retry", classify(error))
-                )
-                if span is not None:
-                    span.event(
-                        "retry",
-                        backend=backend,
-                        attempt=attempt_no,
-                        error=classify(error),
-                        backoff_s=wait,
-                    )
-                if flight is not None:
-                    flight.record(
-                        "retry",
-                        op,
-                        backend=backend,
-                        attempt=attempt_no,
-                        error=classify(error),
-                        backoff_s=wait,
-                    )
-            elif backend_index < len(chain) - 1:
-                report.fallbacks += 1
-                telemetry.record_fallback(op, backend)
-                report.attempts.append(
-                    AttemptRecord(
-                        backend, attempt_no, "fallback", classify(error)
-                    )
-                )
-                if span is not None:
-                    span.event(
-                        "fallback",
-                        backend=backend,
-                        next=chain[backend_index + 1],
-                        error=classify(error),
-                    )
-                if flight is not None:
-                    flight.record(
-                        "fallback",
-                        op,
-                        backend=backend,
-                        next=chain[backend_index + 1],
-                        error=classify(error),
-                    )
-            else:
-                report.attempts.append(
-                    AttemptRecord(backend, attempt_no, "failed", classify(error))
-                )
-                telemetry.record_failure(op, backend)
-                ctx.last_dispatch_report = report
-                if span is not None:
-                    span.event(
-                        "failure", backend=backend, error=classify(error)
-                    )
-                snapshot = None
-                if isinstance(error, DeviceOOMError):
-                    snap = getattr(ctx, "memory_snapshot", None)
-                    snapshot = (
-                        snap() if snap is not None else error.snapshot
-                    )
-                exhausted = FallbackExhaustedError(
-                    op=op, attempts=report.attempts, snapshot=snapshot
-                )
-                if flight is not None:
-                    flight.record(
-                        "failure", op, backend=backend, error=classify(error)
-                    )
-                    flight.attach(exhausted, "fallback_exhausted")
-                raise exhausted from error
-
-    raise AssertionError("unreachable: the chain loop always returns/raises")
+        # Retryable fault: back off, fall back, or give up.
+        report = _opened(report, op, policy)
+        if attempt_no < policy.max_attempts:
+            wait = policy.backoff_base_s * (
+                policy.backoff_factor ** (attempt_no - 1)
+            )
+            extra_s += wait
+            report.backoff_s += wait
+            report.retries += 1
+            ctx.telemetry.record_retry(op, backend)
+            ctx.telemetry.record_backoff(op, backend, wait)
+            report.attempts.append(
+                AttemptRecord(backend, attempt_no, "retry", classify(error))
+            )
+            _event(
+                ctx, "retry", op, backend=backend, attempt=attempt_no,
+                error=classify(error), backoff_s=wait,
+            )
+            attempt_no += 1
+        elif index < len(chain) - 1:
+            report.fallbacks += 1
+            ctx.telemetry.record_fallback(op, backend)
+            report.attempts.append(
+                AttemptRecord(backend, attempt_no, "fallback", classify(error))
+            )
+            index += 1
+            _event(
+                ctx, "fallback", op, backend=backend, next=chain[index],
+                error=classify(error),
+            )
+            backend, attempt_no = chain[index], 1
+        else:
+            _fail(ctx, report, op, policy, backend, attempt_no, error)
+            if len(chain) == 1:
+                # Nothing was fallen back from: the error is the answer.
+                _attach_window(ctx, error, "failure")
+                raise error
+            snapshot = None
+            if isinstance(error, DeviceOOMError):
+                snap = getattr(ctx, "memory_snapshot", None)
+                snapshot = snap() if snap is not None else error.snapshot
+            exhausted = FallbackExhaustedError(
+                op=op, attempts=report.attempts, snapshot=snapshot
+            )
+            _attach_window(ctx, exhausted, "fallback_exhausted")
+            raise exhausted from error
