@@ -13,7 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .csr import INDEX_DTYPE_FOR_VALUES, CSRMatrix, StructureIdentity
+from .csr import (
+    INDEX_DTYPE_FOR_VALUES,
+    CSRMatrix,
+    StructureIdentity,
+    check_column_capacity,
+)
 
 
 @dataclass
@@ -67,6 +72,16 @@ class CSCMatrix(StructureIdentity):
         cols = np.repeat(np.arange(self.shape[1]), self.col_lengths)
         np.add.at(out, (self.row_indices.astype(np.int64), cols), self.values)
         return out
+
+    def astype(self, dtype: np.dtype | type) -> "CSCMatrix":
+        """Re-type values (and, implicitly, indices per the precision rule)."""
+        vdt = np.dtype(dtype)
+        return CSCMatrix(
+            self.shape,
+            self.col_offsets.copy(),
+            self.row_indices.astype(check_column_capacity(self.shape[0], vdt)),
+            self.values.astype(vdt),
+        )
 
     def to_scipy(self) -> sp.csc_matrix:
         return sp.csc_matrix(
