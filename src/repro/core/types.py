@@ -15,10 +15,11 @@ class KernelResult:
     ``output`` is a dense ``np.ndarray`` for SpMM-like kernels and a
     :class:`~repro.sparse.CSRMatrix` for SDDMM-like kernels.
 
-    ``reliability`` is populated by policy-dispatched calls (a
-    :class:`~repro.reliability.policy.DispatchReport` recording retries,
-    fallbacks, and degraded-mode re-runs); plain single-backend calls
-    leave it ``None``.
+    ``reliability`` is the :class:`~repro.reliability.policy.DispatchReport`
+    of the ``repro.ops`` call that produced the result (backend used,
+    retries, fallbacks, degraded-mode re-runs); every dispatched call
+    carries one, and a result built by calling a kernel directly leaves it
+    ``None``.
     """
 
     output: Any

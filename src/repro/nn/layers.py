@@ -70,7 +70,7 @@ class SparseLinear:
     ) -> None:
         self.config = config
         #: Backend string, chain, or FallbackPolicy for every kernel the
-        #: layer launches; ``None`` means the plain sputnik fast path.
+        #: layer launches; ``None`` means plain ``"sputnik"``.
         self.policy = policy
         #: Config selector for every kernel the layer launches when no
         #: explicit ``config`` is given (``"heuristic"``, ``"oracle"``,
@@ -79,7 +79,7 @@ class SparseLinear:
         #: Run the numerical guardrails on every output (fp16 overflow
         #: triggers a degraded fp32 re-run, flagged on ``self.degraded``).
         self.validate = validate
-        #: DispatchReport of the most recent policy-dispatched kernel.
+        #: DispatchReport of the most recent kernel the layer launched.
         self.last_report = None
         self.weight = weight  # property: builds the per-weight caches
 

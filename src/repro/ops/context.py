@@ -416,14 +416,16 @@ class ExecutionContext:
         #: Optional disk-backed :class:`~repro.ops.store.PlanStore` consulted
         #: between the in-memory cache and a plan rebuild; a path builds one.
         self.attach_store(store)
-        #: A :class:`~repro.reliability.injector.FaultInjector`, or ``None``.
-        #: When set, every dispatched op runs through the policy loop even
-        #: for single-backend calls, so injected faults are retried.
+        #: A :class:`~repro.reliability.injector.FaultInjector`, or ``None``;
+        #: the policy loop consults it before every attempt.
         self.injector = None
         #: The :class:`~repro.reliability.policy.DispatchReport` of the most
-        #: recent policy-dispatched call (cost-only calls have no result
-        #: object to carry it).
+        #: recent dispatched call (cost-only calls have no result object to
+        #: carry it).
         self.last_dispatch_report = None
+        #: The shared report of clean calls, per (op, chain, backend, exact
+        #: set), kept by the policy loop; reports are read-only.
+        self.clean_reports: dict = {}
         #: Optional :class:`~repro.obs.tracing.Tracer`. When set, every
         #: dispatched op opens a span and the plan cache/fallback policy
         #: annotate it; when ``None``, dispatch pays one attribute check.

@@ -74,18 +74,18 @@ def resolve_context(
 # Transient workspace footprints (charged against the device allocator
 # for the duration of one dispatch; operand residency persists).
 # ----------------------------------------------------------------------
-def _spmm_workspace(a, n: int, h: int = 1) -> int:
+def _spmm_workspace(a, n: int, *_) -> int:
     vb = a.values.dtype.itemsize
-    return (a.shape[0] * n + a.shape[1] * n) * vb * h
+    return (a.shape[0] * n + a.shape[1] * n) * vb
 
 
-def _sddmm_workspace(mask, k: int, h: int = 1) -> int:
+def _sddmm_workspace(mask, k: int, *_) -> int:
     vb = mask.values.dtype.itemsize
-    return (mask.nnz + (mask.shape[0] + mask.shape[1]) * k) * vb * h
+    return (mask.nnz + (mask.shape[0] + mask.shape[1]) * k) * vb
 
 
-def _softmax_workspace(a, h: int = 1) -> int:
-    return a.nnz * a.values.dtype.itemsize * h
+def _softmax_workspace(a, *_) -> int:
+    return a.nnz * a.values.dtype.itemsize
 
 
 def _gemm_workspace(m: int, n: int, k: int, element_bytes: int = 4) -> int:
@@ -131,40 +131,38 @@ class OpSpec:
         return args if pos is None else args[:pos] + (None,) + args[pos + 1:]
 
 
+# The batched workspaces are H times the single-matrix one.
 _SPMM = OpSpec(
     "spmm", lambda a, b, *_: _spmm_workspace(a, b.shape[1]),
     config=2, shard="sharded_spmm",
 )
 _SPMM_COST = OpSpec(
-    "spmm", lambda a, n, *_: _spmm_workspace(a, n),
-    cost=True, config=2, shard="sharded_spmm_cost",
+    "spmm", _spmm_workspace, cost=True, config=2, shard="sharded_spmm_cost",
 )
 _SDDMM = OpSpec(
     "sddmm", lambda lhs, rhs, mask, *_: _sddmm_workspace(mask, lhs.shape[1]),
     charge=2, config=3, shard="sharded_sddmm",
 )
 _SDDMM_COST = OpSpec(
-    "sddmm", lambda mask, k, *_: _sddmm_workspace(mask, k),
-    cost=True, config=2, shard="sharded_sddmm_cost",
+    "sddmm", _sddmm_workspace, cost=True, config=2,
+    shard="sharded_sddmm_cost",
 )
-_SOFTMAX = OpSpec(
-    "sparse_softmax", lambda a, _scale: _softmax_workspace(a)
-)
+_SOFTMAX = OpSpec("sparse_softmax", _softmax_workspace)
 _SOFTMAX_COST = OpSpec("sparse_softmax", _softmax_workspace, cost=True)
 _SPMM_BATCHED = OpSpec(
     "spmm_batched",
-    lambda a, b, *_: _spmm_workspace(a, b.shape[2], b.shape[0]),
+    lambda a, b, *_: _spmm_workspace(a, b.shape[2]) * b.shape[0],
     config=2,
     batch=lambda a, b, *_: _batch_size(b, 3, 0, "B stack must be (H, k, n)"),
 )
 _SPMM_BATCHED_COST = OpSpec(
-    "spmm_batched", lambda a, n, h, *_: _spmm_workspace(a, n, h),
+    "spmm_batched", lambda a, n, h, *_: _spmm_workspace(a, n) * h,
     cost=True, config=3, batch=lambda a, n, h, *_: h,
 )
 _SDDMM_BATCHED = OpSpec(
     "sddmm_batched",
-    lambda lhs, rhs, mask, *_: _sddmm_workspace(
-        mask, lhs.shape[2], lhs.shape[0]
+    lambda lhs, rhs, mask, *_: (
+        _sddmm_workspace(mask, lhs.shape[2]) * lhs.shape[0]
     ),
     charge=2, config=3,
     batch=lambda lhs, *_: _batch_size(
@@ -172,28 +170,25 @@ _SDDMM_BATCHED = OpSpec(
     ),
 )
 _SDDMM_BATCHED_COST = OpSpec(
-    "sddmm_batched", lambda mask, k, h, *_: _sddmm_workspace(mask, k, h),
+    "sddmm_batched", lambda mask, k, h, *_: _sddmm_workspace(mask, k) * h,
     cost=True, config=3, batch=lambda mask, k, h, *_: h,
 )
 _SOFTMAX_BATCHED = OpSpec(
     "sparse_softmax_batched",
-    lambda a, values, _scale: _softmax_workspace(a, values.shape[1]),
+    lambda a, values, _scale: _softmax_workspace(a) * values.shape[1],
     batch=lambda a, values, _scale: _batch_size(
         values, 2, 1, "value matrix must be (nnz, H)"
     ),
 )
 _SOFTMAX_BATCHED_COST = OpSpec(
-    "sparse_softmax_batched", _softmax_workspace,
+    "sparse_softmax_batched", lambda a, h: _softmax_workspace(a) * h,
     cost=True, batch=lambda a, h: h,
 )
 _CSC_SPMM = OpSpec(
     "csc_spmm", lambda b, a, _config: _spmm_workspace(a, b.shape[0]),
     charge=1, config=2,
 )
-_CSC_SPMM_COST = OpSpec(
-    "csc_spmm", lambda a, n, _config: _spmm_workspace(a, n),
-    cost=True, config=2,
-)
+_CSC_SPMM_COST = OpSpec("csc_spmm", _spmm_workspace, cost=True, config=2)
 _MATMUL = OpSpec(
     "matmul",
     lambda a, b: _gemm_workspace(

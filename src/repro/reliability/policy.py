@@ -106,7 +106,7 @@ def as_policy(backend, validate: bool | None = None) -> FallbackPolicy:
 
 @dataclass(slots=True)
 class DispatchReport:
-    """What one policy-dispatched operator call actually did."""
+    """What one dispatched operator call actually did."""
 
     op: str
     requested: tuple[str, ...]
@@ -171,14 +171,11 @@ def _fail(ctx, report, op, policy, backend, attempt_no, error):
     return report
 
 
-#: The report of a clean call — first attempt, no event — is the same value
-#: every time, so it is built once per (op, chain, backend) and shared.
-_CLEAN_REPORTS: dict[tuple, DispatchReport] = {}
-
-
-def _clean_report(key: tuple, chain) -> DispatchReport:
+def _clean_report(reports: dict, key: tuple, chain) -> DispatchReport:
+    """The report of a clean call — first attempt, no event. It is the same
+    value every time, so the context keeps one per (op, chain, backend)."""
     op, requested, backend, exact_backends = key
-    report = _CLEAN_REPORTS[key] = DispatchReport(
+    report = reports[key] = DispatchReport(
         op=op,
         requested=requested,
         backend_used=backend,
@@ -352,8 +349,9 @@ def run_with_policy(
                     result, extra_s,
                 )
             key = (op, policy.backends, backend, exact_backends)
-            ctx.last_dispatch_report = (
-                _CLEAN_REPORTS.get(key) or _clean_report(key, chain)
+            reports = ctx.clean_reports
+            ctx.last_dispatch_report = reports.get(key) or _clean_report(
+                reports, key, chain
             )
             if hasattr(result, "execution"):
                 result.reliability = ctx.last_dispatch_report

@@ -116,7 +116,7 @@ register_selector(HeuristicSelector())
 register_selector(OracleSelector())
 register_selector(TunedSelector())
 
-#: Registered selector names (back-compat for ``ops.context.SELECTORS``).
+#: Registered selector names.
 SELECTORS = tuple(SELECTOR_REGISTRY)
 
 
