@@ -163,8 +163,10 @@ class Telemetry:
     flight: object | None = field(default=None, repr=False)
 
     def _get(self, op: str, backend: str) -> OpStats:
-        key = (op, backend)
-        return self.stats.get(key) or self.stats.setdefault(key, OpStats())
+        stats = self.stats.get((op, backend))
+        if stats is None:
+            stats = self.stats[op, backend] = OpStats()
+        return stats
 
     def attach_histogram(self, histogram) -> None:
         """Feed simulated launch runtimes into an (op, backend)-labeled

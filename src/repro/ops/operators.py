@@ -131,7 +131,8 @@ class OpSpec:
         return args if pos is None else args[:pos] + (None,) + args[pos + 1:]
 
 
-# The batched workspaces are H times the single-matrix one.
+# One spec per entry point; a batched op's workspace is H times the
+# single-matrix one.
 _SPMM = OpSpec(
     "spmm", lambda a, b, *_: _spmm_workspace(a, b.shape[1]),
     config=2, shard="sharded_spmm",

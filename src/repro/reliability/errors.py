@@ -120,7 +120,7 @@ class DeviceOOMError(ReliabilityError):
         self.snapshot = snapshot
 
 
-@dataclass(slots=True)
+@dataclass
 class AttemptRecord:
     """One dispatch attempt inside a fallback chain."""
 

@@ -104,7 +104,7 @@ def as_policy(backend, validate: bool | None = None) -> FallbackPolicy:
     return policy
 
 
-@dataclass(slots=True)
+@dataclass
 class DispatchReport:
     """What one dispatched operator call actually did."""
 
