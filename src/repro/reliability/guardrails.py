@@ -17,7 +17,6 @@ These guardrails make that failure mode loud and recoverable:
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
 from typing import Any
 
 import numpy as np
@@ -77,17 +76,11 @@ def validate_operands(operands) -> None:
             deep()
 
 
-@contextmanager
-def _overflow_silenced():
-    with np.errstate(over="ignore"):
-        yield
-
-
-def guarded(active: bool = True):
+def guarded():
     """Context for a guarded kernel attempt.
 
-    When active, numpy's overflow warning is suppressed for the attempt —
-    the guardrail detects and classifies the saturation itself, so under
+    numpy's overflow warning is suppressed for the attempt — the guardrail
+    detects and classifies the saturation itself, so under
     ``-W error::RuntimeWarning`` only unguarded overflow aborts a run.
     """
-    return _overflow_silenced() if active else nullcontext()
+    return np.errstate(over="ignore")
