@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -23,7 +24,6 @@ from ..sparse.csr import CSRMatrix
 
 SpmmTimer = Callable[[CSRMatrix, int, DeviceSpec], ExecutionResult]
 SddmmTimer = Callable[[CSRMatrix, int, DeviceSpec], ExecutionResult]
-BatchedSpmmTimer = Callable[[CSRMatrix, int, int, DeviceSpec], ExecutionResult]
 
 
 # ----------------------------------------------------------------------
@@ -81,29 +81,6 @@ def sputnik_spmm_batched_time(
     return ops.spmm_batched_cost(a, n, h, device, selector=selector)
 
 
-# ----------------------------------------------------------------------
-# Sharded SpMM timer (cost-only): row-sharded across a DeviceGroup, with
-# interconnect collectives priced on the simulated clock. Outputs stay
-# sharded (``gather_output=False``): sweep rows measure the steady-state
-# regime where the next sharded op consumes the row-partitioned result.
-# ----------------------------------------------------------------------
-def sharded_spmm_time(
-    a: CSRMatrix,
-    n: int,
-    group,
-    kernel: str = "sputnik",
-    *,
-    selector: str = "heuristic",
-    strategy: str = "row",
-):
-    from ..dist import sharded_spmm_cost
-
-    return sharded_spmm_cost(
-        a, n, group, strategy=strategy, backend=kernel, selector=selector,
-        gather_output=False,
-    )
-
-
 def dense_spmm_batched_time(
     a: CSRMatrix, n: int, h: int, device: DeviceSpec, *,
     selector: str = "heuristic",
@@ -158,14 +135,6 @@ SDDMM_KERNELS: dict[str, SddmmTimer] = {
     "cusparse": cusparse_sddmm_time,
     "aspt": aspt_sddmm_time,
 }
-
-#: Batched SpMM timers by name. Sweeps with ``h > 1`` look kernels up here,
-#: so only backends with a registered batched implementation appear.
-SPMM_BATCHED_KERNELS: dict[str, BatchedSpmmTimer] = {
-    "sputnik": sputnik_spmm_batched_time,
-    "dense": dense_spmm_batched_time,
-}
-
 
 # ----------------------------------------------------------------------
 # Sweeps
@@ -222,19 +191,26 @@ class BenchRow:
         return self.flops / self.runtime_s
 
 
-def _telemetry_totals(ctx) -> dict[str, int | float]:
-    """The aggregate counters a per-row delta is computed over."""
-    t = ctx.telemetry
+#: The aggregate telemetry counters a per-row delta is computed over.
+_ROW_COUNTERS = (
+    "launches",
+    "cache_hits",
+    "cache_misses",
+    "simulated_seconds",
+    "oom_events",
+    "plan_evictions",
+    "bytes_evicted",
+    "plan_repairs",
+    "plan_repair_rows",
+)
+
+
+def _telemetry_totals(contexts) -> dict[str, int | float]:
+    """:data:`_ROW_COUNTERS` summed over ``contexts`` (one context, or
+    every device of a group)."""
     return {
-        "launches": t.launches,
-        "cache_hits": t.cache_hits,
-        "cache_misses": t.cache_misses,
-        "simulated_seconds": t.simulated_seconds,
-        "oom_events": t.oom_events,
-        "plan_evictions": t.plan_evictions,
-        "bytes_evicted": t.bytes_evicted,
-        "plan_repairs": t.plan_repairs,
-        "plan_repair_rows": t.plan_repair_rows,
+        key: sum(getattr(ctx.telemetry, key) for ctx in contexts)
+        for key in _ROW_COUNTERS
     }
 
 
@@ -255,42 +231,6 @@ def _oom_failure(exc: Exception) -> bool:
     return False
 
 
-def _group_telemetry_totals(group) -> dict[str, int | float]:
-    """Aggregate counters summed over every context of a DeviceGroup."""
-    totals: dict[str, int | float] = {}
-    for ctx in group.contexts:
-        for key, value in _telemetry_totals(ctx).items():
-            totals[key] = totals.get(key, 0) + value
-    return totals
-
-
-def _mutate_and_time(
-    timer, matrix: CSRMatrix, dim: int, device, mutations: int, kwargs: dict
-):
-    """Time a kernel under topology churn (the dynamic-sparsity path).
-
-    Applies ``mutations`` seeded drop/grow updates; each one registers its
-    :class:`~repro.core.repair.TopologyDelta` with the default context and
-    re-dispatches the timer, so plans repair incrementally step over step.
-    Returns the final step's result (steady-state dispatch cost).
-    """
-    from ..nn.dynamic import drop_grow_update, select_rows
-
-    ctx = ops.default_context(device)
-    rng = np.random.default_rng(0xD15)
-    grad = rng.standard_normal(tuple(matrix.shape)).astype(np.float32)
-    result = timer(matrix, dim, device, **kwargs)  # warm the parent plan
-    work = matrix
-    for _ in range(mutations):
-        rows = select_rows(work, 0.05, rng)
-        if rows.size == 0:
-            break
-        work, delta = drop_grow_update(work, grad, rows, 0.3)
-        ctx.register_topology_delta(delta)
-        result = timer(work, dim, device, **kwargs)
-    return result
-
-
 def _measure(
     timer, label: str, name: str, matrix: CSRMatrix, dim: int, device,
     h: int = 1, selector: str = "heuristic", group=None, mutations: int = 0,
@@ -306,17 +246,19 @@ def _measure(
 
     ``group`` (a :class:`repro.dist.DeviceGroup` with ``k > 1``) measures
     the row row-sharded across the group instead — ``timer`` is bypassed,
-    ``name`` doubles as the per-device backend, ``runtime_s`` is the
-    group runtime (max compute + exposed comm), and the comm breakdown
-    rides in the telemetry delta.
+    ``name`` doubles as the per-device backend, each device runs its
+    shard at depth ``h``, outputs stay sharded (the steady state of a
+    chained pipeline), ``runtime_s`` is the group runtime (max compute +
+    exposed comm), and the comm breakdown rides in the telemetry delta.
 
     ``mutations > 0`` measures under dynamic sparsity: that many seeded
-    drop/grow topology updates run through the dispatch path first (each
-    delta registered so plans repair incrementally), and the row reports
-    the final — steady-state — dispatch; the telemetry delta's
-    ``plan_repairs`` shows how many plans repaired instead of rebuilding.
+    drop/grow topology updates run through the dispatch path first, each
+    delta registered on the group or the context so plans repair
+    incrementally, and the row reports the final — steady-state —
+    dispatch; the telemetry delta's ``plan_repairs`` shows how many plans
+    repaired instead of rebuilding.
     """
-    devices = group.k if group is not None else 1
+    sharded = group is not None and group.k > 1
     base = dict(
         problem=label,
         kernel=name,
@@ -327,41 +269,46 @@ def _measure(
         flops=2.0 * matrix.nnz * dim * h,
         h=h,
         selector=selector,
-        devices=devices,
+        devices=group.k if group is not None else 1,
         mutations=mutations,
     )
-    sharded = group is not None and group.k > 1
     if sharded:
-        before = _group_telemetry_totals(group)
+        from ..dist import sharded_spmm_cost
+
+        target, contexts = group, group.contexts
+        timer = partial(
+            sharded_spmm_cost, group=group, backend=name, selector=selector,
+            gather_output=False, h=h,
+        )
+        dims, kwargs = (), {}
     else:
-        ctx = ops.default_context(device)
-        before = _telemetry_totals(ctx)
-    # Ad-hoc timers (tests, custom suites) predate the selector dimension;
-    # only registered timers are guaranteed to accept the keyword, so the
-    # default rides on their own default instead of being passed.
-    kwargs = {} if selector == "heuristic" else {"selector": selector}
+        target = ops.default_context(device)
+        contexts = (target,)
+        dims = (device,) if h == 1 else (h, device)
+        # Ad-hoc timers (tests, custom suites) predate the selector
+        # dimension; only registered timers are guaranteed to accept the
+        # keyword, so the default rides on their own default instead.
+        kwargs = {} if selector == "heuristic" else {"selector": selector}
+    before = _telemetry_totals(contexts)
     start = time.perf_counter()
     try:
-        if sharded:
-            result = sharded_spmm_time(
-                matrix, dim, group, kernel=name, selector=selector
-            )
-        elif mutations > 0:
-            result = _mutate_and_time(
-                timer, matrix, dim, device, mutations, kwargs
-            )
-        else:
-            result = (
-                timer(matrix, dim, device, **kwargs)
-                if h == 1
-                else timer(matrix, dim, h, device, **kwargs)
-            )
+        if mutations > 0:
+            from ..nn.dynamic import drop_grow_update, select_rows
+
+            rng = np.random.default_rng(0xD15)
+            grad = rng.standard_normal(tuple(matrix.shape)).astype(np.float32)
+        work = matrix
+        for step in range(mutations + 1):
+            if step:  # a seeded drop/grow update, registered for repair
+                rows = select_rows(work, 0.05, rng)
+                if rows.size == 0:
+                    break
+                work, delta = drop_grow_update(work, grad, rows, 0.3)
+                target.register_topology_delta(delta)
+            result = timer(work, dim, *dims, **kwargs)
     except Exception as exc:  # noqa: BLE001 - the sweep must keep going
         wall_s = time.perf_counter() - start
-        after = (
-            _group_telemetry_totals(group) if sharded
-            else _telemetry_totals(ctx)
-        )
+        after = _telemetry_totals(contexts)
         return BenchRow(
             runtime_s=float("nan"),
             status="oom" if _oom_failure(exc) else "failed",
@@ -371,9 +318,7 @@ def _measure(
             **base,
         )
     wall_s = time.perf_counter() - start
-    after = (
-        _group_telemetry_totals(group) if sharded else _telemetry_totals(ctx)
-    )
+    after = _telemetry_totals(contexts)
     telemetry = {k: after[k] - before[k] for k in after}
     if sharded:
         telemetry["exposed_comm_s"] = result.exposed_comm_s

@@ -29,13 +29,14 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .. import ops
 from ..datasets.spec import MatrixSpec
 from ..gpu.device import DeviceSpec
-from .runner import SPMM_BATCHED_KERNELS, SPMM_KERNELS, _measure
+from .runner import SPMM_KERNELS, _measure
 
 
 @dataclass(frozen=True)
@@ -127,17 +128,17 @@ def build_tasks(
 
     A spec's own ``batch_columns`` (when set) override the sweep-level
     ``n``; unknown kernel names fail fast here rather than inside a worker.
-    Stack depths above 1 require the kernel to have a batched timer.
+    Stack depths above 1 require the kernel to have a registered batched
+    backend (``ops.available("spmm_batched")``).
     ``selector`` picks the config-selection policy every task dispatches
     with (validated here so a typo fails before the pool spins up).
     ``devices`` counts above 1 row-shard the measurement across a
-    :class:`repro.dist.DeviceGroup`; the sharded timer has no batched
-    variant, so ``h > 1`` cannot combine with ``devices > 1``.
+    :class:`repro.dist.DeviceGroup`.
     ``mutations`` counts above 0 run that many drop/grow topology updates
     through the dispatch path before timing (dynamic sparsity; the delta
-    registration makes plans repair rather than rebuild); the mutated
-    timer is single-stack single-device, so it cannot combine with
-    ``h > 1`` or ``devices > 1``.
+    registration makes plans repair rather than rebuild). The three
+    dimensions compose: a task builds its depth-``h`` plan on each of its
+    devices and repairs it under churn.
     """
     from ..tune import resolve_selector
 
@@ -156,27 +157,16 @@ def build_tasks(
         if m < 0:
             raise ValueError(f"mutations must be >= 0, got {m}")
     needs_batched = any(depth > 1 for depth in stacks)
-    if needs_batched and any(k > 1 for k in device_counts):
-        raise ValueError(
-            "h > 1 cannot combine with devices > 1: the sharded timer "
-            "dispatches single-stack SpMM per device"
-        )
-    if any(m > 0 for m in mutation_counts) and (
-        needs_batched or any(k > 1 for k in device_counts)
-    ):
-        raise ValueError(
-            "mutations > 0 cannot combine with h > 1 or devices > 1: the "
-            "mutated timer dispatches single-stack SpMM on one device"
-        )
+    batched = ops.available("spmm_batched")
     for name in kernels:
         if name not in SPMM_KERNELS:
             raise ValueError(
                 f"unknown kernel {name!r}; known: {sorted(SPMM_KERNELS)}"
             )
-        if needs_batched and name not in SPMM_BATCHED_KERNELS:
+        if needs_batched and name not in batched:
             raise ValueError(
                 f"kernel {name!r} has no batched timer; "
-                f"batched kernels: {sorted(SPMM_BATCHED_KERNELS)}"
+                f"batched kernels: {sorted(batched)}"
             )
     tasks = []
     batches = (n,) if isinstance(n, int) else tuple(n)
@@ -388,7 +378,7 @@ def _measure_chunk(
             timer = (
                 SPMM_KERNELS[task.kernel]
                 if task.h == 1
-                else SPMM_BATCHED_KERNELS[task.kernel]
+                else partial(ops.spmm_batched_cost, backend=task.kernel)
             )
             dgroup = None
             if task.devices > 1:

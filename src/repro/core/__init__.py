@@ -30,14 +30,12 @@ from .roma import (
     unaligned_rows,
 )
 from .sddmm import (
-    SddmmBatchedPlan,
     SddmmPlan,
     execute_sddmm,
     execute_sddmm_batched,
     plan_sddmm,
     plan_sddmm_batched,
     sddmm,
-    sddmm_batched,
 )
 from .selection import (
     next_power_of_two,
@@ -45,24 +43,20 @@ from .selection import (
     widest_vector_width,
 )
 from .sparse_softmax import (
-    SparseSoftmaxBatchedPlan,
     SparseSoftmaxPlan,
     execute_sparse_softmax,
     execute_sparse_softmax_batched,
     plan_sparse_softmax,
     plan_sparse_softmax_batched,
     sparse_softmax,
-    sparse_softmax_batched,
 )
 from .spmm import (
-    SpmmBatchedPlan,
     SpmmPlan,
     execute_spmm,
     execute_spmm_batched,
     plan_spmm,
     plan_spmm_batched,
     spmm,
-    spmm_batched,
 )
 from .swizzle import (
     bundle_rows,
@@ -81,15 +75,9 @@ __all__ = [
     "csc_as_transposed_csr",
     "sddmm",
     "sparse_softmax",
-    "spmm_batched",
-    "sddmm_batched",
-    "sparse_softmax_batched",
     "SpmmPlan",
     "SddmmPlan",
     "SparseSoftmaxPlan",
-    "SpmmBatchedPlan",
-    "SddmmBatchedPlan",
-    "SparseSoftmaxBatchedPlan",
     "plan_spmm",
     "plan_sddmm",
     "plan_sparse_softmax",

@@ -232,13 +232,19 @@ class SddmmPlan:
     Depends only on the mask's structure and the inner dimension ``k`` —
     never on operand values — so it can be cached per mask and reused
     across attention heads/layers sharing one connectivity pattern.
+
+    ``h`` is the stack depth: the real-work grid tiles ``h`` times along z
+    (identical strips per batch item — the mask is shared) and the
+    early-exit drag of the over-provisioned grid scales with it, but only
+    ONE per-launch overhead is paid for the whole stack.
     """
 
     config: SddmmConfig
     k: int
     device: DeviceSpec
     launch: KernelLaunch
-    #: Early-exit scheduler drag of the over-provisioned grid (seconds).
+    #: Early-exit scheduler drag of the over-provisioned grid (seconds),
+    #: scaled to the stack depth.
     drag: float
     #: Simulated execution, drag included.
     execution: ExecutionResult
@@ -246,31 +252,44 @@ class SddmmPlan:
     mask_shape: tuple[int, int]
     nnz: int
     #: The strip scheduling order, kept so plan repair can merge it after
-    #: a topology edit instead of re-sorting. ``None`` on plans built
-    #: before repair support (older store entries).
+    #: a topology edit instead of re-sorting. ``None`` on depth-``h``
+    #: plans (``h > 1``), which keep only their costed launch.
     row_order: np.ndarray | None = None
     #: Per-column nonzero counts, carried by repaired plans so the next
     #: repair updates it incrementally. ``None`` on cold-built plans.
     col_counts: np.ndarray | None = None
+    #: Stack depth: products sharing the mask in the one launch.
+    h: int = 1
 
 
-def plan_sddmm(
+def _plan(
     mask: CSRMatrix,
     k: int,
+    h: int,
     device: DeviceSpec,
-    config: SddmmConfig | None = None,
+    config: SddmmConfig | None,
+    order: np.ndarray | None = None,
+    counts: np.ndarray | None = None,
 ) -> SddmmPlan:
-    """Build the full SDDMM plan: costed launch plus simulated run."""
+    """The one SDDMM plan builder: costed depth-``h`` launch plus
+    simulated run. Repair supplies its merged ``order`` and repaired
+    column histogram ``counts``."""
     if config is None:
         from ..tune import default_sddmm_config
 
         config = default_sddmm_config(mask, k)
-    order = (
-        row_swizzle(mask.row_lengths)
-        if config.load_balance
-        else identity_swizzle(mask.n_rows)
+    if order is None:
+        order = (
+            row_swizzle(mask.row_lengths)
+            if config.load_balance
+            else identity_swizzle(mask.n_rows)
+        )
+    touched = None if counts is None else touched_columns(counts)
+    launch, drag = build_launch(
+        mask, k, config, device, order=order, touched_cols=touched
     )
-    launch, drag = build_launch(mask, k, config, device, order=order)
+    launch = launch.batched(h)
+    drag *= h
     return SddmmPlan(
         config=config,
         k=k,
@@ -280,8 +299,31 @@ def plan_sddmm(
         execution=execute(launch, device).add_overhead(drag),
         mask_shape=mask.shape,
         nnz=mask.nnz,
-        row_order=order,
+        row_order=order if h == 1 else None,
+        col_counts=counts,
+        h=h,
     )
+
+
+def plan_sddmm(
+    mask: CSRMatrix,
+    k: int,
+    device: DeviceSpec,
+    config: SddmmConfig | None = None,
+) -> SddmmPlan:
+    """Build the full SDDMM plan: costed launch plus simulated run."""
+    return _plan(mask, k, 1, device, config)
+
+
+def plan_sddmm_batched(
+    mask: CSRMatrix,
+    k: int,
+    h: int,
+    device: DeviceSpec,
+    config: SddmmConfig | None = None,
+) -> SddmmPlan:
+    """Plan ``h`` SDDMMs sharing ``mask``'s topology as ONE launch."""
+    return _plan(mask, k, h, device, config)
 
 
 def repair_sddmm_plan(
@@ -291,9 +333,10 @@ def repair_sddmm_plan(
 
     Merges the parent's strip order over the edited rows and repairs its
     column histogram incrementally; the per-strip cost vectors are cheap
-    and rebuilt outright. Bit-identical to ``plan_sddmm(mask, k, device,
-    config)``; inconsistencies raise ``PlanRepairError`` (dispatch falls
-    back to a cold re-plan).
+    and rebuilt outright. A depth-``h`` parent keeps no order, so its rows
+    are re-sorted (still skipping ``np.unique``). Bit-identical to a cold
+    plan of the same depth; inconsistencies raise ``PlanRepairError``
+    (dispatch falls back to a cold re-plan).
     """
     from ..reliability.errors import PlanRepairError
 
@@ -302,41 +345,18 @@ def repair_sddmm_plan(
             f"edited mask {mask.shape} does not match the parent plan's "
             f"mask {plan.mask_shape}"
         )
-    config = plan.config
-    if config.load_balance:
-        if plan.row_order is not None:
-            order = merge_swizzle(plan.row_order, mask.row_lengths, delta.rows)
-        else:  # pre-repair store entry: re-sort (still skips np.unique)
-            order = row_swizzle(mask.row_lengths)
-    else:
-        order = identity_swizzle(mask.n_rows)
+    order = None
+    if plan.config.load_balance and plan.row_order is not None:
+        order = merge_swizzle(plan.row_order, mask.row_lengths, delta.rows)
     counts = repair_column_histogram(plan.col_counts, delta, mask)
-    launch, drag = build_launch(
-        mask,
-        plan.k,
-        config,
-        plan.device,
-        order=order,
-        touched_cols=touched_columns(counts),
-    )
-    return SddmmPlan(
-        config=config,
-        k=plan.k,
-        device=plan.device,
-        launch=launch,
-        drag=drag,
-        execution=execute(launch, plan.device).add_overhead(drag),
-        mask_shape=mask.shape,
-        nnz=mask.nnz,
-        row_order=order,
-        col_counts=counts,
-    )
+    return _plan(mask, plan.k, plan.h, plan.device, plan.config, order, counts)
 
 
-def execute_sddmm(
+def _check_operands(
     plan: SddmmPlan, lhs: np.ndarray, rhs: np.ndarray, mask: CSRMatrix
-) -> KernelResult:
-    """Run a planned SDDMM: exact numerics plus the plan's simulated cost."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Execute-time checks shared by both executors: ``mask`` is the
+    planned one and the operands (one slab of a stack) fit it and K."""
     if mask.shape != plan.mask_shape or mask.nnz != plan.nnz:
         raise ValueError(
             f"mask {mask.shape} (nnz={mask.nnz}) does not match the planned "
@@ -345,6 +365,14 @@ def execute_sddmm(
     lhs, rhs = _validate(lhs, rhs, mask, plan.config)
     if lhs.shape[1] != plan.k:
         raise ValueError(f"inner dim {lhs.shape[1]} but the plan has K={plan.k}")
+    return lhs, rhs
+
+
+def execute_sddmm(
+    plan: SddmmPlan, lhs: np.ndarray, rhs: np.ndarray, mask: CSRMatrix
+) -> KernelResult:
+    """Run a planned SDDMM: exact numerics plus the plan's simulated cost."""
+    lhs, rhs = _check_operands(plan, lhs, rhs, mask)
     return KernelResult(
         output=sddmm_reference(
             lhs, rhs, mask, scale_by_values=plan.config.scale_by_values
@@ -353,61 +381,8 @@ def execute_sddmm(
     )
 
 
-@dataclass
-class SddmmBatchedPlan:
-    """Batched SDDMM plan: ``h`` shared-mask products in one launch.
-
-    The real-work grid tiles ``h`` times along z (identical strips per
-    batch item — the mask is shared) and the early-exit drag of the
-    over-provisioned grid scales with it, but only ONE per-launch
-    overhead is paid for the whole stack.
-    """
-
-    config: SddmmConfig
-    k: int
-    #: Batch size (heads sharing the mask topology).
-    h: int
-    device: DeviceSpec
-    launch: KernelLaunch
-    #: Early-exit scheduler drag, already scaled to the batched grid.
-    drag: float
-    #: Simulated execution, drag included.
-    execution: ExecutionResult
-    mask_shape: tuple[int, int]
-    nnz: int
-
-
-def plan_sddmm_batched(
-    mask: CSRMatrix,
-    k: int,
-    h: int,
-    device: DeviceSpec,
-    config: SddmmConfig | None = None,
-) -> SddmmBatchedPlan:
-    """Plan ``h`` SDDMMs sharing ``mask``'s topology as ONE launch."""
-    if h <= 0:
-        raise ValueError("batch size must be positive")
-    if config is None:
-        from ..tune import default_sddmm_config
-
-        config = default_sddmm_config(mask, k)
-    base, drag = build_launch(mask, k, config, device)
-    launch = base.batched(h)
-    return SddmmBatchedPlan(
-        config=config,
-        k=k,
-        h=h,
-        device=device,
-        launch=launch,
-        drag=drag * h,
-        execution=execute(launch, device).add_overhead(drag * h),
-        mask_shape=mask.shape,
-        nnz=mask.nnz,
-    )
-
-
 def execute_sddmm_batched(
-    plan: SddmmBatchedPlan,
+    plan: SddmmPlan,
     lhs_stack: np.ndarray,
     rhs_stack: np.ndarray,
     mask: CSRMatrix,
@@ -418,11 +393,6 @@ def execute_sddmm_batched(
     the output is the column-stacked ``(nnz, H)`` value matrix (one
     column per batch item, all sharing ``mask``'s topology).
     """
-    if mask.shape != plan.mask_shape or mask.nnz != plan.nnz:
-        raise ValueError(
-            f"mask {mask.shape} (nnz={mask.nnz}) does not match the planned "
-            f"mask {plan.mask_shape} (nnz={plan.nnz})"
-        )
     lhs_stack = np.asarray(lhs_stack)
     rhs_stack = np.asarray(rhs_stack)
     if lhs_stack.ndim != 3 or lhs_stack.shape[0] != plan.h:
@@ -436,11 +406,7 @@ def execute_sddmm_batched(
             "(transposed rhs) only"
         )
     # Per-head validation on the first slab; the stack shares its shape.
-    _validate(lhs_stack[0], rhs_stack[0], mask, plan.config)
-    if lhs_stack.shape[2] != plan.k:
-        raise ValueError(
-            f"inner dim {lhs_stack.shape[2]} but the plan has K={plan.k}"
-        )
+    _check_operands(plan, lhs_stack[0], rhs_stack[0], mask)
     return KernelResult(
         output=sddmm_batched_reference(
             lhs_stack,
@@ -450,25 +416,6 @@ def execute_sddmm_batched(
         ),
         execution=plan.execution,
     )
-
-
-def sddmm_batched(
-    lhs_stack: np.ndarray,
-    rhs_stack: np.ndarray,
-    mask: CSRMatrix,
-    device: DeviceSpec,
-    config: SddmmConfig | None = None,
-) -> KernelResult:
-    """Batched Sputnik SDDMM: numerics + one amortized simulated launch."""
-    lhs_stack = np.asarray(lhs_stack)
-    if lhs_stack.ndim != 3:
-        raise ValueError(
-            f"lhs stack must be (H, rows, k), got {lhs_stack.shape}"
-        )
-    plan = plan_sddmm_batched(
-        mask, lhs_stack.shape[2], lhs_stack.shape[0], device, config
-    )
-    return execute_sddmm_batched(plan, lhs_stack, rhs_stack, mask)
 
 
 def sddmm(

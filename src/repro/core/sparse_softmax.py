@@ -71,100 +71,73 @@ class SparseSoftmaxPlan:
 
     The kernel is bandwidth-bound and keyed entirely by the matrix's row
     structure, so one plan serves every set of values sharing the topology
-    (e.g. attention scores across heads and layers)."""
+    (e.g. attention scores across heads and layers). ``h`` is the stack
+    depth: each warp's three row passes tile ``h`` times along z, paying
+    one per-launch overhead for the whole ``(nnz, H)`` value matrix."""
 
     device: DeviceSpec
     launch: KernelLaunch
     execution: ExecutionResult
     shape: tuple[int, int]
     nnz: int
+    #: Stack depth: value columns sharing the topology in the one launch.
+    h: int = 1
 
 
-def plan_sparse_softmax(a: CSRMatrix, device: DeviceSpec) -> SparseSoftmaxPlan:
-    """Build the sparse-softmax plan: costed launch plus simulated run."""
+def _plan(a: CSRMatrix, h: int, device: DeviceSpec) -> SparseSoftmaxPlan:
+    """The one sparse-softmax plan builder: depth-``h`` launch plus run."""
     if a.nnz == 0:
         raise ValueError("softmax of an empty sparse matrix is undefined")
-    launch = build_launch(a, device)
+    launch = build_launch(a, device).batched(h)
     return SparseSoftmaxPlan(
         device=device,
         launch=launch,
         execution=execute(launch, device),
         shape=a.shape,
         nnz=a.nnz,
+        h=h,
     )
+
+
+def plan_sparse_softmax(a: CSRMatrix, device: DeviceSpec) -> SparseSoftmaxPlan:
+    """Build the sparse-softmax plan: costed launch plus simulated run."""
+    return _plan(a, 1, device)
+
+
+def plan_sparse_softmax_batched(
+    a: CSRMatrix, h: int, device: DeviceSpec
+) -> SparseSoftmaxPlan:
+    """Plan ``h`` row softmaxes over ``a``'s topology as ONE launch."""
+    return _plan(a, h, device)
+
+
+def _check_operand(plan: SparseSoftmaxPlan, a: CSRMatrix) -> None:
+    if a.shape != plan.shape or a.nnz != plan.nnz:
+        raise ValueError(
+            f"matrix {a.shape} (nnz={a.nnz}) does not match the planned "
+            f"operand {plan.shape} (nnz={plan.nnz})"
+        )
 
 
 def execute_sparse_softmax(
     plan: SparseSoftmaxPlan, a: CSRMatrix, scale: float = 1.0
 ) -> KernelResult:
     """Run a planned sparse softmax on (possibly new) values."""
-    if a.shape != plan.shape or a.nnz != plan.nnz:
-        raise ValueError(
-            f"matrix {a.shape} (nnz={a.nnz}) does not match the planned "
-            f"operand {plan.shape} (nnz={plan.nnz})"
-        )
+    _check_operand(plan, a)
     return KernelResult(
         output=sparse_softmax_reference(a, scale=scale),
         execution=plan.execution,
     )
 
 
-def sparse_softmax(
-    a: CSRMatrix, device: DeviceSpec, scale: float = 1.0
-) -> KernelResult:
-    """Row-wise softmax over CSR nonzeros: numerics + simulated cost."""
-    return execute_sparse_softmax(plan_sparse_softmax(a, device), a, scale=scale)
-
-
-@dataclass
-class SparseSoftmaxBatchedPlan:
-    """Batched sparse-softmax plan: ``h`` value columns, one launch.
-
-    Each warp's three row passes tile ``h`` times along z (the row
-    structure is shared), paying one per-launch overhead for the whole
-    ``(nnz, H)`` value matrix.
-    """
-
-    #: Batch size (value columns sharing the topology).
-    h: int
-    device: DeviceSpec
-    launch: KernelLaunch
-    execution: ExecutionResult
-    shape: tuple[int, int]
-    nnz: int
-
-
-def plan_sparse_softmax_batched(
-    a: CSRMatrix, h: int, device: DeviceSpec
-) -> SparseSoftmaxBatchedPlan:
-    """Plan ``h`` row softmaxes over ``a``'s topology as ONE launch."""
-    if h <= 0:
-        raise ValueError("batch size must be positive")
-    if a.nnz == 0:
-        raise ValueError("softmax of an empty sparse matrix is undefined")
-    launch = build_launch(a, device).batched(h)
-    return SparseSoftmaxBatchedPlan(
-        h=h,
-        device=device,
-        launch=launch,
-        execution=execute(launch, device),
-        shape=a.shape,
-        nnz=a.nnz,
-    )
-
-
 def execute_sparse_softmax_batched(
-    plan: SparseSoftmaxBatchedPlan,
+    plan: SparseSoftmaxPlan,
     a: CSRMatrix,
     values: np.ndarray,
     scale: float = 1.0,
 ) -> KernelResult:
     """Run a planned batched softmax over a ``(nnz, H)`` value matrix."""
-    if a.shape != plan.shape or a.nnz != plan.nnz:
-        raise ValueError(
-            f"matrix {a.shape} (nnz={a.nnz}) does not match the planned "
-            f"operand {plan.shape} (nnz={plan.nnz})"
-        )
+    _check_operand(plan, a)
     values = np.asarray(values)
     if values.ndim != 2 or values.shape != (a.nnz, plan.h):
         raise ValueError(
@@ -176,15 +149,8 @@ def execute_sparse_softmax_batched(
     )
 
 
-def sparse_softmax_batched(
-    a: CSRMatrix,
-    values: np.ndarray,
-    device: DeviceSpec,
-    scale: float = 1.0,
+def sparse_softmax(
+    a: CSRMatrix, device: DeviceSpec, scale: float = 1.0
 ) -> KernelResult:
-    """Batched row softmax over shared topology: one amortized launch."""
-    values = np.asarray(values)
-    if values.ndim != 2:
-        raise ValueError(f"value matrix must be (nnz, H), got {values.shape}")
-    plan = plan_sparse_softmax_batched(a, values.shape[1], device)
-    return execute_sparse_softmax_batched(plan, a, values, scale=scale)
+    """Row-wise softmax over CSR nonzeros: numerics + simulated cost."""
+    return execute_sparse_softmax(plan_sparse_softmax(a, device), a, scale=scale)

@@ -40,12 +40,7 @@ from .repair import (
     repair_column_histogram,
     touched_columns,
 )
-from .swizzle import (
-    group_rows,
-    identity_swizzle,
-    merge_swizzle,
-    swizzled_row_groups,
-)
+from .swizzle import group_rows, merge_swizzle, swizzled_row_groups
 from .tiling import SpmmTiling, derive_tiling
 from .types import KernelResult
 
@@ -95,18 +90,26 @@ def _validate(a: CSRMatrix, b: np.ndarray, config: SpmmConfig) -> np.ndarray:
 
 
 def _analyze(
-    a: CSRMatrix, config: SpmmConfig, device: DeviceSpec
+    a: CSRMatrix,
+    config: SpmmConfig,
+    device: DeviceSpec,
+    order: np.ndarray | None = None,
 ) -> tuple[SpmmTiling, np.ndarray, np.ndarray, AlignedRows]:
     """Derive the per-matrix execution structure: tiling geometry, the
     swizzled row order/groups, and the (ROMA-aligned) row extents.
 
     This is the expensive, values-independent part of launch construction —
-    exactly what a cached :class:`SpmmPlan` amortizes across calls.
+    exactly what a cached :class:`SpmmPlan` amortizes across calls. Plan
+    repair passes the ``order`` it merged from the parent's; otherwise the
+    rows are sorted afresh (Section V-C).
     """
     tiling = derive_tiling(config, device.warp_size)
-    order, groups = swizzled_row_groups(
-        a, tiling.block_items_y, config.load_balance
-    )
+    if order is None:
+        order, groups = swizzled_row_groups(
+            a, tiling.block_items_y, config.load_balance
+        )
+    else:
+        groups = group_rows(order, tiling.block_items_y)
     use_vector_a = config.vector_width > 1 and config.roma
     extents = (
         align_rows(a, config.vector_width) if use_vector_a else unaligned_rows(a)
@@ -283,8 +286,7 @@ def build_launch(
     Separated from :func:`spmm` so benchmarks can cost a problem without
     paying for the numeric multiply.
     """
-    tiling, order, groups, extents = _analyze(a, config, device)
-    del order
+    tiling, _, groups, extents = _analyze(a, config, device)
     return _launch_from_analysis(a, n, config, device, tiling, groups, extents)
 
 
@@ -296,18 +298,25 @@ class SpmmPlan:
     precision), never on its values — so a plan stays valid across weight
     updates with a fixed topology and can be cached per matrix (the
     ``repro.ops`` plan cache does exactly that).
+
+    ``h`` is the stack depth: ``h`` products sharing the topology go down
+    as ONE launch scaled along the grid's z axis
+    (:meth:`~repro.gpu.executor.KernelLaunch.batched`), paying one
+    per-launch overhead for the whole stack (Section VII-C1). A depth-``h``
+    plan (``h > 1``) keeps only its costed launch: the analysis fields are
+    ``None``, and repair re-derives them.
     """
 
     config: SpmmConfig
     n: int
     device: DeviceSpec
-    tiling: SpmmTiling
+    tiling: SpmmTiling | None
     #: The swizzled row-processing order (Section V-C).
-    row_order: np.ndarray
+    row_order: np.ndarray | None
     #: Rows per thread block in scheduling order, ``-1``-padded.
-    row_groups: np.ndarray
+    row_groups: np.ndarray | None
     #: ROMA-aligned (or raw) per-row extents (Section V-B2).
-    extents: AlignedRows
+    extents: AlignedRows | None
     launch: KernelLaunch
     execution: ExecutionResult
     #: Shape of the planned sparse operand, for execute-time validation.
@@ -317,6 +326,47 @@ class SpmmPlan:
     #: repair updates it incrementally instead of re-scanning the matrix.
     #: ``None`` on cold-built plans (computed on first repair).
     col_counts: np.ndarray | None = None
+    #: Stack depth: products sharing the topology in the one launch.
+    h: int = 1
+
+
+def _plan(
+    a: CSRMatrix,
+    n: int,
+    h: int,
+    device: DeviceSpec,
+    config: SpmmConfig | None,
+    order: np.ndarray | None = None,
+    counts: np.ndarray | None = None,
+) -> SpmmPlan:
+    """The one SpMM plan builder: analysis, costed depth-``h`` launch,
+    simulated run. Repair supplies its merged ``order`` and repaired
+    column histogram ``counts``."""
+    if config is None:
+        from ..tune import default_spmm_config
+
+        config = default_spmm_config(a, n)
+    tiling, order, groups, extents = _analyze(a, config, device, order)
+    touched = None if counts is None else touched_columns(counts)
+    launch = _launch_from_analysis(
+        a, n, config, device, tiling, groups, extents, touched_cols=touched
+    ).batched(h)
+    single = h == 1
+    return SpmmPlan(
+        config=config,
+        n=n,
+        device=device,
+        tiling=tiling if single else None,
+        row_order=order if single else None,
+        row_groups=groups if single else None,
+        extents=extents if single else None,
+        launch=launch,
+        execution=execute(launch, device),
+        m=a.n_rows,
+        k=a.n_cols,
+        col_counts=counts,
+        h=h,
+    )
 
 
 def plan_spmm(
@@ -330,25 +380,18 @@ def plan_spmm(
     The plan is pure derived state — :func:`execute_spmm` adds only the
     numeric multiply.
     """
-    if config is None:
-        from ..tune import default_spmm_config
+    return _plan(a, n, 1, device, config)
 
-        config = default_spmm_config(a, n)
-    tiling, order, groups, extents = _analyze(a, config, device)
-    launch = _launch_from_analysis(a, n, config, device, tiling, groups, extents)
-    return SpmmPlan(
-        config=config,
-        n=n,
-        device=device,
-        tiling=tiling,
-        row_order=order,
-        row_groups=groups,
-        extents=extents,
-        launch=launch,
-        execution=execute(launch, device),
-        m=a.n_rows,
-        k=a.n_cols,
-    )
+
+def plan_spmm_batched(
+    a: CSRMatrix,
+    n: int,
+    h: int,
+    device: DeviceSpec,
+    config: SpmmConfig | None = None,
+) -> SpmmPlan:
+    """Plan ``h`` SpMMs sharing ``a``'s topology as ONE batched launch."""
+    return _plan(a, n, h, device, config)
 
 
 def repair_spmm_plan(
@@ -359,10 +402,11 @@ def repair_spmm_plan(
     Reuses the parent's swizzle order (merged over the edited rows) and
     its column histogram (updated incrementally) instead of re-running the
     full O(nnz log nnz) column analysis; the row extents and the launch
-    cost vectors are cheap and recomputed outright. The result is
-    bit-identical to ``plan_spmm(a, n, device, config)``. Inconsistencies
-    raise :class:`~repro.reliability.errors.PlanRepairError`, which the
-    dispatch layer converts into a cold re-plan.
+    cost vectors are cheap and recomputed outright. A depth-``h`` parent
+    keeps no order, so its rows are re-sorted. The result is bit-identical
+    to a cold plan of the same depth. Inconsistencies raise
+    :class:`~repro.reliability.errors.PlanRepairError`, which the dispatch
+    layer converts into a cold re-plan.
     """
     from ..reliability.errors import PlanRepairError
 
@@ -377,45 +421,16 @@ def repair_spmm_plan(
             f"edited topology holds {a.values.dtype} values but the parent "
             f"plan is {config.precision}"
         )
-    tiling = plan.tiling
-    if config.load_balance:
+    order = None
+    if config.load_balance and plan.row_order is not None:
         order = merge_swizzle(plan.row_order, a.row_lengths, delta.rows)
-    else:
-        order = identity_swizzle(a.n_rows)
-    groups = group_rows(order, tiling.block_items_y)
-    use_vector_a = config.vector_width > 1 and config.roma
-    extents = (
-        align_rows(a, config.vector_width) if use_vector_a else unaligned_rows(a)
-    )
     counts = repair_column_histogram(plan.col_counts, delta, a)
-    launch = _launch_from_analysis(
-        a,
-        plan.n,
-        config,
-        plan.device,
-        tiling,
-        groups,
-        extents,
-        touched_cols=touched_columns(counts),
-    )
-    return SpmmPlan(
-        config=config,
-        n=plan.n,
-        device=plan.device,
-        tiling=tiling,
-        row_order=order,
-        row_groups=groups,
-        extents=extents,
-        launch=launch,
-        execution=execute(launch, plan.device),
-        m=a.n_rows,
-        k=a.n_cols,
-        col_counts=counts,
-    )
+    return _plan(a, plan.n, plan.h, plan.device, config, order, counts)
 
 
-def execute_spmm(plan: SpmmPlan, a: CSRMatrix, b: np.ndarray) -> KernelResult:
-    """Run a planned SpMM: exact numerics plus the plan's simulated cost."""
+def _check_operands(plan: SpmmPlan, a: CSRMatrix, b: np.ndarray) -> np.ndarray:
+    """Execute-time checks shared by both executors: ``a`` is the planned
+    operand and ``b`` (one slab of a stack) fits it and the plan's N."""
     if a.shape != (plan.m, plan.k):
         raise ValueError(
             f"matrix {a.shape} does not match the planned operand "
@@ -424,64 +439,17 @@ def execute_spmm(plan: SpmmPlan, a: CSRMatrix, b: np.ndarray) -> KernelResult:
     b = _validate(a, b, plan.config)
     if b.shape[1] != plan.n:
         raise ValueError(f"B has {b.shape[1]} columns but the plan has N={plan.n}")
+    return b
+
+
+def execute_spmm(plan: SpmmPlan, a: CSRMatrix, b: np.ndarray) -> KernelResult:
+    """Run a planned SpMM: exact numerics plus the plan's simulated cost."""
+    b = _check_operands(plan, a, b)
     return KernelResult(output=spmm_reference(a, b), execution=plan.execution)
 
 
-@dataclass
-class SpmmBatchedPlan:
-    """Batched SpMM plan: ``h`` shared-topology products in one launch.
-
-    Built from the same values-independent analysis as :class:`SpmmPlan`,
-    then the costed launch is scaled along the grid's z axis via
-    :meth:`~repro.gpu.executor.KernelLaunch.batched` — one plan, one
-    launch, one per-launch overhead for the whole stack (Section VII-C1).
-    """
-
-    config: SpmmConfig
-    n: int
-    #: Batch size (heads / batch items sharing the topology).
-    h: int
-    device: DeviceSpec
-    launch: KernelLaunch
-    execution: ExecutionResult
-    #: Shape of the planned sparse operand, for execute-time validation.
-    m: int
-    k: int
-
-
-def plan_spmm_batched(
-    a: CSRMatrix,
-    n: int,
-    h: int,
-    device: DeviceSpec,
-    config: SpmmConfig | None = None,
-) -> SpmmBatchedPlan:
-    """Plan ``h`` SpMMs sharing ``a``'s topology as ONE batched launch."""
-    if h <= 0:
-        raise ValueError("batch size must be positive")
-    if config is None:
-        from ..tune import default_spmm_config
-
-        config = default_spmm_config(a, n)
-    tiling, order, groups, extents = _analyze(a, config, device)
-    del order
-    launch = _launch_from_analysis(
-        a, n, config, device, tiling, groups, extents
-    ).batched(h)
-    return SpmmBatchedPlan(
-        config=config,
-        n=n,
-        h=h,
-        device=device,
-        launch=launch,
-        execution=execute(launch, device),
-        m=a.n_rows,
-        k=a.n_cols,
-    )
-
-
 def execute_spmm_batched(
-    plan: SpmmBatchedPlan,
+    plan: SpmmPlan,
     a: CSRMatrix,
     b_stack: np.ndarray,
     values: np.ndarray | None = None,
@@ -493,11 +461,6 @@ def execute_spmm_batched(
     structure (per-head attention probabilities); otherwise all items
     share ``a``'s values (a weight matrix applied across a batch).
     """
-    if a.shape != (plan.m, plan.k):
-        raise ValueError(
-            f"matrix {a.shape} does not match the planned operand "
-            f"({plan.m}, {plan.k})"
-        )
     b_stack = np.asarray(b_stack)
     if b_stack.ndim != 3 or b_stack.shape[0] != plan.h:
         raise ValueError(
@@ -505,11 +468,7 @@ def execute_spmm_batched(
             f"batch size H={plan.h}"
         )
     # Per-head validation, vectorized: every slab shares shape and dtype.
-    _validate(a, b_stack[0], plan.config)
-    if b_stack.shape[2] != plan.n:
-        raise ValueError(
-            f"B has {b_stack.shape[2]} columns but the plan has N={plan.n}"
-        )
+    _check_operands(plan, a, b_stack[0])
     if values is not None:
         values = np.asarray(values)
         if values.shape != (plan.h, a.nnz):
@@ -526,23 +485,6 @@ def execute_spmm_batched(
         output=spmm_batched_reference(a, b_stack, values),
         execution=plan.execution,
     )
-
-
-def spmm_batched(
-    a: CSRMatrix,
-    b_stack: np.ndarray,
-    device: DeviceSpec,
-    config: SpmmConfig | None = None,
-    values: np.ndarray | None = None,
-) -> KernelResult:
-    """Batched Sputnik SpMM: numerics + one amortized simulated launch."""
-    b_stack = np.asarray(b_stack)
-    if b_stack.ndim != 3:
-        raise ValueError(f"B stack must be (H, k, n), got {b_stack.shape}")
-    plan = plan_spmm_batched(
-        a, b_stack.shape[2], b_stack.shape[0], device, config
-    )
-    return execute_spmm_batched(plan, a, b_stack, values)
 
 
 def spmm(

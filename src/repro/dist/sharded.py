@@ -224,27 +224,36 @@ def sharded_spmm_cost(
     selector: str = "heuristic",
     replicate_dense: bool = False,
     gather_output: bool = True,
+    h: int = 1,
 ) -> ShardedExecution:
-    """Simulated sharded-SpMM cost: per-device compute + collectives."""
+    """Simulated sharded-SpMM cost: per-device compute + collectives.
+
+    ``h > 1`` costs a stack of ``h`` products sharing ``a``'s topology:
+    each device runs its shard as one depth-``h`` launch
+    (:func:`repro.ops.spmm_batched_cost`) and every collective moves
+    ``h`` times the bytes.
+    """
     from .. import ops
 
-    if group.k == 1:
-        result = ops.spmm_cost(
-            a, n, context=group.lead, backend=backend, selector=selector
+    def cost(sub, ctx):
+        if h == 1:
+            return ops.spmm_cost(
+                sub, n, context=ctx, backend=backend, selector=selector
+            )
+        return ops.spmm_batched_cost(
+            sub, n, h, context=ctx, backend=backend, selector=selector
         )
+
+    if group.k == 1:
         return ShardedExecution(
-            name="spmm_sharded", k=1, strategy="row", per_device=[result]
+            name="spmm_sharded", k=1, strategy="row",
+            per_device=[cost(a, group.lead)],
         )
     with _dist_span(group, "spmm_sharded") as span:
         plan, subs = group.shards(a, strategy)
-        per_device = [
-            ops.spmm_cost(
-                sub, n, context=ctx, backend=backend, selector=selector
-            )
-            for ctx, sub in zip(group.contexts, subs)
-        ]
+        per_device = [cost(sub, ctx) for ctx, sub in zip(group.contexts, subs)]
         inputs, outputs = _spmm_collectives(
-            group, plan, a, n,
+            group, plan, a, n * h,
             replicate_dense=replicate_dense, gather_output=gather_output,
         )
         return _finish(

@@ -28,20 +28,17 @@ from ..core.config import SddmmConfig, SpmmConfig
 from ..core.csc_spmm import plan_spmm_csc
 from ..core.repair import TopologyDelta
 from ..core.sddmm import (
-    SddmmBatchedPlan,
     SddmmPlan,
     plan_sddmm,
     plan_sddmm_batched,
     repair_sddmm_plan,
 )
 from ..core.sparse_softmax import (
-    SparseSoftmaxBatchedPlan,
     SparseSoftmaxPlan,
     plan_sparse_softmax,
     plan_sparse_softmax_batched,
 )
 from ..core.spmm import (
-    SpmmBatchedPlan,
     SpmmPlan,
     plan_spmm,
     plan_spmm_batched,
@@ -363,8 +360,12 @@ _PLANS: dict[str, _PlanKind] = {
     "spmm": _PlanKind("plan_spmm", "repair_spmm_plan", "spmm_config"),
     "sddmm": _PlanKind("plan_sddmm", "repair_sddmm_plan", "sddmm_config"),
     "sparse_softmax": _PlanKind("plan_sparse_softmax", configured=False),
-    "spmm_batched": _PlanKind("plan_spmm_batched", select="spmm_config"),
-    "sddmm_batched": _PlanKind("plan_sddmm_batched", select="sddmm_config"),
+    "spmm_batched": _PlanKind(
+        "plan_spmm_batched", "repair_spmm_plan", "spmm_config"
+    ),
+    "sddmm_batched": _PlanKind(
+        "plan_sddmm_batched", "repair_sddmm_plan", "sddmm_config"
+    ),
     "sparse_softmax_batched": _PlanKind(
         "plan_sparse_softmax_batched", configured=False
     ),
@@ -1165,7 +1166,7 @@ class ExecutionContext:
     def spmm_batched_plan(
         self, a: CSRMatrix, n: int, h: int, config: SpmmConfig | None = None,
         selector: str = "heuristic", backend: str = "sputnik",
-    ) -> SpmmBatchedPlan:
+    ) -> SpmmPlan:
         """One plan for ``h`` SpMMs sharing ``a``'s topology (one launch)."""
         return self._plan(
             "spmm_batched", a, (n, h), config, selector, backend
@@ -1175,7 +1176,7 @@ class ExecutionContext:
         self, mask: CSRMatrix, k: int, h: int,
         config: SddmmConfig | None = None, selector: str = "heuristic",
         backend: str = "sputnik",
-    ) -> SddmmBatchedPlan:
+    ) -> SddmmPlan:
         """One plan for ``h`` SDDMMs sharing ``mask``'s topology."""
         return self._plan(
             "sddmm_batched", mask, (k, h), config, selector, backend
@@ -1183,7 +1184,7 @@ class ExecutionContext:
 
     def sparse_softmax_batched_plan(
         self, a: CSRMatrix, h: int, backend: str = "sputnik"
-    ) -> SparseSoftmaxBatchedPlan:
+    ) -> SparseSoftmaxPlan:
         """One plan for ``h`` row softmaxes over ``a``'s topology."""
         return self._plan("sparse_softmax_batched", a, (h,), backend=backend)
 

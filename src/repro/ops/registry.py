@@ -217,17 +217,8 @@ def _dense_spmm_cost(ctx, a, n, config, selector):
 # ----------------------------------------------------------------------
 # Batched backends: one shared topology, stacked operands, one launch
 # ----------------------------------------------------------------------
-def _batched_stack(b_stack: np.ndarray) -> np.ndarray:
-    b_stack = np.asarray(b_stack)
-    if b_stack.ndim != 3:
-        raise ValueError(
-            f"batched dense operand must be 3-D (H, ...), got {b_stack.shape}"
-        )
-    return b_stack
-
-
+# The entry points' ``OpSpec.batch`` has checked each stack's rank.
 def _sputnik_spmm_batched_run(ctx, a, b_stack, config, selector, values=None):
-    b_stack = _batched_stack(b_stack)
     plan = ctx.spmm_batched_plan(
         a, b_stack.shape[2], b_stack.shape[0], config, selector
     )
@@ -237,7 +228,6 @@ def _sputnik_spmm_batched_run(ctx, a, b_stack, config, selector, values=None):
 def _dense_spmm_batched_run(ctx, a, b_stack, config, selector, values=None):
     """Densified batched GEMM fallback: one strided-batched cuBLAS call."""
     _reject_config("dense", config)
-    b_stack = _batched_stack(b_stack)
     h, k, n = b_stack.shape
     if k != a.n_cols:
         raise ValueError(
@@ -272,7 +262,6 @@ def _dense_spmm_batched_cost(ctx, a, n, h, config, selector):
 
 
 def _sputnik_sddmm_batched_run(ctx, lhs_stack, rhs_stack, mask, config, selector):
-    lhs_stack = _batched_stack(lhs_stack)
     plan = ctx.sddmm_batched_plan(
         mask, lhs_stack.shape[2], lhs_stack.shape[0], config, selector
     )
@@ -280,11 +269,6 @@ def _sputnik_sddmm_batched_run(ctx, lhs_stack, rhs_stack, mask, config, selector
 
 
 def _sputnik_softmax_batched_run(ctx, a, values, scale):
-    values = np.asarray(values)
-    if values.ndim != 2:
-        raise ValueError(
-            f"batched softmax values must be (nnz, H), got {values.shape}"
-        )
     plan = ctx.sparse_softmax_batched_plan(a, values.shape[1])
     return execute_sparse_softmax_batched(plan, a, values, scale=scale)
 

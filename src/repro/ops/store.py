@@ -59,7 +59,10 @@ from typing import Any, Callable
 #: ``ShardPlan.row_order``) and envelopes carry an optional repair
 #: ``lineage`` record, so v5 pickles would deserialize without the state
 #: the repair path expects to maintain incrementally.
-PLAN_STORE_VERSION = 6
+#: v7: the stack depth ``h`` became a field of SpmmPlan/SddmmPlan/
+#: SparseSoftmaxPlan and the three ``*BatchedPlan`` classes are gone, so v6
+#: pickles of batched plans name classes that no longer exist.
+PLAN_STORE_VERSION = 7
 
 #: Magic tag identifying a plan-store envelope.
 _MAGIC = "repro-plan-store"

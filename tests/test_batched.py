@@ -8,6 +8,9 @@ VII-C1). These tests pin the contract:
   and H in {1, 4, 8};
 - **cost** — batched simulated runtime never exceeds the per-head sum, and
   strictly beats it for H > 1 (the amortized launch overheads);
+- **repair** — under a registered topology delta a depth-H plan repairs
+  through the same path as a single one and costs exactly what a cold
+  depth-H plan does (runtime and every launch cost vector);
 - **reliability** — a fault injected into the batched launch falls back
   ONCE for the whole batch: one DispatchReport, one fallback counter tick,
   not H of either;
@@ -23,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro import ops
 from repro.bench import build_tasks, run_sweep
@@ -35,6 +40,8 @@ from repro.nn import (
     Profile,
     dense_attention,
     dense_attention_batched,
+    drop_grow_update,
+    select_rows,
     sparse_attention,
     sparse_attention_batched,
 )
@@ -188,6 +195,100 @@ class TestBatchedRuntime:
         assert r8.n_blocks == 2 * r4.n_blocks
         assert r8.flops == pytest.approx(2 * r4.flops)
         assert r8.runtime_s >= r4.runtime_s
+
+
+# ----------------------------------------------------------------------
+# Repair: a depth-H plan repairs like a single one, bit for bit
+# ----------------------------------------------------------------------
+def _mutate(parent, seed: int):
+    rng = np.random.default_rng(seed)
+    grad = rng.standard_normal(tuple(parent.shape)).astype(np.float32)
+    return drop_grow_update(parent, grad, select_rows(parent, 0.2, rng), 0.3)
+
+
+def _assert_same_launch(repaired, cold):
+    assert repaired.h == cold.h
+    assert repaired.execution.runtime_s == cold.execution.runtime_s
+    assert repaired.launch.n_blocks == cold.launch.n_blocks
+    for name in (
+        "fma_instructions", "other_instructions", "dram_bytes", "l2_bytes",
+        "l1_bytes", "smem_bytes",
+    ):
+        np.testing.assert_array_equal(
+            getattr(repaired.launch.costs, name),
+            getattr(cold.launch.costs, name),
+        )
+
+
+class TestBatchedRepair:
+    @settings(deadline=None, max_examples=30)
+    @given(
+        rows=st.integers(8, 96),
+        cols=st.integers(8, 96),
+        density=st.floats(0.05, 0.5),
+        seed=st.integers(0, 2**31 - 1),
+        dtype=st.sampled_from([np.float32, np.float16]),
+        h=st.sampled_from([1, 4]),
+    )
+    def test_repaired_plan_equals_cold(self, rows, cols, density, seed,
+                                       dtype, h):
+        """Two chained topology edits: each repaired depth-H SpMM/SDDMM
+        plan costs exactly what a cold depth-H plan of the child does."""
+        parent = random_sparse(
+            np.random.default_rng(seed), rows, cols, density, dtype=dtype
+        )
+        assume(parent.nnz > 0)
+        ctx = ExecutionContext(V100)
+        spmm_cfg = ctx.spmm_config(parent, 16)
+        sddmm_cfg = ctx.sddmm_config(parent, 16)
+        ctx.spmm_batched_plan(parent, 16, h, spmm_cfg)
+        ctx.sddmm_batched_plan(parent, 16, h, sddmm_cfg)
+        work = parent
+        for step in range(2):
+            child, delta = _mutate(work, seed + step)
+            assume(delta.child != delta.parent)
+            ctx.register_topology_delta(delta)
+            repairs = ctx.telemetry.plan_repairs
+            fresh = ExecutionContext(V100)
+            _assert_same_launch(
+                ctx.spmm_batched_plan(child, 16, h, spmm_cfg),
+                fresh.spmm_batched_plan(child, 16, h, spmm_cfg),
+            )
+            repaired = ctx.sddmm_batched_plan(child, 16, h, sddmm_cfg)
+            cold = fresh.sddmm_batched_plan(child, 16, h, sddmm_cfg)
+            _assert_same_launch(repaired, cold)
+            assert repaired.drag == cold.drag
+            assert ctx.telemetry.plan_repairs == repairs + 2
+            work = child
+
+    def test_dispatch_repairs_batched_ops(self, rng):
+        """Under a registered delta, ops.spmm_batched/sddmm_batched repair
+        their plans and match a fresh context bit for bit."""
+        h = 4
+        parent = random_sparse(rng, 128, 96, 0.15)
+        child, delta = _mutate(parent, 7)
+        b_stack = rng.standard_normal((h, 96, 16)).astype(np.float32)
+        lhs = rng.standard_normal((h, 128, 16)).astype(np.float32)
+        rhs = rng.standard_normal((h, 96, 16)).astype(np.float32)
+        ctx = ExecutionContext(V100)
+        ops.spmm_batched(parent, b_stack, context=ctx)
+        ops.sddmm_batched(lhs, rhs, parent, context=ctx)
+        ctx.register_topology_delta(delta)
+        got = (
+            ops.spmm_batched(child, b_stack, context=ctx),
+            ops.sddmm_batched(lhs, rhs, child, context=ctx),
+        )
+        snap = ctx.telemetry_snapshot()
+        assert snap["spmm_batched/sputnik"]["plan_repairs"] >= 1
+        assert snap["sddmm_batched/sputnik"]["plan_repairs"] >= 1
+        fresh = ExecutionContext(V100)
+        want = (
+            ops.spmm_batched(child, b_stack, context=fresh),
+            ops.sddmm_batched(lhs, rhs, child, context=fresh),
+        )
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.output, w.output)
+            assert g.execution.runtime_s == w.execution.runtime_s
 
 
 # ----------------------------------------------------------------------

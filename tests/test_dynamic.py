@@ -6,7 +6,8 @@ fingerprint-delta repair path (repaired SpMM/SDDMM plans bit-identical
 to cold plans across dtypes, repair chains, sharded K in {1, 4}),
 store lineage envelopes (v6), the ``SparseLinear`` topology-edit wiring
 (repairable deltas + generation-based invalidation), the sweep's
-``mutations=`` dimension (row-key back-compat), the regress gate's
+``mutations=`` dimension (row-key back-compat, composing with ``h``
+and ``devices``), the regress gate's
 dynamic metrics, and chaos: an injected mid-repair fault must fall back
 to a cold build with identical results, never a corrupt plan.
 """
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro import ops
+from repro.bench import sweep as sweep_mod
 from repro.bench.sweep import build_tasks, run_sweep
 from repro.core.swizzle import merge_swizzle, row_swizzle
 from repro.datasets import MatrixSpec
@@ -234,7 +236,7 @@ class TestPlanRepair:
         assert ctx.telemetry.plan_repairs == 0
 
     def test_store_lineage(self, rng, tmp_path):
-        assert PLAN_STORE_VERSION == 6
+        assert PLAN_STORE_VERSION == 7
         parent = random_sparse(rng, 64, 64, 0.2)
         child, delta = _mutate(parent)
         store = PlanStore(tmp_path)
@@ -404,10 +406,37 @@ class TestSweepMutations:
                           seed=3)
         with pytest.raises(ValueError):
             build_tasks([spec], ["sputnik"], mutations=[-1])
-        with pytest.raises(ValueError):
-            build_tasks([spec], ["sputnik"], h=[2], mutations=[2])
-        with pytest.raises(ValueError):
-            build_tasks([spec], ["sputnik"], devices=[2], mutations=[2])
+
+    def test_sweep_dimensions_compose(self):
+        """h x devices x mutations: every task builds its depth-h plan on
+        each device and repairs it under churn."""
+        sweep_mod.reset_worker_state()
+        ops.reset_default_contexts()
+        spec = MatrixSpec("dyn0", "synthetic", "l0", 256, 256, 0.9, 0.5,
+                          seed=3)
+        try:
+            rows, report = run_sweep(
+                [spec], ["sputnik"], V100, n=[16], h=[1, 4],
+                devices=[1, 2], mutations=[0, 2],
+            )
+        finally:
+            sweep_mod.reset_worker_state()
+            ops.reset_default_contexts()
+        assert report.failed == report.oom == 0
+        assert len(rows) == 8
+        assert all(r["status"] == "ok" for r in rows)
+        assert {(r["h"], r["devices"], r["mutations"]) for r in rows} == {
+            (h, d, m) for h in (1, 4) for d in (1, 2) for m in (0, 2)
+        }
+        for row in rows:
+            if row["mutations"]:
+                assert row["telemetry"]["plan_repairs"] > 0, row["row_key"]
+        (static,) = [
+            r for r in rows
+            if (r["h"], r["devices"], r["mutations"]) == (1, 1, 0)
+        ]
+        assert static["row_key"] == "dyn0|sputnik|16"
+        assert static["runtime_s"] == float.fromhex("0x1.e79dced4cff0cp-18")
 
     def test_run_sweep_with_mutations(self, tmp_path):
         spec = MatrixSpec("dyn0", "synthetic", "l0", 256, 256, 0.9, 0.5,

@@ -204,10 +204,10 @@ class TestContextIntegration:
 
 
 class TestBatchedPlanEnvelope:
-    """The v3 envelope: batched plans (z-scaled launches, batch-size keys)
-    must round-trip through the store, and plans persisted under an older
-    version must self-heal instead of deserializing into the new batched
-    execute signatures."""
+    """Batched plans — depth-``h`` plans of the one plan type per kernel,
+    z-scaled launches under batch-size keys (v7) — must round-trip through
+    the store, and plans persisted under an older version must self-heal
+    instead of deserializing into plan classes that changed shape."""
 
     def test_version_covers_batched_envelope(self):
         assert PLAN_STORE_VERSION >= 3
