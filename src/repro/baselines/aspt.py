@@ -142,7 +142,7 @@ def _panel_launch(
 
     # Light-path loads see the same synchronized-column L1 locality as any
     # row-split kernel (sorted indices, similar row lengths).
-    touched = len(np.unique(a.column_indices)) if a.nnz else 0
+    touched = a.analysis.touched_columns
     avg_row = a.nnz / a.n_rows if a.n_rows else 0.0
     rows_per_sm = 4 * PANEL_ROWS // 4  # ~4 resident worker blocks
     lpe = rows_per_sm * avg_row / touched if touched else 0.0

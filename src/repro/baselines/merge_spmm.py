@@ -73,7 +73,7 @@ def spmm_launch(a: CSRMatrix, n: int, device: DeviceSpec) -> KernelLaunch:
     # L1 locality: sorted CSR indices give the same synchronized column
     # streaming as our kernel (row-major coalesced loads help here relative
     # to cuSPARSE's column-major layout).
-    touched = len(np.unique(a.column_indices)) if a.nnz else 0
+    touched = a.analysis.touched_columns
     resident = 8
     avg_row = a.nnz / a.n_rows if a.n_rows else 0.0
     rows_per_sm = resident * ROWS_PER_BLOCK

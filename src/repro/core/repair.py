@@ -3,9 +3,10 @@
 Dynamic sparse training (RigL-style drop/grow) mutates a weight matrix's
 topology every N steps, editing a small fraction of its rows. Every plan in
 the cache stack is keyed by a structural fingerprint, so each mutation is a
-cold miss and a full re-plan — and the expensive part of planning is the
-O(nnz log nnz) column analysis (``np.unique`` over the column indices) that
-an edit of 5% of the rows barely changes.
+cold miss and a full re-plan. A cold build analyses the new topology once
+(``CSRMatrix.analysis``: an O(nnz) touched-column count and an
+O(rows log rows) row swizzle); repair instead carries both forward from the
+parent plan, since an edit of 5% of the rows barely changes them.
 
 This module holds the pieces of repair that are independent of any one
 kernel:
@@ -15,11 +16,10 @@ kernel:
   slices) that the parent matrix itself can be dropped.
 - :func:`edited_rows` — structural diff between two same-shape CSR
   matrices, for callers that mutated a topology without tracking rows.
-- :func:`repair_column_histogram` — the incremental replacement for the
-  per-plan ``np.unique`` column analysis: maintain a column histogram,
-  subtract the edited rows' old columns, add their new ones. The number of
-  touched columns (``count_nonzero``) is bit-identical to
-  ``len(np.unique(column_indices))``.
+- :func:`repair_column_histogram` — the incremental counterpart of the
+  touched-column count: maintain a column histogram, subtract the edited
+  rows' old columns, add their new ones. Its ``count_nonzero`` equals
+  ``analysis.touched_columns`` of the child.
 
 Kernel-specific repair lives next to each planner (``core.spmm``,
 ``core.sddmm``, ``dist.partition``); the cache-lookup policy (exact hit ->
@@ -178,8 +178,7 @@ def repair_column_histogram(
 
     With parent counts available this is O(edited nnz + n_cols); without
     (the ancestor was a cold plan, which carries no histogram) it falls
-    back to a fresh O(nnz) bincount — still far cheaper than the
-    O(nnz log nnz) ``np.unique`` it replaces. The result is validated
+    back to a fresh O(nnz) bincount. The result is validated
     against the child (non-negative, sums to nnz) so a drifted histogram
     raises instead of silently mis-costing the plan.
     """
@@ -220,6 +219,6 @@ def repair_column_histogram(
 
 
 def touched_columns(counts: np.ndarray) -> int:
-    """Distinct referenced columns — ``len(np.unique(cols))``, from the
-    histogram."""
+    """Distinct referenced columns, from the histogram: equal to the
+    matrix's ``analysis.touched_columns``."""
     return int(np.count_nonzero(counts))

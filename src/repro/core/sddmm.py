@@ -32,7 +32,7 @@ from .repair import (
     repair_column_histogram,
     touched_columns,
 )
-from .swizzle import identity_swizzle, merge_swizzle, row_swizzle
+from .swizzle import merge_swizzle, row_order
 from .types import KernelResult
 
 #: Instructions an unneeded thread block executes before returning early.
@@ -78,32 +78,34 @@ def _validate(
 
 
 def build_launch(
-    mask: CSRMatrix,
-    k: int,
-    config: SddmmConfig,
-    device: DeviceSpec,
-    *,
-    order: np.ndarray | None = None,
-    touched_cols: int | None = None,
+    mask: CSRMatrix, k: int, config: SddmmConfig, device: DeviceSpec
 ) -> tuple[KernelLaunch, float]:
     """Cost the SDDMM launch; returns ``(real-work launch, early-exit drag)``.
 
     The drag term (seconds) accounts for the over-provisioned grid's empty
-    blocks flowing through the scheduler. ``order`` and ``touched_cols``
-    may be supplied by a planner that already holds them (plan repair
-    maintains both incrementally); when absent they are derived from the
-    mask as usual.
+    blocks flowing through the scheduler.
     """
+    return _launch_from_analysis(
+        mask, k, config, device,
+        row_order(mask, config.load_balance),
+        mask.analysis.touched_columns,
+    )
+
+
+def _launch_from_analysis(
+    mask: CSRMatrix,
+    k: int,
+    config: SddmmConfig,
+    device: DeviceSpec,
+    order: np.ndarray,
+    touched_cols: int,
+) -> tuple[KernelLaunch, float]:
+    """:func:`build_launch` from the strip scheduling ``order`` and the
+    count of distinct referenced columns ``touched_cols``."""
     t = config.nonzeros_per_block
     vw = float(config.vector_width)
     warp = device.warp_size
 
-    if order is None:
-        order = (
-            row_swizzle(mask.row_lengths)
-            if config.load_balance
-            else identity_swizzle(mask.n_rows)
-        )
     lengths = mask.row_lengths[order]
 
     # Strips per row, flattened in block_idx order (x fastest, then y).
@@ -160,8 +162,6 @@ def build_launch(
     # one SM reference overlapping rhs rows.
     occ = compute_occupancy(resources, device)
     resident = min(occ.blocks_per_sm, -(-n_real // device.num_sms))
-    if touched_cols is None:
-        touched_cols = len(np.unique(mask.column_indices))
     strip_mean = float(strip_nnz.mean())
     l1_cap = float(device.l1_capacity_per_sm)
 
@@ -272,21 +272,21 @@ def _plan(
     counts: np.ndarray | None = None,
 ) -> SddmmPlan:
     """The one SDDMM plan builder: costed depth-``h`` launch plus
-    simulated run. Repair supplies its merged ``order`` and repaired
-    column histogram ``counts``."""
+    simulated run. A cold build reads ``mask.analysis``; repair supplies
+    its merged ``order`` and repaired column histogram ``counts``."""
     if config is None:
         from ..tune import default_sddmm_config
 
         config = default_sddmm_config(mask, k)
     if order is None:
-        order = (
-            row_swizzle(mask.row_lengths)
-            if config.load_balance
-            else identity_swizzle(mask.n_rows)
-        )
-    touched = None if counts is None else touched_columns(counts)
-    launch, drag = build_launch(
-        mask, k, config, device, order=order, touched_cols=touched
+        order = row_order(mask, config.load_balance)
+    touched = (
+        mask.analysis.touched_columns
+        if counts is None
+        else touched_columns(counts)
+    )
+    launch, drag = _launch_from_analysis(
+        mask, k, config, device, order, touched
     )
     launch = launch.batched(h)
     drag *= h
@@ -333,8 +333,8 @@ def repair_sddmm_plan(
 
     Merges the parent's strip order over the edited rows and repairs its
     column histogram incrementally; the per-strip cost vectors are cheap
-    and rebuilt outright. A depth-``h`` parent keeps no order, so its rows
-    are re-sorted (still skipping ``np.unique``). Bit-identical to a cold
+    and rebuilt outright. A depth-``h`` parent keeps no order, so the
+    mask's own ``analysis.swizzle_order`` is used. Bit-identical to a cold
     plan of the same depth; inconsistencies raise ``PlanRepairError``
     (dispatch falls back to a cold re-plan).
     """

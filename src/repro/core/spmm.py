@@ -98,10 +98,10 @@ def _analyze(
     """Derive the per-matrix execution structure: tiling geometry, the
     swizzled row order/groups, and the (ROMA-aligned) row extents.
 
-    This is the expensive, values-independent part of launch construction —
-    exactly what a cached :class:`SpmmPlan` amortizes across calls. Plan
-    repair passes the ``order`` it merged from the parent's; otherwise the
-    rows are sorted afresh (Section V-C).
+    This is the values-independent part of launch construction — exactly
+    what a cached :class:`SpmmPlan` amortizes across calls. Plan repair
+    passes the ``order`` it merged from the parent's; otherwise it is the
+    matrix's memoized swizzle order (Section V-C).
     """
     tiling = derive_tiling(config, device.warp_size)
     if order is None:
@@ -125,14 +125,10 @@ def _launch_from_analysis(
     tiling: SpmmTiling,
     groups: np.ndarray,
     extents: AlignedRows,
-    touched_cols: int | None = None,
+    touched_cols: int,
 ) -> KernelLaunch:
-    """Cost the SpMM launch from a precomputed analysis (see ``_analyze``).
-
-    ``touched_cols`` (the count of distinct referenced columns) may be
-    supplied by plan repair, which maintains it incrementally; when absent
-    it is derived from the column indices as usual.
-    """
+    """Cost the SpMM launch from a precomputed analysis (see ``_analyze``)
+    and ``touched_cols``, the count of distinct referenced columns."""
     gx, gy = tiling.grid(a.n_rows, n)
     vb = config.element_bytes
     ib = config.index_bytes
@@ -224,8 +220,6 @@ def _launch_from_analysis(
     # other resident rows land inside a small sliding window that the L1
     # easily holds — the "locality serviced through caches" the paper
     # predicts for subwarp tiling.
-    if touched_cols is None:
-        touched_cols = len(np.unique(a.column_indices)) if a.nnz else 0
     occ = compute_occupancy(resources, device)
     resident = min(occ.blocks_per_sm, -(-gx * gy // device.num_sms))
     rows_per_sm = resident * tiling.block_items_y
@@ -287,7 +281,10 @@ def build_launch(
     paying for the numeric multiply.
     """
     tiling, _, groups, extents = _analyze(a, config, device)
-    return _launch_from_analysis(a, n, config, device, tiling, groups, extents)
+    return _launch_from_analysis(
+        a, n, config, device, tiling, groups, extents,
+        a.analysis.touched_columns,
+    )
 
 
 @dataclass
@@ -340,16 +337,20 @@ def _plan(
     counts: np.ndarray | None = None,
 ) -> SpmmPlan:
     """The one SpMM plan builder: analysis, costed depth-``h`` launch,
-    simulated run. Repair supplies its merged ``order`` and repaired
-    column histogram ``counts``."""
+    simulated run. A cold build reads ``a.analysis``; repair supplies its
+    merged ``order`` and repaired column histogram ``counts``."""
     if config is None:
         from ..tune import default_spmm_config
 
         config = default_spmm_config(a, n)
     tiling, order, groups, extents = _analyze(a, config, device, order)
-    touched = None if counts is None else touched_columns(counts)
+    touched = (
+        a.analysis.touched_columns
+        if counts is None
+        else touched_columns(counts)
+    )
     launch = _launch_from_analysis(
-        a, n, config, device, tiling, groups, extents, touched_cols=touched
+        a, n, config, device, tiling, groups, extents, touched
     ).batched(h)
     single = h == 1
     return SpmmPlan(
@@ -400,11 +401,11 @@ def repair_spmm_plan(
     """Repair a parent plan for the edited topology ``a`` (DESIGN.md §17).
 
     Reuses the parent's swizzle order (merged over the edited rows) and
-    its column histogram (updated incrementally) instead of re-running the
-    full O(nnz log nnz) column analysis; the row extents and the launch
-    cost vectors are cheap and recomputed outright. A depth-``h`` parent
-    keeps no order, so its rows are re-sorted. The result is bit-identical
-    to a cold plan of the same depth. Inconsistencies raise
+    its column histogram (updated incrementally) instead of analysing the
+    child afresh; the row extents and the launch cost vectors are cheap
+    and recomputed outright. A depth-``h`` parent keeps no order, so the
+    child's own ``analysis.swizzle_order`` is used. The result is
+    bit-identical to a cold plan of the same depth. Inconsistencies raise
     :class:`~repro.reliability.errors.PlanRepairError`, which the dispatch
     layer converts into a cold re-plan.
     """

@@ -146,6 +146,12 @@ def group_rows(order: np.ndarray, rows_per_block: int) -> np.ndarray:
     return padded.reshape(-1, rows_per_block)
 
 
+def row_order(a: CSRMatrix, enabled: bool = True) -> np.ndarray:
+    """The order a kernel processes ``a``'s rows in: the memoized swizzle
+    (``a.analysis.swizzle_order``) with load balancing, else identity."""
+    return a.analysis.swizzle_order if enabled else identity_swizzle(a.n_rows)
+
+
 def swizzled_row_groups(
     a: CSRMatrix, rows_per_block: int, enabled: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +161,5 @@ def swizzled_row_groups(
     ``grouped`` is an ``(n_blocks_y, rows_per_block)`` int array padded with
     ``-1`` for absent rows (grids rarely divide evenly).
     """
-    order = (
-        row_swizzle(a.row_lengths) if enabled else identity_swizzle(a.n_rows)
-    )
+    order = row_order(a, enabled)
     return order, group_rows(order, rows_per_block)

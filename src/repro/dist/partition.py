@@ -191,7 +191,8 @@ def plan_shards(
     :class:`~repro.dist.group.DeviceGroup` layers plan caching on top).
 
     ``order`` optionally supplies the decreasing-length row order (the
-    repair path's merged swizzle); when ``None`` it is computed fresh.
+    repair path's merged swizzle); when ``None`` it is the matrix's
+    memoized ``analysis.swizzle_order``.
     """
     if strategy not in STRATEGIES:
         raise ValueError(
@@ -200,7 +201,7 @@ def plan_shards(
         )
     lengths = a.row_lengths
     if order is None:
-        order = row_swizzle(lengths)
+        order = a.analysis.swizzle_order
     if strategy == "row" or k == 1:
         grid = (k, 1)
         device_rows = cost_balanced_partition(

@@ -31,6 +31,7 @@ class CSCMatrix(StructureIdentity):
     values: np.ndarray
 
     _KIND = b"csc"
+    _MINOR_AXIS = 0
 
     def _structure(self) -> tuple[np.ndarray, np.ndarray]:
         return self.col_offsets, self.row_indices

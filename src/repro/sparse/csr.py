@@ -63,15 +63,72 @@ def structure_hash(kind: bytes, shape, dtype, offsets, indices) -> str:
     return h.hexdigest()
 
 
+def count_touched(indices: np.ndarray, extent: int) -> int:
+    """Distinct values among ``indices``, all in ``[0, extent)``.
+
+    Exactly ``len(np.unique(indices))``, but an O(nnz) boolean-mask count
+    instead of a sort.
+    """
+    seen = np.zeros(extent, dtype=bool)
+    seen[indices] = True
+    return int(np.count_nonzero(seen))
+
+
+class StructureAnalysis:
+    """Values-independent facts about one topology, shared by every plan
+    builder and cost model that reads the matrix.
+
+    Each field is computed on first read and then memoized, so a topology
+    is analysed once however many kernels, configs and contexts cost it
+    (the paper's one-time setup per topology, Sections V-C and IX).
+    ``__slots__`` keeps the memo out of ``estimate_nbytes``, which walks
+    ``__dict__``: it is host bookkeeping, not plan bytes.
+    """
+
+    __slots__ = ("_offsets", "_indices", "_extent", "_touched", "_order")
+
+    def __init__(
+        self, offsets: np.ndarray, indices: np.ndarray, extent: int
+    ) -> None:
+        self._offsets = offsets
+        self._indices = indices
+        self._extent = extent
+        self._touched: int | None = None
+        self._order: np.ndarray | None = None
+
+    @property
+    def touched_columns(self) -> int:
+        """Distinct minor-axis indices referenced (columns, for CSR)."""
+        if self._touched is None:
+            self._touched = count_touched(self._indices, self._extent)
+        return self._touched
+
+    @property
+    def swizzle_order(self) -> np.ndarray:
+        """Major-axis indices by decreasing length (Section V-C), as
+        ``row_swizzle`` sorts them; read-only, as plans hold it."""
+        if self._order is None:
+            from ..core.swizzle import row_swizzle
+
+            order = row_swizzle(np.diff(self._offsets))
+            order.setflags(write=False)
+            self._order = order
+        return self._order
+
+
 class StructureIdentity:
     """One memoized structure identity per sparse matrix (``_KIND`` plus
-    the ``_structure()`` arrays), hashed once at construction.
+    the ``_structure()`` arrays), hashed once at construction, and its
+    lazily built :class:`StructureAnalysis`.
 
     After a deliberate in-place edit of offsets or indices, call
     :meth:`invalidate` on every matrix sharing the edited arrays; an edit
-    without it keeps the stale plan key and is what ``validate_deep``
-    reports as corruption.
+    without it keeps the stale plan key and analysis, and is what
+    ``validate_deep`` reports as corruption.
     """
+
+    #: The memoized analysis; ``None`` until first read.
+    _analysis: StructureAnalysis | None = None
 
     def structure_checksum(self) -> str:
         """Recompute the structure hash from the current arrays."""
@@ -84,9 +141,19 @@ class StructureIdentity:
         """The memoized structure hash: the plan-cache key."""
         return self._fingerprint
 
+    @property
+    def analysis(self) -> StructureAnalysis:
+        """The topology's memoized :class:`StructureAnalysis`."""
+        if self._analysis is None:
+            self._analysis = StructureAnalysis(
+                *self._structure(), self.shape[self._MINOR_AXIS]
+            )
+        return self._analysis
+
     def invalidate(self) -> None:
         """Re-derive the identity after a deliberate in-place edit."""
         self._fingerprint = self.structure_checksum()
+        self._analysis = None
 
 
 @dataclass
@@ -108,19 +175,25 @@ class CSRMatrix(StructureIdentity):
     _: KW_ONLY
     #: A same-structure source's identity: skips the hash, not the checks.
     _identity: InitVar[str | None] = None
+    #: The same source's analysis, shared rather than recomputed.
+    _analysis: InitVar[StructureAnalysis | None] = None
 
     _KIND = b"csr"
+    _MINOR_AXIS = 1
 
     def _structure(self) -> tuple[np.ndarray, np.ndarray]:
         return self.row_offsets, self.column_indices
 
-    def __post_init__(self, _identity: str | None) -> None:
+    def __post_init__(
+        self, _identity: str | None, _analysis: StructureAnalysis | None
+    ) -> None:
         self.shape = tuple(map(operator.index, self.shape))
         self.row_offsets = np.ascontiguousarray(self.row_offsets, dtype=np.int64)
         self.column_indices = np.ascontiguousarray(self.column_indices)
         self.values = np.ascontiguousarray(self.values)
         self._check_structure()
         self._fingerprint = _identity or self.structure_checksum()
+        self._analysis = _analysis
 
     def _check_structure(self) -> None:
         """Raise ValueError/TypeError on the first broken invariant."""
@@ -268,12 +341,14 @@ class CSRMatrix(StructureIdentity):
         """Re-type values (and, implicitly, indices per the precision rule)."""
         vdt = np.dtype(dtype)
         idt = check_column_capacity(self.shape[1], vdt)
+        same = vdt == self.values.dtype
         return CSRMatrix(
             self.shape,
             self.row_offsets.copy(),
             self.column_indices.astype(idt),
             self.values.astype(vdt),
-            _identity=self._fingerprint if vdt == self.values.dtype else None,
+            _identity=self._fingerprint if same else None,
+            _analysis=self.analysis if same else None,
         )
 
     def with_values(self, values: np.ndarray) -> "CSRMatrix":
@@ -283,7 +358,7 @@ class CSRMatrix(StructureIdentity):
             raise ValueError("value array must match nnz")
         return CSRMatrix(
             self.shape, self.row_offsets, self.column_indices, values,
-            _identity=self._fingerprint,
+            _identity=self._fingerprint, _analysis=self.analysis,
         )
 
     def take_rows(self, rows: np.ndarray) -> "CSRMatrix":

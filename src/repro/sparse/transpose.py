@@ -16,7 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csr import INDEX_DTYPE_FOR_VALUES, CSRMatrix, structure_hash
+from .csr import (
+    INDEX_DTYPE_FOR_VALUES,
+    CSRMatrix,
+    StructureAnalysis,
+    structure_hash,
+)
 
 
 class CachedTranspose:
@@ -52,10 +57,14 @@ class CachedTranspose:
         self.shape = (cols, rows)
         self._source_shape = a.shape
         self._source_nnz = nnz
-        # Every applied matrix shares this structure: hash it once.
+        # Every applied matrix shares this structure: hash and analyse it
+        # once.
         self._fingerprint = structure_hash(
             CSRMatrix._KIND, self.shape, a.values.dtype,
             self.row_offsets, self.column_indices,
+        )
+        self._analysis = StructureAnalysis(
+            self.row_offsets, self.column_indices, rows
         )
 
     def apply(self, values: np.ndarray) -> CSRMatrix:
@@ -71,6 +80,7 @@ class CachedTranspose:
             column_indices=self.column_indices,
             values=values[self.permutation],
             _identity=self._fingerprint,
+            _analysis=self._analysis,
         )
 
     def transpose(self, a: CSRMatrix) -> CSRMatrix:
