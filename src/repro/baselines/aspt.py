@@ -95,7 +95,7 @@ def _panel_launch(
     """
     warp = device.warp_size
     vb, ib = 4.0, 4.0
-    heavy, light, heavy_col_counts = heavy_light_split(a)
+    heavy, light, n_heavy_cols = heavy_light_split(a)
     n_panels = len(heavy)
     gx = -(-n // TILE_N)
     heavy_f = heavy.astype(np.float64)
@@ -114,7 +114,7 @@ def _panel_launch(
     meta = steps * TILE_BOOKKEEPING + 60.0
     other = dense_loads + 2.0 * np.ceil(steps / warp) + meta
 
-    heavy_cols = heavy_col_counts.astype(np.float64)
+    heavy_cols = n_heavy_cols.astype(np.float64)
     # Per (panel, x-tile): heavy columns staged once; light per nonzero.
     b_bytes = (heavy_cols * TILE_N + light_f * TILE_N) * vb
     if mode == "sddmm":

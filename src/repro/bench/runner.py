@@ -253,10 +253,10 @@ def _measure(
 
     ``mutations > 0`` measures under dynamic sparsity: that many seeded
     drop/grow topology updates run through the dispatch path first, each
-    delta registered on the group or the context so plans repair
-    incrementally, and the row reports the final — steady-state —
+    delta registered on the group or the context so plans repair from
+    their parent's, and the row reports the final — steady-state —
     dispatch; the telemetry delta's ``plan_repairs`` shows how many plans
-    repaired instead of rebuilding.
+    were built as repairs.
     """
     sharded = group is not None and group.k > 1
     base = dict(

@@ -58,7 +58,7 @@ class SweepTask:
     devices: int = 1
     #: Dynamic-sparsity churn: ``> 0`` applies this many drop/grow topology
     #: mutations before timing, registering each delta so the dispatch path
-    #: exercises incremental plan repair (DESIGN.md §17).
+    #: exercises plan repair (DESIGN.md §17).
     mutations: int = 0
 
     @property
@@ -513,8 +513,8 @@ def run_sweep(
       single-device sweeps resume independently from one JSONL.
     - ``mutations`` adds a dynamic-sparsity dimension: each count above 0
       applies that many seeded drop/grow topology updates through the
-      dispatch path before timing (plans repair incrementally from the
-      registered deltas) and suffixes the row key with ``|m{count}``, so
+      dispatch path before timing (plans repair from the registered
+      deltas) and suffixes the row key with ``|m{count}``, so
       static and dynamic sweeps resume independently from one JSONL.
     """
     tasks = build_tasks(

@@ -27,12 +27,8 @@ from ..gpu.occupancy import BlockResources, compute_occupancy
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import sddmm_batched_reference, sddmm_flops, sddmm_reference
 from .config import SddmmConfig
-from .repair import (
-    TopologyDelta,
-    repair_column_histogram,
-    touched_columns,
-)
-from .swizzle import merge_swizzle, row_order
+from .repair import TopologyDelta
+from .swizzle import row_order
 from .types import KernelResult
 
 #: Instructions an unneeded thread block executes before returning early.
@@ -83,25 +79,12 @@ def build_launch(
     """Cost the SDDMM launch; returns ``(real-work launch, early-exit drag)``.
 
     The drag term (seconds) accounts for the over-provisioned grid's empty
-    blocks flowing through the scheduler.
+    blocks flowing through the scheduler. Strips are scheduled in the
+    mask's memoized swizzle order and B traffic is sized by its touched
+    column count (``mask.analysis``).
     """
-    return _launch_from_analysis(
-        mask, k, config, device,
-        row_order(mask, config.load_balance),
-        mask.analysis.touched_columns,
-    )
-
-
-def _launch_from_analysis(
-    mask: CSRMatrix,
-    k: int,
-    config: SddmmConfig,
-    device: DeviceSpec,
-    order: np.ndarray,
-    touched_cols: int,
-) -> tuple[KernelLaunch, float]:
-    """:func:`build_launch` from the strip scheduling ``order`` and the
-    count of distinct referenced columns ``touched_cols``."""
+    order = row_order(mask, config.load_balance)
+    touched_cols = mask.analysis.touched_columns
     t = config.nonzeros_per_block
     vw = float(config.vector_width)
     warp = device.warp_size
@@ -251,13 +234,11 @@ class SddmmPlan:
     #: Shape of the planned mask, for execute-time validation.
     mask_shape: tuple[int, int]
     nnz: int
-    #: The strip scheduling order, kept so plan repair can merge it after
-    #: a topology edit instead of re-sorting. ``None`` on depth-``h``
-    #: plans (``h > 1``), which keep only their costed launch.
+    #: The strip scheduling order the launch was costed with (Section
+    #: V-C): ``analysis.swizzle_order``, or identity without load
+    #: balancing. ``None`` on depth-``h`` plans (``h > 1``), which keep
+    #: only their costed launch.
     row_order: np.ndarray | None = None
-    #: Per-column nonzero counts, carried by repaired plans so the next
-    #: repair updates it incrementally. ``None`` on cold-built plans.
-    col_counts: np.ndarray | None = None
     #: Stack depth: products sharing the mask in the one launch.
     h: int = 1
 
@@ -268,26 +249,14 @@ def _plan(
     h: int,
     device: DeviceSpec,
     config: SddmmConfig | None,
-    order: np.ndarray | None = None,
-    counts: np.ndarray | None = None,
 ) -> SddmmPlan:
     """The one SDDMM plan builder: costed depth-``h`` launch plus
-    simulated run. A cold build reads ``mask.analysis``; repair supplies
-    its merged ``order`` and repaired column histogram ``counts``."""
+    simulated run, both read from ``mask.analysis``."""
     if config is None:
         from ..tune import default_sddmm_config
 
         config = default_sddmm_config(mask, k)
-    if order is None:
-        order = row_order(mask, config.load_balance)
-    touched = (
-        mask.analysis.touched_columns
-        if counts is None
-        else touched_columns(counts)
-    )
-    launch, drag = _launch_from_analysis(
-        mask, k, config, device, order, touched
-    )
+    launch, drag = build_launch(mask, k, config, device)
     launch = launch.batched(h)
     drag *= h
     return SddmmPlan(
@@ -299,8 +268,7 @@ def _plan(
         execution=execute(launch, device).add_overhead(drag),
         mask_shape=mask.shape,
         nnz=mask.nnz,
-        row_order=order if h == 1 else None,
-        col_counts=counts,
+        row_order=row_order(mask, config.load_balance) if h == 1 else None,
         h=h,
     )
 
@@ -331,12 +299,12 @@ def repair_sddmm_plan(
 ) -> SddmmPlan:
     """Repair a parent plan for the edited mask (DESIGN.md §17).
 
-    Merges the parent's strip order over the edited rows and repairs its
-    column histogram incrementally; the per-strip cost vectors are cheap
-    and rebuilt outright. A depth-``h`` parent keeps no order, so the
-    mask's own ``analysis.swizzle_order`` is used. Bit-identical to a cold
-    plan of the same depth; inconsistencies raise ``PlanRepairError``
-    (dispatch falls back to a cold re-plan).
+    Validates that ``mask`` fits the parent plan's mask shape, then
+    rebuilds at the parent's ``k``, depth, device and config from the
+    mask's memoized analysis — a cold plan of the same depth, field for
+    field. ``delta`` names the lineage; the rebuild needs nothing from it.
+    Inconsistencies raise ``PlanRepairError`` (dispatch falls back to a
+    cold re-plan).
     """
     from ..reliability.errors import PlanRepairError
 
@@ -345,11 +313,7 @@ def repair_sddmm_plan(
             f"edited mask {mask.shape} does not match the parent plan's "
             f"mask {plan.mask_shape}"
         )
-    order = None
-    if plan.config.load_balance and plan.row_order is not None:
-        order = merge_swizzle(plan.row_order, mask.row_lengths, delta.rows)
-    counts = repair_column_histogram(plan.col_counts, delta, mask)
-    return _plan(mask, plan.k, plan.h, plan.device, plan.config, order, counts)
+    return _plan(mask, plan.k, plan.h, plan.device, plan.config)
 
 
 def _check_operands(

@@ -35,12 +35,8 @@ from .roma import (
     align_rows,
     unaligned_rows,
 )
-from .repair import (
-    TopologyDelta,
-    repair_column_histogram,
-    touched_columns,
-)
-from .swizzle import group_rows, merge_swizzle, swizzled_row_groups
+from .repair import TopologyDelta
+from .swizzle import swizzled_row_groups
 from .tiling import SpmmTiling, derive_tiling
 from .types import KernelResult
 
@@ -90,26 +86,19 @@ def _validate(a: CSRMatrix, b: np.ndarray, config: SpmmConfig) -> np.ndarray:
 
 
 def _analyze(
-    a: CSRMatrix,
-    config: SpmmConfig,
-    device: DeviceSpec,
-    order: np.ndarray | None = None,
+    a: CSRMatrix, config: SpmmConfig, device: DeviceSpec
 ) -> tuple[SpmmTiling, np.ndarray, np.ndarray, AlignedRows]:
     """Derive the per-matrix execution structure: tiling geometry, the
     swizzled row order/groups, and the (ROMA-aligned) row extents.
 
     This is the values-independent part of launch construction — exactly
-    what a cached :class:`SpmmPlan` amortizes across calls. Plan repair
-    passes the ``order`` it merged from the parent's; otherwise it is the
-    matrix's memoized swizzle order (Section V-C).
+    what a cached :class:`SpmmPlan` amortizes across calls. The order is
+    the matrix's memoized swizzle order (Section V-C).
     """
     tiling = derive_tiling(config, device.warp_size)
-    if order is None:
-        order, groups = swizzled_row_groups(
-            a, tiling.block_items_y, config.load_balance
-        )
-    else:
-        groups = group_rows(order, tiling.block_items_y)
+    order, groups = swizzled_row_groups(
+        a, tiling.block_items_y, config.load_balance
+    )
     use_vector_a = config.vector_width > 1 and config.roma
     extents = (
         align_rows(a, config.vector_width) if use_vector_a else unaligned_rows(a)
@@ -301,14 +290,15 @@ class SpmmPlan:
     (:meth:`~repro.gpu.executor.KernelLaunch.batched`), paying one
     per-launch overhead for the whole stack (Section VII-C1). A depth-``h``
     plan (``h > 1``) keeps only its costed launch: the analysis fields are
-    ``None``, and repair re-derives them.
+    ``None``.
     """
 
     config: SpmmConfig
     n: int
     device: DeviceSpec
     tiling: SpmmTiling | None
-    #: The swizzled row-processing order (Section V-C).
+    #: The row-processing order the launch was costed with (Section V-C):
+    #: ``analysis.swizzle_order``, or identity without load balancing.
     row_order: np.ndarray | None
     #: Rows per thread block in scheduling order, ``-1``-padded.
     row_groups: np.ndarray | None
@@ -319,10 +309,6 @@ class SpmmPlan:
     #: Shape of the planned sparse operand, for execute-time validation.
     m: int
     k: int
-    #: Per-column nonzero counts, carried by repaired plans so the next
-    #: repair updates it incrementally instead of re-scanning the matrix.
-    #: ``None`` on cold-built plans (computed on first repair).
-    col_counts: np.ndarray | None = None
     #: Stack depth: products sharing the topology in the one launch.
     h: int = 1
 
@@ -333,24 +319,17 @@ def _plan(
     h: int,
     device: DeviceSpec,
     config: SpmmConfig | None,
-    order: np.ndarray | None = None,
-    counts: np.ndarray | None = None,
 ) -> SpmmPlan:
     """The one SpMM plan builder: analysis, costed depth-``h`` launch,
-    simulated run. A cold build reads ``a.analysis``; repair supplies its
-    merged ``order`` and repaired column histogram ``counts``."""
+    simulated run, all read from ``a.analysis``."""
     if config is None:
         from ..tune import default_spmm_config
 
         config = default_spmm_config(a, n)
-    tiling, order, groups, extents = _analyze(a, config, device, order)
-    touched = (
-        a.analysis.touched_columns
-        if counts is None
-        else touched_columns(counts)
-    )
+    tiling, order, groups, extents = _analyze(a, config, device)
     launch = _launch_from_analysis(
-        a, n, config, device, tiling, groups, extents, touched
+        a, n, config, device, tiling, groups, extents,
+        a.analysis.touched_columns,
     ).batched(h)
     single = h == 1
     return SpmmPlan(
@@ -365,7 +344,6 @@ def _plan(
         execution=execute(launch, device),
         m=a.n_rows,
         k=a.n_cols,
-        col_counts=counts,
         h=h,
     )
 
@@ -400,12 +378,11 @@ def repair_spmm_plan(
 ) -> SpmmPlan:
     """Repair a parent plan for the edited topology ``a`` (DESIGN.md §17).
 
-    Reuses the parent's swizzle order (merged over the edited rows) and
-    its column histogram (updated incrementally) instead of analysing the
-    child afresh; the row extents and the launch cost vectors are cheap
-    and recomputed outright. A depth-``h`` parent keeps no order, so the
-    child's own ``analysis.swizzle_order`` is used. The result is
-    bit-identical to a cold plan of the same depth. Inconsistencies raise
+    Validates that ``a`` fits the parent plan (shape, value dtype), then
+    rebuilds at the parent's ``n``, depth, device and config from the
+    child's memoized analysis — so the result is a cold plan of the same
+    depth, field for field. ``delta`` names the lineage; the rebuild needs
+    nothing from it. Inconsistencies raise
     :class:`~repro.reliability.errors.PlanRepairError`, which the dispatch
     layer converts into a cold re-plan.
     """
@@ -422,11 +399,7 @@ def repair_spmm_plan(
             f"edited topology holds {a.values.dtype} values but the parent "
             f"plan is {config.precision}"
         )
-    order = None
-    if config.load_balance and plan.row_order is not None:
-        order = merge_swizzle(plan.row_order, a.row_lengths, delta.rows)
-    counts = repair_column_histogram(plan.col_counts, delta, a)
-    return _plan(a, plan.n, plan.h, plan.device, config, order, counts)
+    return _plan(a, plan.n, plan.h, plan.device, config)
 
 
 def _check_operands(plan: SpmmPlan, a: CSRMatrix, b: np.ndarray) -> np.ndarray:

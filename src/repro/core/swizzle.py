@@ -37,52 +37,6 @@ def row_swizzle(row_lengths: np.ndarray) -> np.ndarray:
     return np.argsort(-lengths, kind="stable")
 
 
-def merge_swizzle(
-    old_order: np.ndarray,
-    new_lengths: np.ndarray,
-    edited_rows: np.ndarray,
-) -> np.ndarray:
-    """Repair a swizzle order after editing a subset of rows.
-
-    Bit-identical to ``row_swizzle(new_lengths)`` without re-sorting the
-    whole matrix. The stable argsort orders rows by the strict lexicographic
-    key ``(-length, row)``; unedited rows keep their relative order under
-    that key, so the repaired order is a merge of the surviving old order
-    with the edited rows re-keyed by their new lengths — O(n) plus an
-    O(e log e) sort of the e edited rows.
-    """
-    old_order = np.asarray(old_order, dtype=np.int64)
-    lengths = np.asarray(new_lengths, dtype=np.int64)
-    n = old_order.size
-    if lengths.shape != (n,):
-        raise ValueError(
-            f"new_lengths has shape {lengths.shape}, expected ({n},)"
-        )
-    if np.any(lengths < 0):
-        raise ValueError("row lengths must be non-negative")
-    edited = np.unique(np.asarray(edited_rows, dtype=np.int64))
-    if edited.size == 0:
-        return old_order.copy()
-    if edited[0] < 0 or edited[-1] >= n:
-        raise ValueError(f"edited rows out of range for {n} rows")
-    # ``-length * n + row`` is strictly increasing in lex (-length, row)
-    # order because 0 <= row < n, so merging by this scalar key reproduces
-    # the stable sort exactly.
-    key = -lengths * np.int64(n) + np.arange(n, dtype=np.int64)
-    keep = np.ones(n, dtype=bool)
-    keep[edited] = False
-    kept = old_order[keep[old_order]]
-    inserted = edited[np.argsort(key[edited], kind="stable")]
-    slots = np.searchsorted(key[kept], key[inserted], side="left")
-    slots += np.arange(inserted.size, dtype=np.int64)
-    out = np.empty(n, dtype=np.int64)
-    fill = np.ones(n, dtype=bool)
-    fill[slots] = False
-    out[slots] = inserted
-    out[fill] = kept
-    return out
-
-
 def identity_swizzle(n_rows: int) -> np.ndarray:
     """The no-op ordering used when load balancing is disabled."""
     return np.arange(n_rows, dtype=np.int64)

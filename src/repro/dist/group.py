@@ -137,8 +137,9 @@ class DeviceGroup:
 
         When a :class:`~repro.core.repair.TopologyDelta` is registered for
         this topology (see :meth:`register_topology_delta`), a cache miss
-        repairs the parent's plan — merged swizzle + LPT rerun,
-        bit-identical to a cold plan — instead of re-sorting from scratch.
+        repairs the parent's plan: it validates the ancestor and reruns the
+        LPT partition over the child's memoized swizzle order, recording the
+        lineage. The result equals a cold plan field for field.
         """
         fp = matrix_fingerprint(a)
         key = ("shard_plan", fp, self.k, strategy, bundle_size)
@@ -264,12 +265,7 @@ class DeviceGroup:
             if local.size == 0:
                 continue  # no edits landed here: pure fingerprint hit
             try:
-                sub_delta = topology_delta(
-                    parent_subs[d],
-                    subs[d],
-                    local,
-                    values_preserved=delta.values_preserved,
-                )
+                sub_delta = topology_delta(parent_subs[d], subs[d], local)
             except PlanRepairError:
                 continue
             self.contexts[d].register_topology_delta(sub_delta)

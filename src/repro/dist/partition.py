@@ -20,7 +20,7 @@ Everything is deterministic: stable sort, first-minimum tie-breaks, no RNG.
 
 :class:`ShardPlan` captures one matrix's partition for ``k`` devices (row
 or 2-D strategy) and is what :class:`~repro.dist.group.DeviceGroup` caches
-through the two-tier plan cache (``PLAN_STORE_VERSION`` 5 envelopes).
+through the two-tier plan cache (``("shard_plan", ...)`` store keys).
 """
 
 from __future__ import annotations
@@ -30,12 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.repair import TopologyDelta
-from ..core.swizzle import (
-    bundle_rows,
-    bundle_weights,
-    merge_swizzle,
-    row_swizzle,
-)
+from ..core.swizzle import bundle_rows, bundle_weights, row_swizzle
 from ..reliability.errors import PlanRepairError
 from ..sparse.csr import CSRMatrix
 
@@ -70,8 +65,7 @@ def cost_balanced_partition(
     given input: the sort is stable and ties go to the lowest device id.
 
     ``order`` is the decreasing-length row order when the caller already
-    has it (e.g. a repaired swizzle from
-    :func:`~repro.core.swizzle.merge_swizzle`); it must equal
+    has it (a matrix's memoized ``analysis.swizzle_order``); it must equal
     ``row_swizzle(row_lengths)``.
     """
     if k < 1:
@@ -155,8 +149,8 @@ class ShardPlan:
     loads: np.ndarray
     bundle_size: int = DEFAULT_BUNDLE_SIZE
     stats: dict = field(default_factory=dict)
-    #: Decreasing-length row order the partition was derived from; repair
-    #: state for :func:`repair_shard_plan` (``None`` on pre-v6 plans).
+    #: Decreasing-length row order the partition was derived from (the
+    #: matrix's ``analysis.swizzle_order``; ``None`` on pre-v6 plans).
     row_order: np.ndarray | None = None
 
     @property
@@ -185,14 +179,11 @@ def plan_shards(
     k: int,
     strategy: str = "row",
     bundle_size: int = DEFAULT_BUNDLE_SIZE,
-    order: np.ndarray | None = None,
 ) -> ShardPlan:
     """Build the :class:`ShardPlan` for one topology (uncached; the
     :class:`~repro.dist.group.DeviceGroup` layers plan caching on top).
 
-    ``order`` optionally supplies the decreasing-length row order (the
-    repair path's merged swizzle); when ``None`` it is the matrix's
-    memoized ``analysis.swizzle_order``.
+    Rows are bundled in the matrix's memoized ``analysis.swizzle_order``.
     """
     if strategy not in STRATEGIES:
         raise ValueError(
@@ -200,8 +191,7 @@ def plan_shards(
             f"{STRATEGIES}"
         )
     lengths = a.row_lengths
-    if order is None:
-        order = a.analysis.swizzle_order
+    order = a.analysis.swizzle_order
     if strategy == "row" or k == 1:
         grid = (k, 1)
         device_rows = cost_balanced_partition(
@@ -252,14 +242,13 @@ def repair_shard_plan(
 ) -> ShardPlan:
     """Re-balance a :class:`ShardPlan` after a row-targeted topology edit.
 
-    Merges the edited rows into the ancestor's swizzle order
-    (:func:`~repro.core.swizzle.merge_swizzle`, O(rows + edits log edits))
-    instead of re-sorting, then reruns the cheap bundling + LPT assignment
-    over the merged order — bit-identical to :func:`plan_shards` from
-    scratch (property-tested in tests/test_dynamic.py). Raises
+    Validates the ancestor, then reruns :func:`plan_shards` at its device
+    count, strategy and bundle size over the child's memoized swizzle
+    order — a cold shard plan, field for field (tested in
+    tests/test_dynamic.py). Raises
     :class:`~repro.reliability.errors.PlanRepairError` when the ancestor
-    predates repair state or shapes disagree; the caller falls back to a
-    cold plan.
+    carries no ``row_order`` or its row count disagrees; the caller falls
+    back to a cold plan.
     """
     if plan.row_order is None:
         raise PlanRepairError(
@@ -271,7 +260,4 @@ def repair_shard_plan(
             f"shard-plan repair row mismatch: ancestor ordered "
             f"{len(plan.row_order)} rows, child has {a.shape[0]}"
         )
-    order = merge_swizzle(plan.row_order, a.row_lengths, delta.rows)
-    return plan_shards(
-        a, plan.k, plan.strategy, plan.bundle_size, order=order
-    )
+    return plan_shards(a, plan.k, plan.strategy, plan.bundle_size)

@@ -9,17 +9,18 @@ cheap — every step is SpMM/SDDMM regardless of the pattern — but each
 mutation invalidates every structure-keyed plan (swizzle order, ROMA
 extents, tuned config, shard balance).
 
-This module implements the *mutation* side; the plan side is incremental
-repair (DESIGN.md §17): each update returns a
+This module implements the *mutation* side; the plan side is repair
+(DESIGN.md §17): each update returns a
 :class:`~repro.core.repair.TopologyDelta` naming exactly the edited rows,
-which :meth:`ExecutionContext.register_topology_delta` turns into
-repaired — not rebuilt — plans.
+which :meth:`ExecutionContext.register_topology_delta` turns into a
+lineage record: the child's plans are rebuilt from its memoized structure
+analysis and counted as repairs of the parent's.
 
 The update is **row-targeted**: a seeded fraction of rows is selected and
 drop/grow runs within each selected row, preserving its nonzero count.
 Row lengths (and therefore ``row_offsets``) never change, which mirrors
 RigL's per-layer constant-fan-in variant and keeps the edited-row set —
-the quantity plan repair scales with — directly controllable (the
+the quantity ``plan_repair_rows`` reports — directly controllable (the
 benchmark sweeps 1–10 %).
 
 Everything is deterministic: the per-step RNG is seeded from
@@ -114,8 +115,8 @@ def drop_grow_update(
 
     Returns the mutated matrix and the
     :class:`~repro.core.repair.TopologyDelta` describing the edit —
-    register it with the execution context *before* the next dispatch to
-    get plan repair instead of cold re-planning.
+    register it with the execution context *before* the next dispatch so
+    the child's plans are recorded as repairs of the parent's.
     """
     from ..ops.plans import topology_delta
 

@@ -202,10 +202,10 @@ class SparseLinear:
         cache for the edit:
 
         - ``delta`` (a :class:`~repro.core.repair.TopologyDelta`, computed
-          by diffing when ``None``) is registered so the next plan lookup
-          repairs instead of cold-building;
-        - when the transposed CSR was cached, a ``Wᵀ`` delta is derived
-          too, making the backward SpMM's plan repairable as well;
+          by diffing when ``None``) is registered so the next forward SpMM
+          and SDDMM lookups repair from the parent's plans. The backward
+          ``Wᵀ`` SpMM gets no delta: a row edit of ``W`` touches most
+          rows of ``Wᵀ``, so its plan is simply built cold;
         - plans two generations old — the previous update's *ancestors*,
           which no future lookup or repair can reach — are evicted
           (``plan_invalidations`` telemetry). The immediate parent's
@@ -228,13 +228,7 @@ class SparseLinear:
         context.register_topology_delta(delta)
         self._parent_fp = delta.parent
         if old_w_t is not None:
-            # Derive the transpose-side delta so δX's SpMM plan repairs
-            # too: the transposed edit touches the *columns* the edited
-            # rows reference, diffed directly on the transposed CSRs.
-            new_w_t = self._weight_transpose()
-            wt_delta = ops.topology_delta(old_w_t, new_w_t)
-            context.register_topology_delta(wt_delta)
-            self._parent_wt_fp = wt_delta.parent
+            self._parent_wt_fp = ops.matrix_fingerprint(old_w_t)
         for fp in (stale_fp, stale_wt_fp):
             if fp is not None:
                 context.invalidate_topology(fp, op="sparse_linear")

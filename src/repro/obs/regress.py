@@ -95,10 +95,6 @@ METRICS: tuple[Metric, ...] = (
            "dispatch/tracing_off_overhead", False, WALL_NOISE, shift=1.0),
     Metric("obs.sweep_tracing_ratio", "BENCH_obs.json",
            "sweep/tracing_on_overhead", False, WALL_NOISE, shift=1.0),
-    Metric("dynamic.repair_speedup", "BENCH_dynamic.json",
-           "steady_state/headline/repair_speedup", True, WALL_NOISE),
-    Metric("dynamic.repair_step_ms", "BENCH_dynamic.json",
-           "steady_state/headline/repair_step_ms", False, WALL_NOISE),
 )
 
 _BY_KEY = {metric.key: metric for metric in METRICS}

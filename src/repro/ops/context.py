@@ -97,9 +97,9 @@ TELEMETRY_SCHEMA: dict[str, type] = {
     "plan_evictions": int,
     "bytes_evicted": int,
     # Dynamic-sparsity counters (populated by the plan-repair path): plans
-    # produced by incremental repair instead of a cold build, the total
-    # edited rows those repairs re-planned, and cache entries evicted by
-    # topology invalidation.
+    # produced by repair from a registered ancestor instead of a cold
+    # build, the total edited rows those repairs covered, and cache
+    # entries evicted by topology invalidation.
     "plan_repairs": int,
     "plan_repair_rows": int,
     "plan_invalidations": int,
@@ -239,7 +239,7 @@ class Telemetry:
 
     # -- dynamic-sparsity counters (fed by the plan-repair path) ----------
     def record_plan_repair(self, op: str, backend: str, rows: int) -> None:
-        """One plan produced by incremental repair (``rows`` edited)."""
+        """One plan produced by repair from an ancestor (``rows`` edited)."""
         entry = self._get(op, backend)
         entry.plan_repairs += 1
         entry.plan_repair_rows += int(rows)
@@ -346,8 +346,8 @@ class _PlanKind:
 
     #: ``build(matrix, *dims, device[, config])``.
     build: str
-    #: ``repair(plan, matrix, delta)``, for families that repair
-    #: incrementally under a registered topology delta.
+    #: ``repair(plan, matrix, delta)``, for families that repair from a
+    #: parent's plan under a registered topology delta.
     repair: str | None = None
     #: The config-selection method (``"spmm_config"``/``"sddmm_config"``)
     #: that resolves a missing config; ``None`` uses the config as given.
@@ -512,7 +512,7 @@ class ExecutionContext:
         repair=None,
     ):
         """Two-tier plan lookup: memory cache, then the persistent store,
-        then an incremental repair (when a topology delta applies), then
+        then a repair (when a topology delta applies), then
         ``build`` (persisting the result to both tiers).
 
         A poisoned in-memory entry raises

@@ -72,8 +72,6 @@ def topology_delta(
     parent,
     child,
     rows: np.ndarray | None = None,
-    *,
-    values_preserved: bool = True,
 ) -> TopologyDelta:
     """Fingerprint-aware :class:`~repro.core.repair.TopologyDelta`.
 
@@ -91,7 +89,6 @@ def topology_delta(
         rows,
         parent_fp=matrix_fingerprint(parent),
         child_fp=matrix_fingerprint(child),
-        values_preserved=values_preserved,
     )
 
 

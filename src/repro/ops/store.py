@@ -55,14 +55,19 @@ from typing import Any, Callable
 #: ``("shard_plan", ...)`` keys — older stores know nothing of the key
 #: family and must not serve stale entries to the sharded dispatch path.
 #: v6: dynamic-sparsity plan repair — plan dataclasses grew repair state
-#: (``SpmmPlan.col_counts``, ``SddmmPlan.row_order``/``col_counts``,
+#: (a per-column histogram on SpmmPlan/SddmmPlan, ``SddmmPlan.row_order``,
 #: ``ShardPlan.row_order``) and envelopes carry an optional repair
 #: ``lineage`` record, so v5 pickles would deserialize without the state
-#: the repair path expects to maintain incrementally.
+#: the repair path then maintained incrementally.
 #: v7: the stack depth ``h`` became a field of SpmmPlan/SddmmPlan/
 #: SparseSoftmaxPlan and the three ``*BatchedPlan`` classes are gone, so v6
 #: pickles of batched plans name classes that no longer exist.
-PLAN_STORE_VERSION = 7
+#: v8: repair rebuilds from the child's memoized analysis, so SpmmPlan and
+#: SddmmPlan lost their per-column histogram field. A v7 repaired plan
+#: would unpickle still carrying that histogram, and ``estimate_nbytes``
+#: (which walks ``__dict__``) would charge it bytes a fresh plan does not
+#: hold.
+PLAN_STORE_VERSION = 8
 
 #: Magic tag identifying a plan-store envelope.
 _MAGIC = "repro-plan-store"

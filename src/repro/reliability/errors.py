@@ -83,11 +83,12 @@ class PlanCorruptionError(ReliabilityError):
 
 
 class PlanRepairError(ReliabilityError):
-    """Incremental plan repair could not produce a consistent plan.
+    """Plan repair could not validate the ancestor against the child.
 
-    Raised when a repaired plan's invariants fail (column histogram drifts
-    from the matrix, delta rows out of range, parent state missing) or when
-    the fault injector targets a repair. Retryable: the dispatch layer
+    Raised when the child does not fit the parent plan (shape, value dtype,
+    row count), when delta rows are out of range, when the ancestor carries
+    no ``row_order``, or when the fault injector targets a repair.
+    Retryable: the dispatch layer
     falls back to a cold re-plan from the (uncorrupted) child topology, so
     a repair failure can never surface a corrupt plan.
     """

@@ -187,11 +187,12 @@ class TestPartition:
 # ShardPlan caching through the two-tier plan store
 # ----------------------------------------------------------------------
 class TestShardPlanCache:
-    def test_store_version_is_7(self):
+    def test_store_version_is_8(self):
         # v6: ShardPlan carries row_order and envelopes can carry repair
         # lineage, so v5 entries must be discarded, not reinterpreted.
         # v7: the kernel plans carry their stack depth h.
-        assert PLAN_STORE_VERSION == 7
+        # v8: the kernel plans no longer carry a repair column histogram.
+        assert PLAN_STORE_VERSION == 8
 
     def test_plan_round_trips_through_store(self, tmp_path, rng):
         a = power_law_csr(rng, 256, 256)
