@@ -1,15 +1,18 @@
 """Batched operator execution benchmark.
 
-Headline for the batched dispatch tentpole, recorded in
-``BENCH_batched.json`` at the repo root: 8-head sequence-512 sparse
-attention run as THREE batched dispatches (batched SDDMM -> batched sparse
-softmax -> batched SpMM, one plan and one z-scaled launch each) versus the
-per-head loop (3 dispatches x 8 heads). Measures:
+Headline for stacked dispatch, recorded in ``BENCH_batched.json`` at the
+repo root: 8-head sequence-512 sparse attention run as THREE stacked
+dispatches (SDDMM -> sparse softmax -> SpMM over ``(H, ...)`` stacks, one
+plan and one z-scaled launch each) versus the per-head loop (3 dispatches
+x 8 heads). Measures:
 
 1. **Wall-time speedup** — harness wall clock of the full attention pass,
-   warm plan cache, best-of-``repeats``. The full run asserts >= 3x: the
-   loop pays 3H dispatches (plan lookups, span + policy plumbing, numpy
-   fixed costs) where the batch pays 3.
+   warm plan cache. Loop and batch run as ``pairs`` interleaved pairs and
+   the speedup is the median of the per-pair ratios, so a burst of host
+   contention lands on both sides of a pair and a few contended pairs
+   cannot move the median. The full run asserts >= 3x: the loop pays 3H
+   dispatches (plan lookups, span + policy plumbing, numpy fixed costs)
+   where the batch pays 3.
 2. **Simulated amortization** — on the simulated device the batch retires
    (H - 1) launch overheads per stage; the report records the simulated
    speedup and the launch-overhead amortization ratio (loop overhead
@@ -20,7 +23,7 @@ Run as a script (pytest collects nothing here)::
     PYTHONPATH=src python benchmarks/bench_batched.py            # full
     PYTHONPATH=src python benchmarks/bench_batched.py --smoke    # CI
 
-``--smoke`` shrinks the problem and relaxes the wall-clock assertion (CI
+``--smoke`` shrinks the problem and relaxes the wall-clock floor (CI
 machines are noisy); correctness and simulated-time checks stay strict.
 """
 
@@ -42,16 +45,27 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 OUT_JSON = REPO_ROOT / "BENCH_batched.json"
 
 
-def _best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
+def _paired_median(loop_a, loop_b, pairs: int) -> tuple[float, float, float]:
+    """Median wall time of each loop and the median of the per-pair
+    ``a / b`` ratios, timing A then B back to back ``pairs`` times."""
+    times_a, times_b = [], []
+    for _ in range(pairs):
         t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        loop_a()
+        t1 = time.perf_counter()
+        loop_b()
+        t2 = time.perf_counter()
+        times_a.append(t1 - t0)
+        times_b.append(t2 - t1)
+    ratios = np.asarray(times_a) / np.asarray(times_b)
+    return (
+        float(np.median(times_a)),
+        float(np.median(times_b)),
+        float(np.median(ratios)),
+    )
 
 
-def bench_attention(seq: int, heads: int, dk: int, band: int, repeats: int) -> dict:
+def bench_attention(seq: int, heads: int, dk: int, band: int, pairs: int) -> dict:
     """Batched vs per-head-loop sparse attention on one shared mask."""
     device = V100
     mask = banded_random_mask(seq, band=band, seed=2020)
@@ -94,8 +108,9 @@ def bench_attention(seq: int, heads: int, dk: int, band: int, repeats: int) -> d
     assert sim_batched <= sim_loop, (sim_batched, sim_loop)
 
     # Wall clock over a warm plan cache (both paths were just run once).
-    wall_loop = _best_of(run_loop, repeats)
-    wall_batched = _best_of(run_batched, repeats)
+    wall_loop, wall_batched, wall_speedup = _paired_median(
+        run_loop, run_batched, pairs
+    )
 
     result = {
         "seq": seq,
@@ -103,10 +118,10 @@ def bench_attention(seq: int, heads: int, dk: int, band: int, repeats: int) -> d
         "dk": dk,
         "band": band,
         "mask_nnz": mask.nnz,
-        "repeats": repeats,
+        "pairs": pairs,
         "wall_loop_s": wall_loop,
         "wall_batched_s": wall_batched,
-        "wall_speedup": wall_loop / wall_batched,
+        "wall_speedup": wall_speedup,
         "sim_loop_s": sim_loop,
         "sim_batched_s": sim_batched,
         "sim_speedup": sim_loop / sim_batched,
@@ -133,7 +148,7 @@ def bench_cost_path(seq: int, heads: int, dk: int, band: int) -> dict:
     device = V100
     mask = banded_random_mask(seq, band=band, seed=2021)
     single = ops.spmm_cost(mask, dk, device)
-    batched = ops.spmm_batched_cost(mask, dk, heads, device)
+    batched = ops.spmm_cost(mask, dk, device, h=heads)
     result = {
         "single_runtime_s": single.runtime_s,
         "loop_runtime_s": heads * single.runtime_s,
@@ -155,8 +170,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="small problem, relaxed wall assert (CI)")
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="wall-clock repeats (default 5, smoke 3)")
+    parser.add_argument("--pairs", type=int, default=None,
+                        help="interleaved loop/batch timing pairs "
+                        "(default 9, smoke 15)")
     parser.add_argument("--out", type=Path, default=OUT_JSON,
                         help=f"report path (default {OUT_JSON})")
     args = parser.parse_args()
@@ -167,9 +183,9 @@ def main() -> None:
     else:
         seq, heads, dk, band = 512, 8, 64, 64
         min_wall = 3.0
-    repeats = args.repeats or (3 if args.smoke else 5)
+    pairs = args.pairs or (15 if args.smoke else 9)
 
-    attention = bench_attention(seq, heads, dk, band, repeats)
+    attention = bench_attention(seq, heads, dk, band, pairs)
     cost_path = bench_cost_path(seq, heads, dk, band)
 
     report = {

@@ -146,9 +146,9 @@ def attention_under_cap(
     per_seq = []
     for seq, mask in masks:
         sim = 0.0
-        sim += ops.sddmm_batched_cost(mask, dk, heads, V100).runtime_s
-        sim += ops.sparse_softmax_batched_cost(mask, heads, V100).runtime_s
-        sim += ops.spmm_batched_cost(mask, dk, heads, V100).runtime_s
+        sim += ops.sddmm_cost(mask, dk, V100, h=heads).runtime_s
+        sim += ops.sparse_softmax_cost(mask, V100, h=heads).runtime_s
+        sim += ops.spmm_cost(mask, dk, V100, h=heads).runtime_s
         per_seq.append({"seq": seq, "nnz": mask.nnz, "sim_s": sim})
     ctx.emit_memory_span()
     snap = ctx.memory_snapshot()

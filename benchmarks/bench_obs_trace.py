@@ -10,10 +10,11 @@ Exercises the PR's acceptance criteria end to end and records them in
    wall overhead (informational).
 2. **Traced MobileNet forward** — ``Profile.to_trace()`` lays the profiled
    kernels on a simulated timeline; same validity + phase-sum checks.
-3. **Traced batched attention** — one multi-head pass through the batched
-   dispatch path; every ``*_batched`` op span must carry its batch-size
-   label and every batched launch the ``_x{H}`` suffix, with the same
-   phase-sum check.
+3. **Traced batched attention** — one multi-head pass through the stacked
+   dispatch path; each of the three attention op spans (``sddmm``,
+   ``sparse_softmax``, ``spmm``) must carry its depth as ``batch=H`` and
+   every stacked launch the ``_x{H}`` suffix, with the same phase-sum
+   check.
 4. **Tracing-off dispatch overhead** — warm-cache ``ops.spmm_cost``
    dispatch through the span-instrumented wrapper (tracer detached) vs
    the same launch written out by hand (registry, HBM charge, cost,
@@ -212,8 +213,8 @@ def bench_mobilenet_trace() -> dict:
 
 
 def bench_batched_trace(heads: int) -> dict:
-    """Trace one batched multi-head attention pass; every batched op span
-    must be labeled with its batch size and every launch ``_x{H}``."""
+    """Trace one batched multi-head attention pass; each stacked op span
+    must be labeled with its depth (``batch``) and every launch ``_x{H}``."""
     from repro.datasets.attention import banded_random_mask
     from repro.nn import sparse_attention_batched
     from repro.obs.profiler import PhaseProfiler
@@ -242,9 +243,9 @@ def bench_batched_trace(heads: int) -> dict:
     spans = {
         r["name"]: r
         for r in records
-        if r.get("type") == "span" and r["name"].endswith("_batched")
+        if r.get("type") == "span" and r["cat"] == "op"
     }
-    expected = {"sddmm_batched", "sparse_softmax_batched", "spmm_batched"}
+    expected = {"sddmm", "sparse_softmax", "spmm"}
     assert set(spans) == expected, sorted(spans)
     for name, span in spans.items():
         assert span["args"].get("batch") == heads, (

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.config import SddmmConfig, SpmmConfig
+from ..core.config import SddmmConfig
 from ..core.sddmm import build_launch as sputnik_sddmm_launch
 from ..core.types import KernelResult
 from ..gpu.device import DeviceSpec
@@ -227,16 +227,4 @@ def cusparse_sddmm(
     return KernelResult(
         output=sddmm_reference(lhs, rhs, mask),
         execution=sddmm_execution(mask, lhs.shape[1], device),
-    )
-
-
-def spmm_config_equivalent() -> SpmmConfig:
-    """The Sputnik config closest to cuSPARSE's structure (for analysis)."""
-    return SpmmConfig(
-        block_items_x=TILE_N,
-        vector_width=1,
-        roma=False,
-        load_balance=False,
-        residue_unroll=False,
-        index_prescale=False,
     )

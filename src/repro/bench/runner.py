@@ -36,8 +36,9 @@ def sputnik_spmm_time(
     config: SpmmConfig | None = None,
     *,
     selector: str = "heuristic",
+    h: int = 1,
 ) -> ExecutionResult:
-    return ops.spmm_cost(a, n, device, config, selector=selector)
+    return ops.spmm_cost(a, n, device, config, selector=selector, h=h)
 
 
 def cusparse_spmm_time(
@@ -47,45 +48,33 @@ def cusparse_spmm_time(
     precision: str = "fp32",
     *,
     selector: str = "heuristic",
+    h: int = 1,
 ) -> ExecutionResult:
-    return ops.spmm_cost(a, n, device, backend="cusparse", precision=precision)
+    return ops.spmm_cost(
+        a, n, device, backend="cusparse", precision=precision, h=h
+    )
 
 
 def merge_spmm_time(
-    a: CSRMatrix, n: int, device: DeviceSpec, *, selector: str = "heuristic"
+    a: CSRMatrix, n: int, device: DeviceSpec, *, selector: str = "heuristic",
+    h: int = 1,
 ) -> ExecutionResult:
-    return ops.spmm_cost(a, n, device, backend="merge")
+    return ops.spmm_cost(a, n, device, backend="merge", h=h)
 
 
 def aspt_spmm_time(
-    a: CSRMatrix, n: int, device: DeviceSpec, *, selector: str = "heuristic"
+    a: CSRMatrix, n: int, device: DeviceSpec, *, selector: str = "heuristic",
+    h: int = 1,
 ) -> ExecutionResult:
-    return ops.spmm_cost(a, n, device, backend="aspt")
+    return ops.spmm_cost(a, n, device, backend="aspt", h=h)
 
 
 def dense_spmm_time(
-    a: CSRMatrix, n: int, device: DeviceSpec, *, selector: str = "heuristic"
+    a: CSRMatrix, n: int, device: DeviceSpec, *, selector: str = "heuristic",
+    h: int = 1,
 ) -> ExecutionResult:
     """The dense-GEMM equivalent of the sparse problem (Figure 1's line)."""
-    return ops.spmm_cost(a, n, device, backend="dense")
-
-
-# ----------------------------------------------------------------------
-# Batched SpMM timers (cost-only): ``h`` stacked dense operands over one
-# shared topology, costed as a single z-scaled launch.
-# ----------------------------------------------------------------------
-def sputnik_spmm_batched_time(
-    a: CSRMatrix, n: int, h: int, device: DeviceSpec, *,
-    selector: str = "heuristic",
-) -> ExecutionResult:
-    return ops.spmm_batched_cost(a, n, h, device, selector=selector)
-
-
-def dense_spmm_batched_time(
-    a: CSRMatrix, n: int, h: int, device: DeviceSpec, *,
-    selector: str = "heuristic",
-) -> ExecutionResult:
-    return ops.spmm_batched_cost(a, n, h, device, backend="dense")
+    return ops.spmm_cost(a, n, device, backend="dense", h=h)
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +109,9 @@ def aspt_sddmm_time(
 # Named kernel registries
 # ----------------------------------------------------------------------
 #: SpMM timers by name, so sweep configurations (and worker processes) can
-#: refer to kernels by string instead of shipping callables around.
+#: refer to kernels by string instead of shipping callables around. Each
+#: takes ``h=`` (a stack of ``h`` products sharing the topology); only the
+#: backends in ``ops.stack_backends("spmm")`` accept ``h > 1``.
 SPMM_KERNELS: dict[str, SpmmTimer] = {
     "sputnik": sputnik_spmm_time,
     "cusparse": cusparse_spmm_time,
@@ -238,9 +229,9 @@ def _measure(
     """Run one timer, converting a raised kernel failure into a failed row.
 
     Each row records its wall-clock duration and the delta of the shared
-    context's aggregate telemetry across the call. ``h > 1`` calls a
-    batched timer (``timer(matrix, dim, h, device)``) and scales the
-    nominal flop count by the stack depth. ``selector`` picks the config
+    context's aggregate telemetry across the call. ``h > 1`` costs a
+    stack (``timer(matrix, dim, device, h=h)``) and scales the nominal
+    flop count by the stack depth. ``selector`` picks the config
     selection policy the timer dispatches with (and is recorded in the
     row).
 
@@ -284,11 +275,13 @@ def _measure(
     else:
         target = ops.default_context(device)
         contexts = (target,)
-        dims = (device,) if h == 1 else (h, device)
-        # Ad-hoc timers (tests, custom suites) predate the selector
-        # dimension; only registered timers are guaranteed to accept the
-        # keyword, so the default rides on their own default instead.
+        dims = (device,)
+        # Ad-hoc timers (tests, custom suites) predate the selector and
+        # depth dimensions; only registered timers are guaranteed to accept
+        # the keywords, so the defaults ride on their own defaults instead.
         kwargs = {} if selector == "heuristic" else {"selector": selector}
+        if h != 1:
+            kwargs["h"] = h
     before = _telemetry_totals(contexts)
     start = time.perf_counter()
     try:

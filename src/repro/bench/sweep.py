@@ -29,7 +29,6 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -43,9 +42,9 @@ from .runner import SPMM_KERNELS, _measure
 class SweepTask:
     """One (matrix spec, kernel, batch size[, stack depth]) measurement.
 
-    ``h`` is the batched-execution stack depth: ``h > 1`` times the kernel
-    through the batched dispatch path (one z-scaled launch for the whole
-    stack) instead of the single-operand one.
+    ``h`` is the stack depth: ``h > 1`` times the kernel on a stack of
+    ``h`` products sharing the topology (one z-scaled launch for the whole
+    stack).
     """
 
     spec: MatrixSpec
@@ -128,8 +127,8 @@ def build_tasks(
 
     A spec's own ``batch_columns`` (when set) override the sweep-level
     ``n``; unknown kernel names fail fast here rather than inside a worker.
-    Stack depths above 1 require the kernel to have a registered batched
-    backend (``ops.available("spmm_batched")``).
+    Stack depths above 1 require the kernel's backend to take stacks
+    (``ops.stack_backends("spmm")``).
     ``selector`` picks the config-selection policy every task dispatches
     with (validated here so a typo fails before the pool spins up).
     ``devices`` counts above 1 row-shard the measurement across a
@@ -156,17 +155,17 @@ def build_tasks(
     for m in mutation_counts:
         if m < 0:
             raise ValueError(f"mutations must be >= 0, got {m}")
-    needs_batched = any(depth > 1 for depth in stacks)
-    batched = ops.available("spmm_batched")
+    stacked = any(depth > 1 for depth in stacks)
+    stackers = ops.stack_backends("spmm")
     for name in kernels:
         if name not in SPMM_KERNELS:
             raise ValueError(
                 f"unknown kernel {name!r}; known: {sorted(SPMM_KERNELS)}"
             )
-        if needs_batched and name not in batched:
+        if stacked and name not in stackers:
             raise ValueError(
-                f"kernel {name!r} has no batched timer; "
-                f"batched kernels: {sorted(batched)}"
+                f"kernel {name!r} takes no stacks (h > 1); "
+                f"stacking kernels: {sorted(stackers)}"
             )
     tasks = []
     batches = (n,) if isinstance(n, int) else tuple(n)
@@ -375,11 +374,7 @@ def _measure_chunk(
                     continue
             if matrix is None:
                 matrix = spec.materialize()
-            timer = (
-                SPMM_KERNELS[task.kernel]
-                if task.h == 1
-                else partial(ops.spmm_batched_cost, backend=task.kernel)
-            )
+            timer = SPMM_KERNELS[task.kernel]
             dgroup = None
             if task.devices > 1:
                 dgroup = _worker_group(device, task.devices, store_path)
@@ -498,9 +493,9 @@ def run_sweep(
       keeping their own pid rows (worker wall clocks have per-process
       epochs, so cross-process alignment is approximate). Summarize it with
       ``python -m repro.obs.report <trace_path>``.
-    - ``h`` adds a batched-execution dimension: each depth above 1 times
-      the kernel through the batched dispatch path (one z-scaled launch
-      per stack) and suffixes the row key with ``|h{depth}``.
+    - ``h`` adds a stack-depth dimension: each depth above 1 times the
+      kernel on a depth-``h`` stack (one z-scaled launch per stack) and
+      suffixes the row key with ``|h{depth}``.
     - ``selector`` picks the config-selection policy every task dispatches
       with (``"heuristic"``, ``"oracle"``, or ``"tuned"``); non-default
       selectors suffix the row key with ``|sel:{selector}``, so tuned and

@@ -32,9 +32,7 @@ from .roma import (
 from .sddmm import (
     SddmmPlan,
     execute_sddmm,
-    execute_sddmm_batched,
     plan_sddmm,
-    plan_sddmm_batched,
     sddmm,
 )
 from .selection import (
@@ -45,17 +43,13 @@ from .selection import (
 from .sparse_softmax import (
     SparseSoftmaxPlan,
     execute_sparse_softmax,
-    execute_sparse_softmax_batched,
     plan_sparse_softmax,
-    plan_sparse_softmax_batched,
     sparse_softmax,
 )
 from .spmm import (
     SpmmPlan,
     execute_spmm,
-    execute_spmm_batched,
     plan_spmm,
-    plan_spmm_batched,
     spmm,
 )
 from .swizzle import (
@@ -81,16 +75,10 @@ __all__ = [
     "plan_spmm",
     "plan_sddmm",
     "plan_sparse_softmax",
-    "plan_spmm_batched",
-    "plan_sddmm_batched",
-    "plan_sparse_softmax_batched",
     "plan_spmm_csc",
     "execute_spmm",
     "execute_sddmm",
     "execute_sparse_softmax",
-    "execute_spmm_batched",
-    "execute_sddmm_batched",
-    "execute_sparse_softmax_batched",
     "execute_spmm_csc",
     "SpmmConfig",
     "SddmmConfig",

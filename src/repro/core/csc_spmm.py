@@ -37,13 +37,14 @@ def plan_spmm_csc(
     n: int,
     device: DeviceSpec,
     config: SpmmConfig | None = None,
+    h: int = 1,
 ) -> SpmmPlan:
     """Plan ``C = B A`` for a ``(n, rows(A))`` left operand.
 
     The plan is the CSR plan of the transposed problem (Section IV-C):
     identical launch geometry, memory transactions, and instruction stream.
     """
-    return plan_spmm(csc_as_transposed_csr(a), n, device, config)
+    return plan_spmm(csc_as_transposed_csr(a), n, device, config, h)
 
 
 def execute_spmm_csc(

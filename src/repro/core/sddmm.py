@@ -243,15 +243,15 @@ class SddmmPlan:
     h: int = 1
 
 
-def _plan(
+def plan_sddmm(
     mask: CSRMatrix,
     k: int,
-    h: int,
     device: DeviceSpec,
-    config: SddmmConfig | None,
+    config: SddmmConfig | None = None,
+    h: int = 1,
 ) -> SddmmPlan:
-    """The one SDDMM plan builder: costed depth-``h`` launch plus
-    simulated run, both read from ``mask.analysis``."""
+    """Build the full depth-``h`` SDDMM plan: costed launch plus simulated
+    run, both read from ``mask.analysis``."""
     if config is None:
         from ..tune import default_sddmm_config
 
@@ -273,27 +273,6 @@ def _plan(
     )
 
 
-def plan_sddmm(
-    mask: CSRMatrix,
-    k: int,
-    device: DeviceSpec,
-    config: SddmmConfig | None = None,
-) -> SddmmPlan:
-    """Build the full SDDMM plan: costed launch plus simulated run."""
-    return _plan(mask, k, 1, device, config)
-
-
-def plan_sddmm_batched(
-    mask: CSRMatrix,
-    k: int,
-    h: int,
-    device: DeviceSpec,
-    config: SddmmConfig | None = None,
-) -> SddmmPlan:
-    """Plan ``h`` SDDMMs sharing ``mask``'s topology as ONE launch."""
-    return _plan(mask, k, h, device, config)
-
-
 def repair_sddmm_plan(
     plan: SddmmPlan, mask: CSRMatrix, delta: TopologyDelta
 ) -> SddmmPlan:
@@ -313,73 +292,56 @@ def repair_sddmm_plan(
             f"edited mask {mask.shape} does not match the parent plan's "
             f"mask {plan.mask_shape}"
         )
-    return _plan(mask, plan.k, plan.h, plan.device, plan.config)
-
-
-def _check_operands(
-    plan: SddmmPlan, lhs: np.ndarray, rhs: np.ndarray, mask: CSRMatrix
-) -> tuple[np.ndarray, np.ndarray]:
-    """Execute-time checks shared by both executors: ``mask`` is the
-    planned one and the operands (one slab of a stack) fit it and K."""
-    if mask.shape != plan.mask_shape or mask.nnz != plan.nnz:
-        raise ValueError(
-            f"mask {mask.shape} (nnz={mask.nnz}) does not match the planned "
-            f"mask {plan.mask_shape} (nnz={plan.nnz})"
-        )
-    lhs, rhs = _validate(lhs, rhs, mask, plan.config)
-    if lhs.shape[1] != plan.k:
-        raise ValueError(f"inner dim {lhs.shape[1]} but the plan has K={plan.k}")
-    return lhs, rhs
+    return plan_sddmm(mask, plan.k, plan.device, plan.config, plan.h)
 
 
 def execute_sddmm(
     plan: SddmmPlan, lhs: np.ndarray, rhs: np.ndarray, mask: CSRMatrix
 ) -> KernelResult:
-    """Run a planned SDDMM: exact numerics plus the plan's simulated cost."""
-    lhs, rhs = _check_operands(plan, lhs, rhs, mask)
-    return KernelResult(
-        output=sddmm_reference(
-            lhs, rhs, mask, scale_by_values=plan.config.scale_by_values
-        ),
-        execution=plan.execution,
-    )
+    """Run a planned SDDMM: exact numerics plus the plan's simulated cost.
 
-
-def execute_sddmm_batched(
-    plan: SddmmPlan,
-    lhs_stack: np.ndarray,
-    rhs_stack: np.ndarray,
-    mask: CSRMatrix,
-) -> KernelResult:
-    """Run a planned batched SDDMM: one fused call, one costed launch.
-
-    ``lhs_stack`` is ``(H, rows, k)``, ``rhs_stack`` ``(H, cols, k)``;
-    the output is the column-stacked ``(nnz, H)`` value matrix (one
-    column per batch item, all sharing ``mask``'s topology).
+    ``(rows, k)``/``(cols, k)`` operands give the sampled CSR matrix.
+    ``(H, rows, k)``/``(H, cols, k)`` stacks at the plan's depth give the
+    column-stacked ``(nnz, H)`` value matrix (one column per item, all
+    sharing ``mask``'s topology).
     """
-    lhs_stack = np.asarray(lhs_stack)
-    rhs_stack = np.asarray(rhs_stack)
-    if lhs_stack.ndim != 3 or lhs_stack.shape[0] != plan.h:
+    if mask.shape != plan.mask_shape or mask.nnz != plan.nnz:
         raise ValueError(
-            f"lhs stack shape {lhs_stack.shape} does not carry the planned "
-            f"batch size H={plan.h}"
+            f"mask {mask.shape} (nnz={mask.nnz}) does not match the planned "
+            f"mask {plan.mask_shape} (nnz={plan.nnz})"
         )
-    if not plan.config.transposed_rhs:
+    lhs = np.asarray(lhs)
+    stacked = lhs.ndim == 3
+    if (lhs.shape[0] if stacked else 1) != plan.h:
+        raise ValueError(
+            f"lhs shape {lhs.shape} does not carry the planned depth "
+            f"H={plan.h}"
+        )
+    if stacked and not plan.config.transposed_rhs:
         raise NotImplementedError(
-            "batched SDDMM implements the paper's deep-learning variant "
+            "stacked SDDMM implements the paper's deep-learning variant "
             "(transposed rhs) only"
         )
-    # Per-head validation on the first slab; the stack shares its shape.
-    _check_operands(plan, lhs_stack[0], rhs_stack[0], mask)
-    return KernelResult(
-        output=sddmm_batched_reference(
-            lhs_stack,
-            rhs_stack,
-            mask,
-            scale_by_values=plan.config.scale_by_values,
-        ),
-        execution=plan.execution,
+    # Per-item validation on the first slab; the stack shares its shape.
+    rhs = np.asarray(rhs)
+    first_lhs, first_rhs = _validate(
+        lhs[0] if stacked else lhs, rhs[0] if stacked else rhs, mask,
+        plan.config,
     )
+    if first_lhs.shape[1] != plan.k:
+        raise ValueError(
+            f"inner dim {first_lhs.shape[1]} but the plan has K={plan.k}"
+        )
+    scale = plan.config.scale_by_values
+    if stacked:
+        output = sddmm_batched_reference(
+            lhs, rhs, mask, scale_by_values=scale
+        )
+    else:
+        output = sddmm_reference(
+            first_lhs, first_rhs, mask, scale_by_values=scale
+        )
+    return KernelResult(output=output, execution=plan.execution)
 
 
 def sddmm(
@@ -402,3 +364,9 @@ def sddmm(
         ),
         execution=plan.execution,
     )
+
+
+# Former names of the depth-``h`` forms, kept as aliases for callers that
+# resolve them by name.
+plan_sddmm_batched = plan_sddmm
+execute_sddmm_batched = execute_sddmm

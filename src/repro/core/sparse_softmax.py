@@ -84,8 +84,11 @@ class SparseSoftmaxPlan:
     h: int = 1
 
 
-def _plan(a: CSRMatrix, h: int, device: DeviceSpec) -> SparseSoftmaxPlan:
-    """The one sparse-softmax plan builder: depth-``h`` launch plus run."""
+def plan_sparse_softmax(
+    a: CSRMatrix, device: DeviceSpec, h: int = 1
+) -> SparseSoftmaxPlan:
+    """Build the depth-``h`` sparse-softmax plan: costed launch plus
+    simulated run."""
     if a.nnz == 0:
         raise ValueError("softmax of an empty sparse matrix is undefined")
     launch = build_launch(a, device).batched(h)
@@ -99,54 +102,35 @@ def _plan(a: CSRMatrix, h: int, device: DeviceSpec) -> SparseSoftmaxPlan:
     )
 
 
-def plan_sparse_softmax(a: CSRMatrix, device: DeviceSpec) -> SparseSoftmaxPlan:
-    """Build the sparse-softmax plan: costed launch plus simulated run."""
-    return _plan(a, 1, device)
+def execute_sparse_softmax(
+    plan: SparseSoftmaxPlan,
+    a: CSRMatrix,
+    scale: float = 1.0,
+    values: np.ndarray | None = None,
+) -> KernelResult:
+    """Run a planned sparse softmax on (possibly new) values.
 
-
-def plan_sparse_softmax_batched(
-    a: CSRMatrix, h: int, device: DeviceSpec
-) -> SparseSoftmaxPlan:
-    """Plan ``h`` row softmaxes over ``a``'s topology as ONE launch."""
-    return _plan(a, h, device)
-
-
-def _check_operand(plan: SparseSoftmaxPlan, a: CSRMatrix) -> None:
+    Without ``values`` the softmax runs over ``a``'s own values and returns
+    a CSR matrix; a ``(nnz, H)`` ``values`` matrix at the plan's depth
+    returns the ``(nnz, H)`` matrix of its column softmaxes.
+    """
     if a.shape != plan.shape or a.nnz != plan.nnz:
         raise ValueError(
             f"matrix {a.shape} (nnz={a.nnz}) does not match the planned "
             f"operand {plan.shape} (nnz={plan.nnz})"
         )
-
-
-def execute_sparse_softmax(
-    plan: SparseSoftmaxPlan, a: CSRMatrix, scale: float = 1.0
-) -> KernelResult:
-    """Run a planned sparse softmax on (possibly new) values."""
-    _check_operand(plan, a)
-    return KernelResult(
-        output=sparse_softmax_reference(a, scale=scale),
-        execution=plan.execution,
-    )
-
-
-def execute_sparse_softmax_batched(
-    plan: SparseSoftmaxPlan,
-    a: CSRMatrix,
-    values: np.ndarray,
-    scale: float = 1.0,
-) -> KernelResult:
-    """Run a planned batched softmax over a ``(nnz, H)`` value matrix."""
-    _check_operand(plan, a)
-    values = np.asarray(values)
-    if values.ndim != 2 or values.shape != (a.nnz, plan.h):
-        raise ValueError(
-            f"value matrix shape {values.shape} != ({a.nnz}, {plan.h})"
-        )
-    return KernelResult(
-        output=sparse_softmax_batched_reference(a, values, scale=scale),
-        execution=plan.execution,
-    )
+    if values is None:
+        if plan.h != 1:
+            raise ValueError(f"a depth-{plan.h} plan needs a value matrix")
+        output = sparse_softmax_reference(a, scale=scale)
+    else:
+        values = np.asarray(values)
+        if values.shape != (a.nnz, plan.h):
+            raise ValueError(
+                f"value matrix shape {values.shape} != ({a.nnz}, {plan.h})"
+            )
+        output = sparse_softmax_batched_reference(a, values, scale=scale)
+    return KernelResult(output=output, execution=plan.execution)
 
 
 def sparse_softmax(
@@ -154,3 +138,9 @@ def sparse_softmax(
 ) -> KernelResult:
     """Row-wise softmax over CSR nonzeros: numerics + simulated cost."""
     return execute_sparse_softmax(plan_sparse_softmax(a, device), a, scale=scale)
+
+
+# Former names of the depth-``h`` forms, kept as aliases for callers that
+# resolve them by name.
+plan_sparse_softmax_batched = plan_sparse_softmax
+execute_sparse_softmax_batched = execute_sparse_softmax

@@ -313,15 +313,19 @@ class SpmmPlan:
     h: int = 1
 
 
-def _plan(
+def plan_spmm(
     a: CSRMatrix,
     n: int,
-    h: int,
     device: DeviceSpec,
-    config: SpmmConfig | None,
+    config: SpmmConfig | None = None,
+    h: int = 1,
 ) -> SpmmPlan:
-    """The one SpMM plan builder: analysis, costed depth-``h`` launch,
-    simulated run, all read from ``a.analysis``."""
+    """Build the full depth-``h`` SpMM plan: analysis, costed launch,
+    simulated run, all read from ``a.analysis``.
+
+    The plan is pure derived state — :func:`execute_spmm` adds only the
+    numeric multiply.
+    """
     if config is None:
         from ..tune import default_spmm_config
 
@@ -346,31 +350,6 @@ def _plan(
         k=a.n_cols,
         h=h,
     )
-
-
-def plan_spmm(
-    a: CSRMatrix,
-    n: int,
-    device: DeviceSpec,
-    config: SpmmConfig | None = None,
-) -> SpmmPlan:
-    """Build the full SpMM plan: analysis, costed launch, simulated run.
-
-    The plan is pure derived state — :func:`execute_spmm` adds only the
-    numeric multiply.
-    """
-    return _plan(a, n, 1, device, config)
-
-
-def plan_spmm_batched(
-    a: CSRMatrix,
-    n: int,
-    h: int,
-    device: DeviceSpec,
-    config: SpmmConfig | None = None,
-) -> SpmmPlan:
-    """Plan ``h`` SpMMs sharing ``a``'s topology as ONE batched launch."""
-    return _plan(a, n, h, device, config)
 
 
 def repair_spmm_plan(
@@ -399,66 +378,58 @@ def repair_spmm_plan(
             f"edited topology holds {a.values.dtype} values but the parent "
             f"plan is {config.precision}"
         )
-    return _plan(a, plan.n, plan.h, plan.device, config)
+    return plan_spmm(a, plan.n, plan.device, config, plan.h)
 
 
-def _check_operands(plan: SpmmPlan, a: CSRMatrix, b: np.ndarray) -> np.ndarray:
-    """Execute-time checks shared by both executors: ``a`` is the planned
-    operand and ``b`` (one slab of a stack) fits it and the plan's N."""
+def execute_spmm(
+    plan: SpmmPlan,
+    a: CSRMatrix,
+    b: np.ndarray,
+    values: np.ndarray | None = None,
+) -> KernelResult:
+    """Run a planned SpMM: exact numerics plus the plan's simulated cost.
+
+    A ``(k, n)`` ``b`` gives the ``(m, n)`` product. A ``(H, k, n)`` stack
+    at the plan's depth gives the ``(H, m, n)`` stack of products; with
+    ``values`` of shape ``(H, nnz)`` each item multiplies its own value
+    set against the shared structure (per-head attention probabilities),
+    otherwise all items share ``a``'s values (a weight matrix applied
+    across a batch).
+    """
     if a.shape != (plan.m, plan.k):
         raise ValueError(
             f"matrix {a.shape} does not match the planned operand "
             f"({plan.m}, {plan.k})"
         )
-    b = _validate(a, b, plan.config)
-    if b.shape[1] != plan.n:
-        raise ValueError(f"B has {b.shape[1]} columns but the plan has N={plan.n}")
-    return b
-
-
-def execute_spmm(plan: SpmmPlan, a: CSRMatrix, b: np.ndarray) -> KernelResult:
-    """Run a planned SpMM: exact numerics plus the plan's simulated cost."""
-    b = _check_operands(plan, a, b)
-    return KernelResult(output=spmm_reference(a, b), execution=plan.execution)
-
-
-def execute_spmm_batched(
-    plan: SpmmPlan,
-    a: CSRMatrix,
-    b_stack: np.ndarray,
-    values: np.ndarray | None = None,
-) -> KernelResult:
-    """Run a planned batched SpMM: one fused multiply, one costed launch.
-
-    ``b_stack`` is ``(H, k, n)``. With ``values`` of shape ``(H, nnz)``
-    each batch item multiplies its own value set against the shared
-    structure (per-head attention probabilities); otherwise all items
-    share ``a``'s values (a weight matrix applied across a batch).
-    """
-    b_stack = np.asarray(b_stack)
-    if b_stack.ndim != 3 or b_stack.shape[0] != plan.h:
+    b = np.asarray(b)
+    stacked = b.ndim == 3
+    if (b.shape[0] if stacked else 1) != plan.h:
         raise ValueError(
-            f"B stack shape {b_stack.shape} does not carry the planned "
-            f"batch size H={plan.h}"
+            f"B shape {b.shape} does not carry the planned depth H={plan.h}"
         )
-    # Per-head validation, vectorized: every slab shares shape and dtype.
-    _check_operands(plan, a, b_stack[0])
-    if values is not None:
-        values = np.asarray(values)
-        if values.shape != (plan.h, a.nnz):
-            raise ValueError(
-                f"per-head values shape {values.shape} != "
-                f"({plan.h}, {a.nnz})"
-            )
-        if values.dtype != plan.config.value_dtype:
-            raise TypeError(
-                f"per-head values are {values.dtype}, expected "
-                f"{plan.config.value_dtype}"
-            )
-    return KernelResult(
-        output=spmm_batched_reference(a, b_stack, values),
-        execution=plan.execution,
-    )
+    # Per-item validation, vectorized: every slab shares shape and dtype.
+    slab = _validate(a, b[0] if stacked else b, plan.config)
+    if slab.shape[1] != plan.n:
+        raise ValueError(
+            f"B has {slab.shape[1]} columns but the plan has N={plan.n}"
+        )
+    if not stacked:
+        output = spmm_reference(a, b)
+    else:
+        if values is not None:
+            values = np.asarray(values)
+            if values.shape != (plan.h, a.nnz):
+                raise ValueError(
+                    f"per-head values shape {values.shape} != "
+                    f"({plan.h}, {a.nnz})"
+                )
+            if values.dtype != plan.config.value_dtype:
+                raise TypeError(
+                    f"per-head values are {values.dtype}, expected "
+                    f"{plan.config.value_dtype}"
+                )
+        output = spmm_batched_reference(a, b, values)
+    return KernelResult(output=output, execution=plan.execution)
 
 
 def spmm(
@@ -474,3 +445,9 @@ def spmm(
         config = default_spmm_config(a, np.asarray(b).shape[1])
     b = _validate(a, b, config)
     return execute_spmm(plan_spmm(a, b.shape[1], device, config), a, b)
+
+
+# Former names of the depth-``h`` forms, kept as aliases for callers that
+# resolve them by name.
+plan_spmm_batched = plan_spmm
+execute_spmm_batched = execute_spmm

@@ -230,18 +230,14 @@ def sharded_spmm_cost(
 
     ``h > 1`` costs a stack of ``h`` products sharing ``a``'s topology:
     each device runs its shard as one depth-``h`` launch
-    (:func:`repro.ops.spmm_batched_cost`) and every collective moves
+    (:func:`repro.ops.spmm_cost` with ``h``) and every collective moves
     ``h`` times the bytes.
     """
     from .. import ops
 
     def cost(sub, ctx):
-        if h == 1:
-            return ops.spmm_cost(
-                sub, n, context=ctx, backend=backend, selector=selector
-            )
-        return ops.spmm_batched_cost(
-            sub, n, h, context=ctx, backend=backend, selector=selector
+        return ops.spmm_cost(
+            sub, n, context=ctx, backend=backend, selector=selector, h=h
         )
 
     if group.k == 1:

@@ -169,17 +169,3 @@ def flip_bit(array: np.ndarray, element_index: int, bit: int) -> int:
     unsigned = flat.view(f"u{array.dtype.itemsize}")
     unsigned[element_index] ^= np.asarray(1, dtype=unsigned.dtype) << bit
     return original
-
-
-def row_major_tile_bytes(
-    rows: int, cols: int, row_stride: int, element_bytes: int
-) -> int:
-    """Bytes spanned by a ``rows x cols`` tile of a row-major matrix.
-
-    Used for working-set estimates; the tile occupies ``rows`` strips of
-    ``cols * element_bytes`` bytes each (stride is irrelevant to the touched
-    footprint, but validated for sanity).
-    """
-    if cols > row_stride:
-        raise ValueError("tile wider than the matrix row stride")
-    return rows * cols * element_bytes

@@ -173,11 +173,11 @@ def sparse_attention_batched(
     """Multi-head sparse attention over ``(H, seq, dk)`` stacks.
 
     All heads share ``mask``'s topology (Section VII-C1), so the whole
-    stack is three batched dispatches — batched SDDMM producing the
-    ``(nnz, H)`` score matrix, one batched softmax over it, and one
-    batched SpMM with per-head probability values against ``V`` — each
-    resolving ONE plan and costing ONE z-scaled launch. A policy-routed
-    call yields one DispatchReport per stage covering the whole batch.
+    stack is three stacked dispatches — SDDMM producing the ``(nnz, H)``
+    score matrix, one softmax over it, and one SpMM with per-head
+    probability values against ``V`` — each resolving ONE plan and costing
+    ONE z-scaled launch. A policy-routed call yields one DispatchReport
+    per stage covering the whole stack.
     """
     q = np.asarray(q, np.float32)
     k = np.asarray(k, np.float32)
@@ -186,15 +186,15 @@ def sparse_attention_batched(
         raise ValueError(f"expected (H, seq, dk) stacks, got {q.shape}")
     dk = q.shape[2]
     backend = policy if policy is not None else "sputnik"
-    scores = ops.sddmm_batched(
+    scores = ops.sddmm(
         q, k, mask, device, backend=backend, selector=selector,
         validate=validate,
     )
-    probs = ops.sparse_softmax_batched(
-        mask, scores.output, device, scale=1.0 / np.sqrt(dk),
+    probs = ops.sparse_softmax(
+        mask, device, scale=1.0 / np.sqrt(dk), values=scores.output,
         backend=backend, validate=validate,
     )
-    out = ops.spmm_batched(
+    out = ops.spmm(
         mask, v, device, backend=backend, selector=selector,
         validate=validate,
         values=np.ascontiguousarray(probs.output.T),

@@ -106,15 +106,6 @@ def depthwise_conv(
     return out.astype(np.float32)
 
 
-def conv1x1_as_gemm_operand(x: np.ndarray) -> np.ndarray:
-    """Flatten CHW activations to the ``(C, H*W)`` GEMM operand the 1x1
-    convolutions multiply against (Section VII-D)."""
-    x = np.asarray(x)
-    if x.ndim != 3:
-        raise ValueError("expected (C, H, W)")
-    return x.reshape(x.shape[0], -1)
-
-
 def sparse_conv3x3_operands(
     weight: CSRMatrix, x: np.ndarray, stride: int = 1
 ) -> tuple[CSRMatrix, np.ndarray]:

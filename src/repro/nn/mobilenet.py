@@ -198,8 +198,8 @@ class MobileNetV1:
     ) -> np.ndarray:
         """Pointwise 1x1 conv over a ``(B, C, spatial)`` activation stack.
 
-        The sparse path dispatches the whole batch as ONE
-        :func:`~repro.ops.spmm_batched` call — the weight topology (and
+        The sparse path dispatches the whole batch as ONE stacked
+        :func:`~repro.ops.spmm` call — the weight topology (and
         values) are shared, so one plan and one z-scaled launch cover all
         ``B`` spatial GEMMs. The dense path folds the batch into a single
         wide cuBLAS GEMM.
@@ -213,7 +213,7 @@ class MobileNetV1:
                 np.pad(x_stack.astype(np.float32), ((0, 0), (0, 0), (0, pad)))
             )
             selector = "oracle" if self.use_oracle else "heuristic"
-            result = ops.spmm_batched(weight, b_stack, device, selector=selector)
+            result = ops.spmm(weight, b_stack, device, selector=selector)
             if profile is not None:
                 profile.add(result.execution)
             out = result.output[:, :, :spatial]

@@ -3,15 +3,17 @@
 Single entry point for every sparse operator in the reproduction:
 
 - :func:`spmm`, :func:`sddmm`, :func:`sparse_softmax`, :func:`csc_spmm`,
-  :func:`matmul` — numerics + simulated cost, dispatched by backend string;
-- :func:`spmm_batched`, :func:`sddmm_batched`,
-  :func:`sparse_softmax_batched` — stacked operands over one shared
-  topology: one plan, one z-scaled launch, one DispatchReport per batch;
-- ``*_cost`` variants — simulated cost only (the benchmark path);
+  :func:`matmul` — numerics + simulated cost, dispatched by backend string.
+  SpMM, SDDMM and softmax also take an ``H``-deep stack over one shared
+  topology (the dense operand's rank gives the depth): one plan, one
+  z-scaled launch, one DispatchReport per stack;
+- ``*_cost`` variants — simulated cost only (the benchmark path), with
+  ``h=`` for a stack's depth;
 - :class:`ExecutionContext` / :func:`default_context` — device + per-matrix
   plan cache + telemetry;
 - :func:`register` / :func:`available` — the kernel registry, for adding or
-  enumerating backends.
+  enumerating backends (:func:`stack_backends` names those that take
+  stacks).
 
 Example::
 
@@ -40,16 +42,10 @@ from .operators import (
     matmul_cost,
     resolve_context,
     sddmm,
-    sddmm_batched,
-    sddmm_batched_cost,
     sddmm_cost,
     sparse_softmax,
-    sparse_softmax_batched,
-    sparse_softmax_batched_cost,
     sparse_softmax_cost,
     spmm,
-    spmm_batched,
-    spmm_batched_cost,
     spmm_cost,
 )
 from ..core.repair import TopologyDelta
@@ -61,21 +57,16 @@ from .registry import (
     exact_backends,
     get_impl,
     register,
+    stack_backends,
 )
 
 __all__ = [
     "spmm",
     "spmm_cost",
-    "spmm_batched",
-    "spmm_batched_cost",
     "sddmm",
     "sddmm_cost",
-    "sddmm_batched",
-    "sddmm_batched_cost",
     "sparse_softmax",
     "sparse_softmax_cost",
-    "sparse_softmax_batched",
-    "sparse_softmax_batched_cost",
     "csc_spmm",
     "csc_spmm_cost",
     "matmul",
@@ -100,4 +91,5 @@ __all__ = [
     "get_impl",
     "available",
     "exact_backends",
+    "stack_backends",
 ]

@@ -27,23 +27,9 @@ from ..core.config import SddmmConfig, SpmmConfig
 # The plan_* builders and repair_* functions are used by name via _PLANS.
 from ..core.csc_spmm import plan_spmm_csc
 from ..core.repair import TopologyDelta
-from ..core.sddmm import (
-    SddmmPlan,
-    plan_sddmm,
-    plan_sddmm_batched,
-    repair_sddmm_plan,
-)
-from ..core.sparse_softmax import (
-    SparseSoftmaxPlan,
-    plan_sparse_softmax,
-    plan_sparse_softmax_batched,
-)
-from ..core.spmm import (
-    SpmmPlan,
-    plan_spmm,
-    plan_spmm_batched,
-    repair_spmm_plan,
-)
+from ..core.sddmm import SddmmPlan, plan_sddmm, repair_sddmm_plan
+from ..core.sparse_softmax import SparseSoftmaxPlan, plan_sparse_softmax
+from ..core.spmm import SpmmPlan, plan_spmm, repair_spmm_plan
 from ..gpu.allocator import (
     Allocation,
     DeviceAllocator,
@@ -344,7 +330,7 @@ class _PlanKind:
     a rebinding of a module name (a tracer's wrapper, a test) reaches them.
     """
 
-    #: ``build(matrix, *dims, device[, config])``.
+    #: ``build(matrix, *dims, device[, config], h)``.
     build: str
     #: ``repair(plan, matrix, delta)``, for families that repair from a
     #: parent's plan under a registered topology delta.
@@ -360,15 +346,6 @@ _PLANS: dict[str, _PlanKind] = {
     "spmm": _PlanKind("plan_spmm", "repair_spmm_plan", "spmm_config"),
     "sddmm": _PlanKind("plan_sddmm", "repair_sddmm_plan", "sddmm_config"),
     "sparse_softmax": _PlanKind("plan_sparse_softmax", configured=False),
-    "spmm_batched": _PlanKind(
-        "plan_spmm_batched", "repair_spmm_plan", "spmm_config"
-    ),
-    "sddmm_batched": _PlanKind(
-        "plan_sddmm_batched", "repair_sddmm_plan", "sddmm_config"
-    ),
-    "sparse_softmax_batched": _PlanKind(
-        "plan_sparse_softmax_batched", configured=False
-    ),
     "csc_spmm": _PlanKind("plan_spmm_csc"),
 }
 
@@ -1117,11 +1094,12 @@ class ExecutionContext:
     # ------------------------------------------------------------------
     def _plan(
         self, op: str, matrix, dims: tuple, config=None,
-        selector: str = "heuristic", backend: str = "sputnik",
+        selector: str = "heuristic", backend: str = "sputnik", h: int = 1,
     ):
-        """The cached plan of ``op`` over ``matrix`` (see :data:`_PLANS`).
+        """The cached depth-``h`` plan of ``op`` over ``matrix`` (see
+        :data:`_PLANS`).
 
-        The key is ``(op, fingerprint, *dims)``, plus the config for
+        The key is ``(op, fingerprint, *dims, h)``, plus the config for
         configured kernels. A missing config is resolved through the
         selector when the family selects one; with a registered topology
         delta a cache miss repairs the parent's plan instead of building.
@@ -1137,62 +1115,47 @@ class ExecutionContext:
             repair_with = globals()[kind.repair]
             repair = self._repairable_plan(
                 fp,
-                lambda parent_fp: (op, parent_fp, *dims, *tail),
+                lambda parent_fp: (op, parent_fp, *dims, h, *tail),
                 lambda plan, delta: repair_with(plan, matrix, delta),
             )
         build = globals()[kind.build]
         return self._cached(
-            op, backend, (op, fp, *dims, *tail),
-            lambda: build(matrix, *dims, self.device, *tail), repair=repair,
+            op, backend, (op, fp, *dims, h, *tail),
+            lambda: build(matrix, *dims, self.device, *tail, h),
+            repair=repair,
         )
 
     def spmm_plan(
         self, a: CSRMatrix, n: int, config: SpmmConfig | None = None,
-        selector: str = "heuristic", backend: str = "sputnik",
+        selector: str = "heuristic", backend: str = "sputnik", h: int = 1,
     ) -> SpmmPlan:
-        return self._plan("spmm", a, (n,), config, selector, backend)
+        """The plan for ``h`` SpMMs sharing ``a``'s topology (one launch)."""
+        return self._plan("spmm", a, (n,), config, selector, backend, h)
 
     def sddmm_plan(
         self, mask: CSRMatrix, k: int, config: SddmmConfig | None = None,
-        selector: str = "heuristic", backend: str = "sputnik",
+        selector: str = "heuristic", backend: str = "sputnik", h: int = 1,
     ) -> SddmmPlan:
-        return self._plan("sddmm", mask, (k,), config, selector, backend)
+        """The plan for ``h`` SDDMMs sharing ``mask``'s topology."""
+        return self._plan("sddmm", mask, (k,), config, selector, backend, h)
 
     def sparse_softmax_plan(
-        self, a: CSRMatrix, backend: str = "sputnik"
+        self, a: CSRMatrix, backend: str = "sputnik", h: int = 1
     ) -> SparseSoftmaxPlan:
-        return self._plan("sparse_softmax", a, (), backend=backend)
-
-    def spmm_batched_plan(
-        self, a: CSRMatrix, n: int, h: int, config: SpmmConfig | None = None,
-        selector: str = "heuristic", backend: str = "sputnik",
-    ) -> SpmmPlan:
-        """One plan for ``h`` SpMMs sharing ``a``'s topology (one launch)."""
-        return self._plan(
-            "spmm_batched", a, (n, h), config, selector, backend
-        )
-
-    def sddmm_batched_plan(
-        self, mask: CSRMatrix, k: int, h: int,
-        config: SddmmConfig | None = None, selector: str = "heuristic",
-        backend: str = "sputnik",
-    ) -> SddmmPlan:
-        """One plan for ``h`` SDDMMs sharing ``mask``'s topology."""
-        return self._plan(
-            "sddmm_batched", mask, (k, h), config, selector, backend
-        )
-
-    def sparse_softmax_batched_plan(
-        self, a: CSRMatrix, h: int, backend: str = "sputnik"
-    ) -> SparseSoftmaxPlan:
-        """One plan for ``h`` row softmaxes over ``a``'s topology."""
-        return self._plan("sparse_softmax_batched", a, (h,), backend=backend)
+        """The plan for ``h`` row softmaxes over ``a``'s topology."""
+        return self._plan("sparse_softmax", a, (), backend=backend, h=h)
 
     def csc_spmm_plan(
         self, a: CSCMatrix, n: int, config: SpmmConfig | None = None,
         backend: str = "sputnik",
     ) -> SpmmPlan:
         return self._plan("csc_spmm", a, (n,), config, backend=backend)
+
+    # Former names of the depth-``h`` plans, kept as aliases for callers
+    # that resolve them by name.
+    spmm_batched_plan = spmm_plan
+    sddmm_batched_plan = sddmm_plan
+    sparse_softmax_batched_plan = sparse_softmax_plan
 
     # ------------------------------------------------------------------
     # Cost-only results (cached; used by benchmarks and model cost paths)

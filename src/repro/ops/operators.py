@@ -25,6 +25,13 @@ how the call drives the :mod:`~repro.ops.registry`:
 ``*_cost`` variants return the simulated :class:`ExecutionResult` only —
 the benchmark path, also plan-cached.
 
+SpMM, SDDMM and sparse softmax also take a stack of ``H`` items sharing
+the sparse operand's topology (every head shares one mask, Section
+VII-C1): the depth is the dense operand's rank (or ``h=`` on the cost
+path), and the whole stack resolves ONE plan, costs ONE z-scaled launch
+and produces ONE :class:`~repro.reliability.policy.DispatchReport`. Only
+backends registered with ``stacks=True`` take a stacked call.
+
 There is one path: a plain string is a cached one-backend
 :class:`~repro.reliability.policy.FallbackPolicy`, so every call runs
 through :func:`repro.reliability.policy.run_with_policy`, charges its
@@ -39,6 +46,7 @@ reliability events.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -53,7 +61,9 @@ from ..reliability.policy import as_policy, run_with_policy
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
 from .context import ExecutionContext, default_context
-from .registry import BACKEND_SETS, NO_BACKENDS, get_impl
+from .registry import BACKEND_SETS, NO_BACKENDS, STACK_BACKEND_SETS, get_impl
+
+_NO_KWARGS: dict = {}
 
 
 def resolve_context(
@@ -92,11 +102,41 @@ def _gemm_workspace(m: int, n: int, k: int, element_bytes: int = 4) -> int:
     return (m * k + k * n + m * n) * element_bytes
 
 
-def _batch_size(operand: np.ndarray, ndim: int, axis: int, layout: str):
-    """Batch size of a stacked operand; ``layout`` names the expected one."""
-    if operand.ndim != ndim:
-        raise ValueError(f"{layout}, got {operand.shape}")
-    return operand.shape[axis]
+def _stack_depth(operand: np.ndarray, ndim: int, layout: str) -> int | None:
+    """Depth of a dense operand that may come stacked: its leading axis at
+    rank ``ndim``, ``None`` one rank lower; ``layout`` names both forms."""
+    if operand.ndim == ndim:
+        return operand.shape[0]
+    if operand.ndim == ndim - 1:
+        return None
+    raise ValueError(f"{layout}, got {operand.shape}")
+
+
+def _spmm_stack(b: np.ndarray, values) -> tuple[dict, int | None]:
+    """``(stack, depth)`` of an SpMM run call."""
+    depth = _stack_depth(b, 3, "B must be (k, n) or an (H, k, n) stack")
+    if values is None:
+        return _NO_KWARGS, depth
+    if depth is None:
+        raise ValueError("per-item values need an (H, k, n) B stack")
+    return {"values": np.asarray(values)}, depth
+
+
+def _softmax_stack(values) -> tuple[dict, int | None]:
+    """``(stack, depth)`` of a sparse-softmax run call."""
+    if values is None:
+        return _NO_KWARGS, None
+    values = np.asarray(values)
+    if values.ndim != 2:
+        raise ValueError(f"value matrix must be (nnz, H), got {values.shape}")
+    return {"values": values}, values.shape[1]
+
+
+def _cost_stack(h: int) -> tuple[dict, int]:
+    """``(stack, depth)`` of a cost call at depth ``h > 1``."""
+    if h < 1:
+        raise ValueError(f"stack depth h must be >= 1, got {h}")
+    return {"h": h}, h
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +152,8 @@ class OpSpec:
 
     #: Registry operator name.
     op: str
-    #: ``workspace(*args)``: transient bytes charged for one attempt.
+    #: ``workspace(*args)``: transient bytes one item charges per attempt
+    #: (a depth-``h`` stack charges ``h`` times that).
     workspace: Callable[..., int]
     #: Call the backends' ``cost`` (simulated cost only) instead of ``run``.
     cost: bool = False
@@ -121,8 +162,6 @@ class OpSpec:
     charge: int | None = 0
     #: Position in ``args`` of the explicit Sputnik kernel config.
     config: int | None = None
-    #: ``batch(*args)``: checks a stacked operand, returns the batch size.
-    batch: Callable[..., int] | None = None
     #: Name of the :mod:`repro.dist` function that serves ``shard=``.
     shard: str | None = None
 
@@ -131,17 +170,16 @@ class OpSpec:
         return args if pos is None else args[:pos] + (None,) + args[pos + 1:]
 
 
-# One spec per entry point; a batched op's workspace is H times the
-# single-matrix one.
+# One run/cost spec pair per kernel.
 _SPMM = OpSpec(
-    "spmm", lambda a, b, *_: _spmm_workspace(a, b.shape[1]),
+    "spmm", lambda a, b, *_: _spmm_workspace(a, b.shape[-1]),
     config=2, shard="sharded_spmm",
 )
 _SPMM_COST = OpSpec(
     "spmm", _spmm_workspace, cost=True, config=2, shard="sharded_spmm_cost",
 )
 _SDDMM = OpSpec(
-    "sddmm", lambda lhs, rhs, mask, *_: _sddmm_workspace(mask, lhs.shape[1]),
+    "sddmm", lambda lhs, rhs, mask, *_: _sddmm_workspace(mask, lhs.shape[-1]),
     charge=2, config=3, shard="sharded_sddmm",
 )
 _SDDMM_COST = OpSpec(
@@ -150,41 +188,6 @@ _SDDMM_COST = OpSpec(
 )
 _SOFTMAX = OpSpec("sparse_softmax", _softmax_workspace)
 _SOFTMAX_COST = OpSpec("sparse_softmax", _softmax_workspace, cost=True)
-_SPMM_BATCHED = OpSpec(
-    "spmm_batched",
-    lambda a, b, *_: _spmm_workspace(a, b.shape[2]) * b.shape[0],
-    config=2,
-    batch=lambda a, b, *_: _batch_size(b, 3, 0, "B stack must be (H, k, n)"),
-)
-_SPMM_BATCHED_COST = OpSpec(
-    "spmm_batched", lambda a, n, h, *_: _spmm_workspace(a, n) * h,
-    cost=True, config=3, batch=lambda a, n, h, *_: h,
-)
-_SDDMM_BATCHED = OpSpec(
-    "sddmm_batched",
-    lambda lhs, rhs, mask, *_: (
-        _sddmm_workspace(mask, lhs.shape[2]) * lhs.shape[0]
-    ),
-    charge=2, config=3,
-    batch=lambda lhs, *_: _batch_size(
-        lhs, 3, 0, "lhs stack must be (H, rows, k)"
-    ),
-)
-_SDDMM_BATCHED_COST = OpSpec(
-    "sddmm_batched", lambda mask, k, h, *_: _sddmm_workspace(mask, k) * h,
-    cost=True, config=3, batch=lambda mask, k, h, *_: h,
-)
-_SOFTMAX_BATCHED = OpSpec(
-    "sparse_softmax_batched",
-    lambda a, values, _scale: _softmax_workspace(a) * values.shape[1],
-    batch=lambda a, values, _scale: _batch_size(
-        values, 2, 1, "value matrix must be (nnz, H)"
-    ),
-)
-_SOFTMAX_BATCHED_COST = OpSpec(
-    "sparse_softmax_batched", lambda a, h: _softmax_workspace(a) * h,
-    cost=True, batch=lambda a, h: h,
-)
 _CSC_SPMM = OpSpec(
     "csc_spmm", lambda b, a, _config: _spmm_workspace(a, b.shape[0]),
     charge=1, config=2,
@@ -208,33 +211,35 @@ def _fp32(arg):
     return arg
 
 
-_NO_KWARGS: dict = {}
-
-
 def _attempt(backend: str, spec: OpSpec, ctx, primary: str, args: tuple,
-             kwargs, operands: tuple, fp32: bool = False):
+             kwargs, stack, operands: tuple, workspace: int,
+             fp32: bool = False):
     """One attempt of ``spec`` on ``backend``, charging ``operands`` and
     the workspace to HBM for its duration (the policy loop's attempt).
 
     ``kwargs`` go to the chain's ``primary`` backend only, and so does an
-    explicit Sputnik config (Sputnik itself takes one too). With
-    ``fp32=True`` this is the degraded re-run: every fp16 operand is upcast
-    and the config re-selected; ``None`` when no operand is half precision.
+    explicit Sputnik config (Sputnik itself takes one too); ``stack`` goes
+    to every backend. With ``fp32=True`` this is the degraded re-run: every
+    fp16 operand is upcast and the config re-selected; ``None`` when no
+    operand is half precision.
     """
-    workspace = spec.workspace(*args)
     if fp32:
-        upcast = tuple(_fp32(arg) for arg in args)
-        if all(new is old for new, old in zip(upcast, args)):
+        upcast = tuple(map(_fp32, args))
+        upstack = {name: _fp32(value) for name, value in stack.items()}
+        if all(map(
+            operator.is_, upcast + tuple(upstack.values()),
+            args + tuple(stack.values()),
+        )):
             return None
-        args, kwargs = spec._no_config(upcast), _NO_KWARGS
+        args, kwargs, stack = spec._no_config(upcast), _NO_KWARGS, upstack
     elif backend != primary:
         kwargs = _NO_KWARGS
         if backend != "sputnik":
             args = spec._no_config(args)
     impl = get_impl(spec.op, backend)
     call = impl.cost if spec.cost else impl.run
-    if kwargs:
-        call = partial(call, **kwargs)
+    if kwargs or stack:
+        call = partial(call, **kwargs, **stack)
     if ctx.memory is None:
         return call(ctx, *args)
     # The context's memory scope, unrolled on the hot path.
@@ -246,12 +251,13 @@ def _attempt(backend: str, spec: OpSpec, ctx, primary: str, args: tuple,
 
 
 def _shard(spec: OpSpec, args: tuple, context, device, backend, group,
-           strategy):
+           strategy, stack, depth):
     """Serve ``shard=`` (a :class:`repro.dist.DeviceGroup`).
 
     Sharded dispatch runs through the group's own per-device contexts, so
     an explicit ``context``/``device``/``config`` would be silently
-    ignored — reject the combination instead.
+    ignored — reject the combination instead. Of the stacked calls, only
+    the SpMM cost path shards (each device costs its shard at depth ``h``).
     """
     pos = spec.config
     if context is not None or device is not None or args[pos] is not None:
@@ -259,9 +265,11 @@ def _shard(spec: OpSpec, args: tuple, context, device, backend, group,
             "shard= routes dispatch through the DeviceGroup's own "
             "contexts; do not also pass context/device/config"
         )
+    if depth is not None and spec.shard != "sharded_spmm_cost":
+        raise ValueError(f"shard= takes no stacked {spec.op} operands")
     from .. import dist
 
-    kwargs = {"backend": backend, "selector": args[pos + 1]}
+    kwargs = {"backend": backend, "selector": args[pos + 1], **stack}
     if strategy is not None:
         kwargs["strategy"] = strategy
     return getattr(dist, spec.shard)(*args[:pos], group, **kwargs)
@@ -270,42 +278,52 @@ def _shard(spec: OpSpec, args: tuple, context, device, backend, group,
 def _dispatch(
     spec: OpSpec, args: tuple, context: ExecutionContext | None,
     device: DeviceSpec | None, backend, validate: bool, shard=None,
-    strategy: str | None = None, kwargs=_NO_KWARGS, in_span: bool = False,
+    strategy: str | None = None, kwargs=_NO_KWARGS, stack=_NO_KWARGS,
+    depth: int | None = None, in_span: bool = False,
 ):
     """Run one entry-point call through the policy loop.
 
-    On a traced context the call opens its ``op`` span and re-enters here
-    with ``in_span`` set, so traced and untraced calls share every line
-    below the span.
+    ``stack`` is the keywords every backend of a stacked call also gets
+    (per-item ``values``, or ``h`` on the cost path), and a stacked call
+    (``depth`` is not ``None``) goes only to the backends that take
+    stacks. On a traced context the call opens its ``op`` span and
+    re-enters here with ``in_span`` set, so traced and untraced calls
+    share every line below the span.
     """
     if shard is not None:
-        return _shard(spec, args, context, device, backend, shard, strategy)
+        return _shard(
+            spec, args, context, device, backend, shard, strategy, stack,
+            depth,
+        )
     ctx = resolve_context(context, device)
-    batch = spec.batch(*args) if spec.batch is not None else None
     policy = as_policy(backend, validate or None)
     if ctx.tracer is not None and not in_span:
-        return _traced(spec, args, ctx, policy, kwargs, batch)
+        return _traced(spec, args, ctx, policy, kwargs, stack, depth)
     op = spec.op
-    registered, exact = BACKEND_SETS.get(op, NO_BACKENDS)
+    sets = BACKEND_SETS if depth is None else STACK_BACKEND_SETS
+    registered, exact = sets.get(op, NO_BACKENDS)
     operands = () if spec.charge is None else (args[spec.charge],)
+    workspace = spec.workspace(*args) * (depth or 1)
     return run_with_policy(
         ctx, op, policy, _attempt,
-        (spec, ctx, policy.backends[0], args, kwargs, operands),
+        (spec, ctx, policy.backends[0], args, kwargs, stack, operands,
+         workspace),
         operands, registered, exact,
     )
 
 
-def _traced(spec: OpSpec, args: tuple, ctx, policy, kwargs, batch):
-    """:func:`_dispatch` inside an ``op`` span annotated with its outcome."""
+def _traced(spec: OpSpec, args: tuple, ctx, policy, kwargs, stack, depth):
+    """:func:`_dispatch` inside an ``op`` span annotated with its outcome;
+    a stacked call's span carries its depth as ``batch``."""
     attrs = {"backend": "/".join(policy.backends), "device": ctx.device.name}
     if ctx.device_id is not None:
         attrs["device_id"] = ctx.device_id
-    if batch is not None:
-        attrs["batch"] = batch
+    if depth is not None:
+        attrs["batch"] = depth
     with ctx.tracer.span(spec.op, category="op", **attrs) as span:
         result = _dispatch(
             spec, args, ctx, None, policy, policy.validate, kwargs=kwargs,
-            in_span=True,
+            stack=stack, depth=depth, in_span=True,
         )
         report = ctx.last_dispatch_report
         span.set(backend_used=report.backend_used)
@@ -328,6 +346,7 @@ def spmm(
     device: DeviceSpec | None = None,
     config: SpmmConfig | None = None,
     *,
+    values: np.ndarray | None = None,
     context: ExecutionContext | None = None,
     backend="sputnik",
     selector: str = "heuristic",
@@ -337,14 +356,23 @@ def spmm(
 ) -> KernelResult:
     """``C = A @ B`` with sparse ``A``: exact numerics + simulated cost.
 
+    A ``(H, k, n)`` stack ``b`` returns the ``(H, m, n)`` stack of
+    products over ``A``'s topology; ``values`` optionally supplies a
+    ``(H, nnz)`` per-item value matrix over that structure (per-head
+    attention probabilities). The stack resolves ONE plan and costs ONE
+    z-scaled launch, amortizing ``H - 1`` launch overheads, and guardrail
+    validation scans the whole output stack.
+
     ``shard=`` (a :class:`repro.dist.DeviceGroup`) dispatches row- or
     2-D-sharded (``shard_strategy``) across the group's K devices with
     interconnect-priced collectives; the returned result's ``execution``
     is the group summary and ``result.sharded`` the full breakdown.
     """
+    b = np.asarray(b)
+    stack, depth = _spmm_stack(b, values)
     return _dispatch(
         _SPMM, (a, b, config, selector), context, device, backend, validate,
-        shard, shard_strategy,
+        shard, shard_strategy, stack=stack, depth=depth,
     )
 
 
@@ -354,6 +382,7 @@ def spmm_cost(
     device: DeviceSpec | None = None,
     config: SpmmConfig | None = None,
     *,
+    h: int = 1,
     context: ExecutionContext | None = None,
     backend="sputnik",
     selector: str = "heuristic",
@@ -362,14 +391,16 @@ def spmm_cost(
     shard_strategy: str = "row",
     **kwargs,
 ) -> ExecutionResult:
-    """Simulated SpMM cost only (``n`` = dense batch columns).
+    """Simulated SpMM cost only (``n`` = dense batch columns, ``h`` =
+    stacked products sharing ``a``'s topology).
 
     With ``shard=`` (a :class:`repro.dist.DeviceGroup`) returns the
     :class:`repro.dist.ShardedExecution` for the group instead.
     """
+    stack, depth = (_NO_KWARGS, None) if h == 1 else _cost_stack(h)
     return _dispatch(
         _SPMM_COST, (a, n, config, selector), context, device, backend,
-        validate, shard, shard_strategy, kwargs,
+        validate, shard, shard_strategy, kwargs, stack, depth,
     )
 
 
@@ -388,12 +419,19 @@ def sddmm(
 ) -> KernelResult:
     """``(lhs @ rhs^T) ∘ I[mask]``: exact numerics + simulated cost.
 
+    ``(H, rows, k)``/``(H, cols, k)`` stacks return the column-stacked
+    ``(nnz, H)`` value matrix over the shared mask topology — exactly what
+    the ``values`` forms of :func:`sparse_softmax` and :func:`spmm`
+    consume — from ONE plan and ONE z-scaled launch.
+
     ``shard=`` (a :class:`repro.dist.DeviceGroup`) row-shards the mask
     across the group's K devices (see :func:`repro.dist.sharded_sddmm`).
     """
+    lhs = np.asarray(lhs)
+    depth = _stack_depth(lhs, 3, "lhs must be (rows, k) or an (H, rows, k) stack")
     return _dispatch(
         _SDDMM, (lhs, rhs, mask, config, selector), context, device, backend,
-        validate, shard,
+        validate, shard, depth=depth,
     )
 
 
@@ -403,6 +441,7 @@ def sddmm_cost(
     device: DeviceSpec | None = None,
     config: SddmmConfig | None = None,
     *,
+    h: int = 1,
     context: ExecutionContext | None = None,
     backend="sputnik",
     selector: str = "heuristic",
@@ -410,14 +449,16 @@ def sddmm_cost(
     shard=None,
     shard_strategy: str = "row",
 ) -> ExecutionResult:
-    """Simulated SDDMM cost only (``k`` = dot-product inner dimension).
+    """Simulated SDDMM cost only (``k`` = dot-product inner dimension,
+    ``h`` = stacked products sharing the mask).
 
     With ``shard=`` (a :class:`repro.dist.DeviceGroup`) returns the
     :class:`repro.dist.ShardedExecution` for the group instead.
     """
+    stack, depth = (_NO_KWARGS, None) if h == 1 else _cost_stack(h)
     return _dispatch(
         _SDDMM_COST, (mask, k, config, selector), context, device, backend,
-        validate, shard, shard_strategy,
+        validate, shard, shard_strategy, stack=stack, depth=depth,
     )
 
 
@@ -426,146 +467,37 @@ def sparse_softmax(
     device: DeviceSpec | None = None,
     scale: float = 1.0,
     *,
+    values: np.ndarray | None = None,
     context: ExecutionContext | None = None,
     backend="sputnik",
     validate: bool = False,
 ) -> KernelResult:
-    """Row-wise softmax over CSR nonzeros (Section VII-C)."""
-    return _dispatch(_SOFTMAX, (a, scale), context, device, backend, validate)
+    """Row-wise softmax over CSR nonzeros (Section VII-C).
+
+    A ``(nnz, H)`` ``values`` matrix over ``a``'s topology returns the
+    ``(nnz, H)`` matrix of its column softmaxes, all ``H`` in one launch.
+    """
+    stack, depth = _softmax_stack(values)
+    return _dispatch(
+        _SOFTMAX, (a, scale), context, device, backend, validate,
+        stack=stack, depth=depth,
+    )
 
 
 def sparse_softmax_cost(
     a: CSRMatrix,
     device: DeviceSpec | None = None,
     *,
+    h: int = 1,
     context: ExecutionContext | None = None,
     backend="sputnik",
     validate: bool = False,
 ) -> ExecutionResult:
-    """Simulated sparse-softmax cost only."""
-    return _dispatch(_SOFTMAX_COST, (a,), context, device, backend, validate)
-
-
-def spmm_batched(
-    a: CSRMatrix,
-    b_stack: np.ndarray,
-    device: DeviceSpec | None = None,
-    config: SpmmConfig | None = None,
-    *,
-    values: np.ndarray | None = None,
-    context: ExecutionContext | None = None,
-    backend="sputnik",
-    selector: str = "heuristic",
-    validate: bool = False,
-) -> KernelResult:
-    """``C[h] = A_h @ B[h]`` for ``h`` products sharing ``A``'s topology.
-
-    ``b_stack`` is ``(H, k, n)``; ``values`` optionally supplies a
-    ``(H, nnz)`` per-item value matrix over the shared structure (per-head
-    attention probabilities). ONE plan is resolved and ONE z-scaled launch
-    is costed for the whole stack, amortizing ``H - 1`` launch overheads;
-    the call produces ONE DispatchReport covering the batch, and
-    guardrail validation scans the whole output stack.
-    """
+    """Simulated sparse-softmax cost only (``h`` value columns)."""
+    stack, depth = (_NO_KWARGS, None) if h == 1 else _cost_stack(h)
     return _dispatch(
-        _SPMM_BATCHED, (a, np.asarray(b_stack), config, selector, values),
-        context, device, backend, validate,
-    )
-
-
-def spmm_batched_cost(
-    a: CSRMatrix,
-    n: int,
-    h: int,
-    device: DeviceSpec | None = None,
-    config: SpmmConfig | None = None,
-    *,
-    context: ExecutionContext | None = None,
-    backend="sputnik",
-    selector: str = "heuristic",
-    validate: bool = False,
-) -> ExecutionResult:
-    """Simulated batched-SpMM cost only (``h`` stacked products)."""
-    return _dispatch(
-        _SPMM_BATCHED_COST, (a, n, h, config, selector), context, device,
-        backend, validate,
-    )
-
-
-def sddmm_batched(
-    lhs_stack: np.ndarray,
-    rhs_stack: np.ndarray,
-    mask: CSRMatrix,
-    device: DeviceSpec | None = None,
-    config: SddmmConfig | None = None,
-    *,
-    context: ExecutionContext | None = None,
-    backend="sputnik",
-    selector: str = "heuristic",
-    validate: bool = False,
-) -> KernelResult:
-    """``(lhs[h] @ rhs[h]^T) ∘ I[mask]`` for ``h`` stacked head pairs.
-
-    The output is the column-stacked ``(nnz, H)`` value matrix over the
-    shared mask topology — exactly what :func:`sparse_softmax_batched`
-    and the ``values`` form of :func:`spmm_batched` consume.
-    """
-    return _dispatch(
-        _SDDMM_BATCHED,
-        (np.asarray(lhs_stack), rhs_stack, mask, config, selector),
-        context, device, backend, validate,
-    )
-
-
-def sddmm_batched_cost(
-    mask: CSRMatrix,
-    k: int,
-    h: int,
-    device: DeviceSpec | None = None,
-    config: SddmmConfig | None = None,
-    *,
-    context: ExecutionContext | None = None,
-    backend="sputnik",
-    selector: str = "heuristic",
-    validate: bool = False,
-) -> ExecutionResult:
-    """Simulated batched-SDDMM cost only (``h`` stacked products)."""
-    return _dispatch(
-        _SDDMM_BATCHED_COST, (mask, k, h, config, selector), context, device,
-        backend, validate,
-    )
-
-
-def sparse_softmax_batched(
-    a: CSRMatrix,
-    values: np.ndarray,
-    device: DeviceSpec | None = None,
-    scale: float = 1.0,
-    *,
-    context: ExecutionContext | None = None,
-    backend="sputnik",
-    validate: bool = False,
-) -> KernelResult:
-    """Row softmax over a ``(nnz, H)`` value matrix sharing ``a``'s
-    topology — all ``H`` columns in one launch."""
-    return _dispatch(
-        _SOFTMAX_BATCHED, (a, np.asarray(values), scale), context, device,
-        backend, validate,
-    )
-
-
-def sparse_softmax_batched_cost(
-    a: CSRMatrix,
-    h: int,
-    device: DeviceSpec | None = None,
-    *,
-    context: ExecutionContext | None = None,
-    backend="sputnik",
-    validate: bool = False,
-) -> ExecutionResult:
-    """Simulated batched sparse-softmax cost only (``h`` value columns)."""
-    return _dispatch(
-        _SOFTMAX_BATCHED_COST, (a, h), context, device, backend, validate
+        _SOFTMAX_COST, (a,), context, device, backend, validate,
+        stack=stack, depth=depth,
     )
 
 
@@ -633,3 +565,13 @@ def matmul_cost(
         _MATMUL_COST, (m, n, k, element_bytes), context, device, backend,
         validate,
     )
+
+
+# Former names of the stacked entry points, kept as aliases for callers
+# that resolve them by name: the depth is the operand's rank (or ``h=``).
+spmm_batched = spmm
+spmm_batched_cost = spmm_cost
+sddmm_batched = sddmm
+sddmm_batched_cost = sddmm_cost
+sparse_softmax_batched = sparse_softmax
+sparse_softmax_batched_cost = sparse_softmax_cost

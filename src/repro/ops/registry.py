@@ -18,6 +18,11 @@ An implementation exposes up to two callables:
 Both receive the :class:`~repro.ops.context.ExecutionContext` first, so
 plan-capable backends (Sputnik) reuse cached plans and cost-only baselines
 cache their launch costing per topology.
+
+A backend that also takes a stack of depth ``h`` over one shared topology
+(Section VII-C1) says so once with ``stacks=True``: its ``run`` reads the
+depth from its dense operand's rank (and takes per-item ``values``), and
+its ``cost`` takes ``h=``. Dispatch sends a stacked call only to these.
 """
 
 from __future__ import annotations
@@ -32,12 +37,9 @@ from ..baselines import aspt, cusparse
 from ..baselines.merge_spmm import merge_spmm
 from ..baselines.merge_spmm import spmm_launch as merge_spmm_launch
 from ..core.csc_spmm import execute_spmm_csc
-from ..core.sddmm import execute_sddmm, execute_sddmm_batched
-from ..core.sparse_softmax import (
-    execute_sparse_softmax,
-    execute_sparse_softmax_batched,
-)
-from ..core.spmm import execute_spmm, execute_spmm_batched
+from ..core.sddmm import execute_sddmm
+from ..core.sparse_softmax import execute_sparse_softmax
+from ..core.spmm import execute_spmm
 from ..core.types import KernelResult
 from ..gpu.executor import ExecutionResult, execute
 from .plans import matrix_fingerprint
@@ -57,24 +59,35 @@ class KernelImpl:
     #: fallback chain with no numeric drift; inexact ones (e.g. the dense
     #: densified-GEMM fallback) complete the op but may differ in low bits.
     exact: bool = True
+    #: Whether ``run``/``cost`` take a stack of depth ``h`` sharing the
+    #: sparse operand's topology (one z-scaled launch for the stack).
+    stacks: bool = False
 
 
 _REGISTRY: dict[tuple[str, str], KernelImpl] = {}
 _SETS: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
+_STACK_SETS: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
 #: Per op: its backend names and their bitwise-exact subset, kept current
 #: by :func:`register` so dispatch never scans the registry (read-only).
 BACKEND_SETS = MappingProxyType(_SETS)
+#: The same, over the backends that take stacks (``stacks=True``).
+STACK_BACKEND_SETS = MappingProxyType(_STACK_SETS)
 NO_BACKENDS = (frozenset(), frozenset())
+
+
+def _backend_sets(impls) -> tuple[frozenset[str], frozenset[str]]:
+    return (
+        frozenset(i.backend for i in impls),
+        frozenset(i.backend for i in impls if i.exact),
+    )
 
 
 def register(impl: KernelImpl) -> KernelImpl:
     """Add (or replace) a backend implementation."""
     _REGISTRY[(impl.op, impl.backend)] = impl
     impls = [i for (op, _), i in _REGISTRY.items() if op == impl.op]
-    _SETS[impl.op] = (
-        frozenset(i.backend for i in impls),
-        frozenset(i.backend for i in impls if i.exact),
-    )
+    _SETS[impl.op] = _backend_sets(impls)
+    _STACK_SETS[impl.op] = _backend_sets([i for i in impls if i.stacks])
     return impl
 
 
@@ -88,6 +101,11 @@ def get_impl(op: str, backend: str) -> KernelImpl:
             f"available: {sorted(_SETS[op][0])}"
         )
     return impl
+
+
+def operators() -> frozenset[str]:
+    """Every registered operator name."""
+    return frozenset(_SETS)
 
 
 def available(op: str | None = None) -> dict[str, str]:
@@ -108,9 +126,16 @@ def exact_backends(op: str) -> frozenset[str]:
     return BACKEND_SETS.get(op, NO_BACKENDS)[1]
 
 
+def stack_backends(op: str) -> frozenset[str]:
+    """Backends of ``op`` that take a stack of depth ``h > 1``."""
+    return STACK_BACKEND_SETS.get(op, NO_BACKENDS)[0]
+
+
 def _plan_cost(plan: str):
     """The ``cost`` of a planned kernel: its cached plan's execution."""
-    return lambda ctx, *args: getattr(ctx, plan)(*args).execution
+    return lambda ctx, *args, **stack: getattr(ctx, plan)(
+        *args, **stack
+    ).execution
 
 
 def _reject_config(backend: str, config: Any) -> None:
@@ -143,19 +168,18 @@ def _baseline(op: str, backend: str, numerics, launch=None):
     return run, cost
 
 
-def _batch_columns(b: np.ndarray) -> int:
-    b = np.asarray(b)
-    if b.ndim != 2:
-        raise ValueError(f"dense operand must be 2-D, got shape {b.shape}")
-    return b.shape[1]
+def _depth(operand: np.ndarray) -> int:
+    """Stack depth of a dense operand: its leading axis when it is a 3-D
+    stack (the entry points have checked the rank), else 1."""
+    return operand.shape[0] if operand.ndim == 3 else 1
 
 
 # ----------------------------------------------------------------------
 # SpMM backends
 # ----------------------------------------------------------------------
-def _sputnik_spmm_run(ctx, a, b, config, selector):
-    plan = ctx.spmm_plan(a, _batch_columns(b), config, selector)
-    return execute_spmm(plan, a, b)
+def _sputnik_spmm_run(ctx, a, b, config, selector, values=None):
+    plan = ctx.spmm_plan(a, b.shape[-1], config, selector, h=_depth(b))
+    return execute_spmm(plan, a, b, values)
 
 
 # The baselines' model functions are named inside lambdas so they are
@@ -191,94 +215,47 @@ def _cusparse_spmm_cost(ctx, a, n, config, selector, precision="fp32"):
     )
 
 
-def _dense_spmm_run(ctx, a, b, config, selector):
-    """The dense-GEMM equivalent: cuBLAS on the densified operand."""
+def _dense_spmm_run(ctx, a, b, config, selector, values=None):
+    """The dense-GEMM equivalent: cuBLAS on the densified operand (one
+    strided-batched call for a stack)."""
     _reject_config("dense", config)
-    b = np.asarray(b)
-    n = _batch_columns(b)
-    if b.shape[0] != a.n_cols:
+    h = _depth(b)
+    if b.shape[-2] != a.n_cols:
         raise ValueError(f"B shape {b.shape} incompatible with A {a.shape}")
     execution = ctx.gemm_execution(
-        a.n_rows, n, a.n_cols, a.value_bytes, op="spmm", backend="dense"
+        h * a.n_rows, b.shape[-1], a.n_cols, a.value_bytes,
+        op="spmm", backend="dense",
     )
-    out = (a.to_dense().astype(np.float32) @ b.astype(np.float32)).astype(
-        a.values.dtype
-    )
-    return KernelResult(output=out, execution=execution)
-
-
-def _dense_spmm_cost(ctx, a, n, config, selector):
-    _reject_config("dense", config)
-    return ctx.gemm_execution(
-        a.n_rows, n, a.n_cols, a.value_bytes, op="spmm", backend="dense"
-    )
-
-
-# ----------------------------------------------------------------------
-# Batched backends: one shared topology, stacked operands, one launch
-# ----------------------------------------------------------------------
-# The entry points' ``OpSpec.batch`` has checked each stack's rank.
-def _sputnik_spmm_batched_run(ctx, a, b_stack, config, selector, values=None):
-    plan = ctx.spmm_batched_plan(
-        a, b_stack.shape[2], b_stack.shape[0], config, selector
-    )
-    return execute_spmm_batched(plan, a, b_stack, values)
-
-
-def _dense_spmm_batched_run(ctx, a, b_stack, config, selector, values=None):
-    """Densified batched GEMM fallback: one strided-batched cuBLAS call."""
-    _reject_config("dense", config)
-    h, k, n = b_stack.shape
-    if k != a.n_cols:
-        raise ValueError(
-            f"B stack shape {b_stack.shape} incompatible with A {a.shape}"
-        )
-    execution = ctx.gemm_execution(
-        h * a.n_rows, n, a.n_cols, a.value_bytes,
-        op="spmm_batched", backend="dense",
-    )
-    if values is None:
-        dense = a.to_dense().astype(np.float32)
+    if b.ndim == 2:
+        out = a.to_dense().astype(np.float32) @ b.astype(np.float32)
+    elif values is None:
         out = np.einsum(
-            "mk,hkn->hmn", dense, b_stack.astype(np.float32)
-        ).astype(a.values.dtype)
+            "mk,hkn->hmn", a.to_dense().astype(np.float32),
+            b.astype(np.float32),
+        )
     else:
-        values = np.asarray(values)
         row_ids = np.repeat(np.arange(a.n_rows), a.row_lengths)
         dense_stack = np.zeros((h, a.n_rows, a.n_cols), dtype=np.float32)
         dense_stack[:, row_ids, a.column_indices] = values.astype(np.float32)
-        out = np.einsum(
-            "hmk,hkn->hmn", dense_stack, b_stack.astype(np.float32)
-        ).astype(values.dtype)
-    return KernelResult(output=out, execution=execution)
+        out = np.einsum("hmk,hkn->hmn", dense_stack, b.astype(np.float32))
+    dtype = a.values.dtype if values is None else values.dtype
+    return KernelResult(output=out.astype(dtype), execution=execution)
 
 
-def _dense_spmm_batched_cost(ctx, a, n, h, config, selector):
+def _dense_spmm_cost(ctx, a, n, config, selector, h=1):
     _reject_config("dense", config)
     return ctx.gemm_execution(
-        h * a.n_rows, n, a.n_cols, a.value_bytes,
-        op="spmm_batched", backend="dense",
+        h * a.n_rows, n, a.n_cols, a.value_bytes, op="spmm", backend="dense"
     )
-
-
-def _sputnik_sddmm_batched_run(ctx, lhs_stack, rhs_stack, mask, config, selector):
-    plan = ctx.sddmm_batched_plan(
-        mask, lhs_stack.shape[2], lhs_stack.shape[0], config, selector
-    )
-    return execute_sddmm_batched(plan, lhs_stack, rhs_stack, mask)
-
-
-def _sputnik_softmax_batched_run(ctx, a, values, scale):
-    plan = ctx.sparse_softmax_batched_plan(a, values.shape[1])
-    return execute_sparse_softmax_batched(plan, a, values, scale=scale)
 
 
 # ----------------------------------------------------------------------
 # SDDMM backends
 # ----------------------------------------------------------------------
 def _sputnik_sddmm_run(ctx, lhs, rhs, mask, config, selector):
-    k = np.asarray(lhs).shape[1]
-    plan = ctx.sddmm_plan(mask, k, config, selector)
+    plan = ctx.sddmm_plan(
+        mask, lhs.shape[-1], config, selector, h=_depth(lhs)
+    )
     return execute_sddmm(plan, lhs, rhs, mask)
 
 
@@ -304,9 +281,10 @@ _aspt_sddmm_run, _aspt_sddmm_cost = _baseline(
 # ----------------------------------------------------------------------
 # Sparse softmax / CSC SpMM / dense matmul
 # ----------------------------------------------------------------------
-def _sputnik_softmax_run(ctx, a, scale):
-    plan = ctx.sparse_softmax_plan(a)
-    return execute_sparse_softmax(plan, a, scale=scale)
+def _sputnik_softmax_run(ctx, a, scale, values=None):
+    h = 1 if values is None else values.shape[1]
+    plan = ctx.sparse_softmax_plan(a, h=h)
+    return execute_sparse_softmax(plan, a, scale=scale, values=values)
 
 
 def _sputnik_csc_spmm_run(ctx, b, a, config):
@@ -340,7 +318,7 @@ def _cublas_matmul_cost(ctx, m, n, k, element_bytes):
 # ----------------------------------------------------------------------
 register(KernelImpl(
     "spmm", "sputnik", "The paper's 1-D tiled SpMM (Section V)",
-    run=_sputnik_spmm_run, cost=_plan_cost("spmm_plan"),
+    run=_sputnik_spmm_run, cost=_plan_cost("spmm_plan"), stacks=True,
 ))
 register(KernelImpl(
     "spmm", "cusparse", "cusparseSpMM model (generic CSR kernel)",
@@ -356,21 +334,11 @@ register(KernelImpl(
 ))
 register(KernelImpl(
     "spmm", "dense", "cuBLAS dense GEMM on the densified operand",
-    run=_dense_spmm_run, cost=_dense_spmm_cost, exact=False,
-))
-register(KernelImpl(
-    "spmm_batched", "sputnik",
-    "Batched shared-topology SpMM: one plan, one z-scaled launch",
-    run=_sputnik_spmm_batched_run, cost=_plan_cost("spmm_batched_plan"),
-))
-register(KernelImpl(
-    "spmm_batched", "dense",
-    "Strided-batched cuBLAS GEMM on the densified operand stack",
-    run=_dense_spmm_batched_run, cost=_dense_spmm_batched_cost, exact=False,
+    run=_dense_spmm_run, cost=_dense_spmm_cost, exact=False, stacks=True,
 ))
 register(KernelImpl(
     "sddmm", "sputnik", "The paper's strip-mined SDDMM (Section VI)",
-    run=_sputnik_sddmm_run, cost=_plan_cost("sddmm_plan"),
+    run=_sputnik_sddmm_run, cost=_plan_cost("sddmm_plan"), stacks=True,
 ))
 register(KernelImpl(
     "sddmm", "cusparse", "cusparseConstrainedGeMM + explicit transpose",
@@ -381,19 +349,9 @@ register(KernelImpl(
     run=_aspt_sddmm_run, cost=_aspt_sddmm_cost,
 ))
 register(KernelImpl(
-    "sddmm_batched", "sputnik",
-    "Batched shared-mask SDDMM: one plan, one z-scaled launch",
-    run=_sputnik_sddmm_batched_run, cost=_plan_cost("sddmm_batched_plan"),
-))
-register(KernelImpl(
     "sparse_softmax", "sputnik", "Row softmax over CSR values (Section VII-C)",
     run=_sputnik_softmax_run, cost=_plan_cost("sparse_softmax_plan"),
-))
-register(KernelImpl(
-    "sparse_softmax_batched", "sputnik",
-    "Batched row softmax over a (nnz, H) value matrix, one launch",
-    run=_sputnik_softmax_batched_run,
-    cost=_plan_cost("sparse_softmax_batched_plan"),
+    stacks=True,
 ))
 register(KernelImpl(
     "csc_spmm", "sputnik", "B @ A with CSC A via the transposed CSR problem",

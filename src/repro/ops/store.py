@@ -67,7 +67,11 @@ from typing import Any, Callable
 #: would unpickle still carrying that histogram, and ``estimate_nbytes``
 #: (which walks ``__dict__``) would charge it bytes a fresh plan does not
 #: hold.
-PLAN_STORE_VERSION = 8
+#: v9: the stacked ops are the depth of the single ones, so every kernel
+#: plan key carries ``h`` (``("spmm", fp, n, h, config)``) and the
+#: ``*_batched`` key families are gone; v8 keys would never be asked for
+#: again.
+PLAN_STORE_VERSION = 9
 
 #: Magic tag identifying a plan-store envelope.
 _MAGIC = "repro-plan-store"

@@ -112,6 +112,17 @@ class FaultInjector:
     def __init__(
         self, specs: list[FaultSpec] | tuple[FaultSpec, ...], seed: int = 0
     ) -> None:
+        # Imported here: the dispatch layer imports this package.
+        from ..ops.registry import operators
+
+        known = operators()
+        for spec in specs:
+            if spec.op is not None and spec.op not in known:
+                # A spec for an operator that does not exist never fires.
+                raise ValueError(
+                    f"fault spec names unknown operator {spec.op!r}; "
+                    f"registered: {sorted(known)}"
+                )
         self.specs = list(specs)
         self.seed = seed
         self.rng = np.random.default_rng(seed)

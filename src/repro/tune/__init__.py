@@ -25,7 +25,6 @@ from .search import (
 )
 from .selector import (
     SELECTOR_REGISTRY,
-    SELECTORS,
     HeuristicSelector,
     OracleSelector,
     Selector,
@@ -43,7 +42,6 @@ from .space import (
 __all__ = [
     "MAX_ROUNDS",
     "SELECTOR_REGISTRY",
-    "SELECTORS",
     "HeuristicSelector",
     "OracleSelector",
     "Selector",

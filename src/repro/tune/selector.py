@@ -116,10 +116,6 @@ register_selector(HeuristicSelector())
 register_selector(OracleSelector())
 register_selector(TunedSelector())
 
-#: Registered selector names.
-SELECTORS = tuple(SELECTOR_REGISTRY)
-
-
 def resolve_selector(selector) -> Selector:
     """Resolve a ``selector=`` argument: a registered name or a policy
     object implementing the protocol."""

@@ -1,25 +1,29 @@
-"""Batched operator execution: the shared-topology ``(H, ...)`` stack path.
+"""Stacked operator execution: the shared-topology ``(H, ...)`` path.
 
-All heads/batch items share one ``CSRMatrix`` topology, so the whole stack
-resolves ONE plan and costs ONE z-scaled :class:`KernelLaunch` (Section
-VII-C1). These tests pin the contract:
+A stack of ``H`` items sharing one ``CSRMatrix`` topology is the depth of
+the single op: ``ops.spmm``/``ops.sddmm``/``ops.sparse_softmax`` read it
+from the dense operand's rank (``h=`` on the cost path), resolve ONE plan
+and cost ONE z-scaled :class:`KernelLaunch` (Section VII-C1). These tests
+pin the contract:
 
-- **numerics** — batched output equals the per-head loop across fp32/fp16
-  and H in {1, 4, 8};
-- **cost** — batched simulated runtime never exceeds the per-head sum, and
-  strictly beats it for H > 1 (the amortized launch overheads);
+- **stacked equals looped** — one property over random topologies (empty
+  rows included), ``H`` in 1..4, fp32 and fp16: the stacked call equals
+  the per-slab calls stacked, bit for bit; ``*_cost(..., h=1)`` and a
+  depth-1 stack cost exactly what the unstacked call does; and the
+  depth-``H`` runtime is at most ``H`` times the single one. The fixed
+  examples below are pinned draws of the same property;
 - **repair** — under a registered topology delta a depth-H plan repairs
   through the same path as a single one and costs exactly what a cold
   depth-H plan does (runtime and every launch cost vector);
-- **reliability** — a fault injected into the batched launch falls back
-  ONCE for the whole batch: one DispatchReport, one fallback counter tick,
+- **reliability** — a fault injected into the stacked launch falls back
+  ONCE for the whole stack: one DispatchReport, one fallback counter tick,
   not H of either;
 - **references** — the chunked SDDMM gathers match the unchunked einsum
   bit for bit, so bounding peak memory cannot change results, and the
   single-matrix references are exactly the H = 1 column of the batched
   ones on both SDDMM paths;
 - **plumbing** — model paths (attention, MobileNet) and the sweep's ``h``
-  dimension ride the same batched dispatch.
+  dimension ride the same stacked dispatch.
 """
 
 from __future__ import annotations
@@ -47,10 +51,13 @@ from repro.nn import (
 )
 from repro.ops import ExecutionContext
 from repro.reliability import FallbackPolicy, FaultInjector, FaultSpec
+from repro.sparse import CSRMatrix
 from repro.sparse import ops as sparse_ops
 from tests.conftest import random_sparse
 
 HEADS = [1, 4, 8]
+#: Columns of SpMM's dense operand and SDDMM's inner dimension.
+DIM = 16
 
 
 @pytest.fixture
@@ -58,7 +65,7 @@ def ctx():
     return ExecutionContext(V100)
 
 
-def stacked_problem(rng, h, rows=96, cols=64, n=16, dtype=np.float32):
+def stacked_problem(rng, h, rows=96, cols=64, n=DIM, dtype=np.float32):
     a = random_sparse(rng, rows, cols, 0.25, dtype=dtype)
     b_stack = rng.standard_normal((h, cols, n)).astype(dtype)
     return a, b_stack
@@ -74,124 +81,209 @@ def attention_problem(rng, h, seq=64, dk=32, band=8):
 
 
 # ----------------------------------------------------------------------
-# Numerics: the batch must reproduce the per-head loop
+# Stacked equals looped: one property at the dispatch boundary
 # ----------------------------------------------------------------------
+def _stack_and_loop(op: str, a: CSRMatrix, h: int, dtype, rng):
+    """The stacked call's output and the per-slab calls' outputs stacked
+    the same way, for one op on ``h`` random slabs over ``a``."""
+    rows, cols = a.shape
+    ctx = ExecutionContext(V100)
+    if op == "spmm":
+        b = rng.standard_normal((h, cols, DIM)).astype(dtype)
+        stacked = ops.spmm(a, b, context=ctx).output
+        looped = [ops.spmm(a, b[i], context=ctx).output for i in range(h)]
+        return stacked, np.stack(looped)
+    if op == "spmm_values":
+        b = rng.standard_normal((h, cols, DIM)).astype(dtype)
+        values = rng.standard_normal((h, a.nnz)).astype(dtype)
+        stacked = ops.spmm(a, b, context=ctx, values=values).output
+        looped = [
+            ops.spmm(a.with_values(values[i]), b[i], context=ctx).output
+            for i in range(h)
+        ]
+        return stacked, np.stack(looped)
+    if op == "sddmm":  # Sputnik's SDDMM is single precision (Section VI)
+        lhs = rng.standard_normal((h, rows, DIM)).astype(np.float32)
+        rhs = rng.standard_normal((h, cols, DIM)).astype(np.float32)
+        mask = a.astype(np.float32)
+        stacked = ops.sddmm(lhs, rhs, mask, context=ctx).output
+        looped = [
+            ops.sddmm(lhs[i], rhs[i], mask, context=ctx).output.values
+            for i in range(h)
+        ]
+        return stacked, np.stack(looped, axis=1)
+    values = rng.standard_normal((a.nnz, h)).astype(dtype)
+    stacked = ops.sparse_softmax(
+        a, context=ctx, scale=0.5, values=values
+    ).output
+    looped = [
+        ops.sparse_softmax(
+            a.with_values(values[:, i]), context=ctx, scale=0.5
+        ).output.values
+        for i in range(h)
+    ]
+    return stacked, np.stack(looped, axis=1)
+
+
+def _costs(op: str, a: CSRMatrix, h: int):
+    """Simulated runtimes of the unstacked cost, the ``h=1`` cost and the
+    depth-``h`` cost, each on a fresh context (so no cache entry is
+    shared between them)."""
+    kernel = "spmm" if op == "spmm_values" else op
+    if kernel == "sddmm":
+        a = a.astype(np.float32)
+    fn = getattr(ops, f"{kernel}_cost")
+    dims = () if kernel == "sparse_softmax" else (DIM,)
+    return tuple(
+        fn(a, *dims, context=ExecutionContext(V100), **kwargs).runtime_s
+        for kwargs in ({}, {"h": 1}, {"h": h})
+    )
+
+
+def assert_stack_equals_loop(op: str, a: CSRMatrix, h: int, dtype, seed):
+    """Batched equals looped, one of the north star's dispatch-boundary
+    equivalences: numerics bit for bit, ``h=1`` cost bit for bit, and a
+    depth-``h`` runtime of at most ``h`` single runtimes. Returns the
+    single and the depth-``h`` runtime."""
+    rng = np.random.default_rng(seed)
+    stacked, looped = _stack_and_loop(op, a, h, dtype, rng)
+    assert stacked.shape == looped.shape
+    assert stacked.dtype == looped.dtype
+    np.testing.assert_array_equal(stacked, looped)
+    single, depth_one, deep = _costs(op, a, h)
+    assert depth_one.hex() == single.hex()
+    assert deep <= h * single
+    return single, deep
+
+
+STACKED_OPS = ["spmm", "spmm_values", "sddmm", "sparse_softmax"]
+
+
+class TestStackEqualsLoop:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        op=st.sampled_from(STACKED_OPS),
+        rows=st.integers(1, 64),
+        cols=st.integers(1, 48),
+        density=st.floats(0.05, 0.6),
+        empty_rows=st.integers(0, 3),
+        h=st.integers(1, 4),
+        dtype=st.sampled_from([np.float32, np.float16]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_property(self, op, rows, cols, density, empty_rows, h, dtype,
+                      seed):
+        rng = np.random.default_rng(seed)
+        dense = (rng.random((rows, cols)) < density) * rng.standard_normal(
+            (rows, cols)
+        )
+        dense[rng.choice(rows, min(empty_rows, rows), replace=False)] = 0.0
+        a = CSRMatrix.from_dense(dense, dtype=dtype)
+        assume(a.nnz > 0)
+        assert_stack_equals_loop(op, a, h, dtype, seed)
+
+
 class TestBatchedMatchesLoop:
-    @pytest.mark.parametrize("h", HEADS)
-    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
-    def test_spmm_shared_values(self, rng, ctx, h, dtype):
-        a, b_stack = stacked_problem(rng, h, dtype=dtype)
-        batched = ops.spmm_batched(a, b_stack, context=ctx)
-        assert batched.output.shape == (h, a.n_rows, b_stack.shape[2])
-        assert batched.output.dtype == dtype
-        rtol = 1e-6 if dtype == np.float32 else 1e-2
-        for i in range(h):
-            single = ops.spmm(a, b_stack[i], context=ctx)
-            np.testing.assert_allclose(
-                batched.output[i], single.output, rtol=rtol, atol=rtol
-            )
+    """Pinned draws of :class:`TestStackEqualsLoop`, plus rank checks."""
 
     @pytest.mark.parametrize("h", HEADS)
-    def test_spmm_per_item_values(self, rng, ctx, h):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_spmm_shared_values(self, rng, h, dtype):
+        a, _ = stacked_problem(rng, h, dtype=dtype)
+        assert_stack_equals_loop("spmm", a, h, dtype, 1)
+
+    @pytest.mark.parametrize("h", HEADS)
+    def test_spmm_per_item_values(self, rng, h):
         """The ``(H, nnz)`` value-matrix form: each item multiplies its own
         values (per-head attention probabilities) against one structure."""
-        a, b_stack = stacked_problem(rng, h)
-        values = rng.standard_normal((h, a.nnz)).astype(np.float32)
-        batched = ops.spmm_batched(a, b_stack, context=ctx, values=values)
-        for i in range(h):
-            single = ops.spmm(a.with_values(values[i]), b_stack[i], context=ctx)
-            np.testing.assert_allclose(
-                batched.output[i], single.output, rtol=1e-5, atol=1e-5
-            )
+        a, _ = stacked_problem(rng, h)
+        assert_stack_equals_loop("spmm_values", a, h, np.float32, 2)
 
     @pytest.mark.parametrize("h", HEADS)
-    def test_sddmm_column_stack(self, rng, ctx, h):
-        mask, q, k, _ = attention_problem(rng, h)
-        batched = ops.sddmm_batched(q, k, mask, context=ctx)
-        assert batched.output.shape == (mask.nnz, h)
-        for i in range(h):
-            single = ops.sddmm(q[i], k[i], mask, context=ctx)
-            np.testing.assert_allclose(
-                batched.output[:, i], single.output.values,
-                rtol=1e-5, atol=1e-5,
-            )
+    def test_sddmm_column_stack(self, rng, h):
+        mask, _, _, _ = attention_problem(rng, h)
+        assert_stack_equals_loop("sddmm", mask, h, np.float32, 3)
 
     @pytest.mark.parametrize("h", HEADS)
     @pytest.mark.parametrize("dtype", [np.float32, np.float16])
-    def test_sparse_softmax_value_matrix(self, rng, ctx, h, dtype):
-        a = random_sparse(rng, 64, 64, 0.3)
-        values = rng.standard_normal((a.nnz, h)).astype(dtype)
-        batched = ops.sparse_softmax_batched(a, values, context=ctx, scale=0.5)
-        assert batched.output.shape == (a.nnz, h)
-        assert batched.output.dtype == dtype
-        rtol = 1e-6 if dtype == np.float32 else 1e-2
-        for i in range(h):
-            single = ops.sparse_softmax(
-                a.with_values(values[:, i]), context=ctx, scale=0.5
-            )
-            np.testing.assert_allclose(
-                batched.output[:, i], single.output.values,
-                rtol=rtol, atol=rtol,
-            )
+    def test_sparse_softmax_value_matrix(self, rng, h, dtype):
+        a = random_sparse(rng, 64, 64, 0.3, dtype=dtype)
+        assert_stack_equals_loop("sparse_softmax", a, h, dtype, 4)
 
     def test_spmm_rejects_flat_operand(self, rng, ctx):
+        """Per-item values need a stacked B; a 4-D B is no stack either."""
         a, b_stack = stacked_problem(rng, 2)
+        values = np.ones((2, a.nnz), dtype=np.float32)
         with pytest.raises(ValueError, match=r"\(H, k, n\)"):
-            ops.spmm_batched(a, b_stack[0], context=ctx)
+            ops.spmm(a, b_stack[0], context=ctx, values=values)
+        with pytest.raises(ValueError, match=r"\(H, k, n\)"):
+            ops.spmm(a, b_stack[None], context=ctx)
 
     def test_spmm_rejects_wrong_value_shape(self, rng, ctx):
         a, b_stack = stacked_problem(rng, 2)
         bad = np.ones((3, a.nnz), dtype=np.float32)
         with pytest.raises(ValueError):
-            ops.spmm_batched(a, b_stack, context=ctx, values=bad)
+            ops.spmm(a, b_stack, context=ctx, values=bad)
 
 
 # ----------------------------------------------------------------------
 # Cost: one z-scaled launch amortizes (H - 1) per-launch overheads
 # ----------------------------------------------------------------------
 class TestBatchedRuntime:
+    """Pinned draws of the property's cost half; for ``H > 1`` the stack
+    strictly beats the loop (the amortized launch overheads)."""
+
+    @staticmethod
+    def _assert_amortized(op, a, h):
+        single, _, deep = _costs(op, a, h)
+        if h == 1:
+            assert deep == single
+        else:
+            assert deep < h * single
+
     @pytest.mark.parametrize("h", HEADS)
-    def test_spmm_runtime_le_loop(self, rng, ctx, h):
+    def test_spmm_runtime_le_loop(self, rng, h):
         a, _ = stacked_problem(rng, h)
-        single = ops.spmm_cost(a, 16, context=ctx)
-        batched = ops.spmm_batched_cost(a, 16, h, context=ctx)
-        if h == 1:
-            assert batched.runtime_s == single.runtime_s
-        else:
-            assert batched.runtime_s < h * single.runtime_s
+        self._assert_amortized("spmm", a, h)
 
     @pytest.mark.parametrize("h", HEADS)
-    def test_sddmm_runtime_le_loop(self, rng, ctx, h):
+    def test_sddmm_runtime_le_loop(self, rng, h):
         mask, _, _, _ = attention_problem(rng, h)
-        single = ops.sddmm_cost(mask, 32, context=ctx)
-        batched = ops.sddmm_batched_cost(mask, 32, h, context=ctx)
-        if h == 1:
-            assert batched.runtime_s == single.runtime_s
-        else:
-            assert batched.runtime_s < h * single.runtime_s
+        self._assert_amortized("sddmm", mask, h)
 
     @pytest.mark.parametrize("h", HEADS)
-    def test_softmax_runtime_le_loop(self, rng, ctx, h):
+    def test_softmax_runtime_le_loop(self, rng, h):
         a = random_sparse(rng, 64, 64, 0.3)
-        single = ops.sparse_softmax_cost(a, context=ctx)
-        batched = ops.sparse_softmax_batched_cost(a, h, context=ctx)
-        if h == 1:
-            assert batched.runtime_s == single.runtime_s
-        else:
-            assert batched.runtime_s < h * single.runtime_s
+        self._assert_amortized("sparse_softmax", a, h)
 
     def test_batched_launch_is_z_scaled(self, rng, ctx):
         a, _ = stacked_problem(rng, 4)
         single = ops.spmm_cost(a, 16, context=ctx)
-        batched = ops.spmm_batched_cost(a, 16, 4, context=ctx)
+        batched = ops.spmm_cost(a, 16, h=4, context=ctx)
         assert batched.n_blocks == 4 * single.n_blocks
         assert batched.flops == pytest.approx(4 * single.flops)
+
+    def test_stack_needs_a_stacking_backend(self, rng, ctx):
+        """A stacked call reaches only ``stacks=True`` backends; any other
+        fails like an unregistered (op, backend) pair, and a chain is
+        filtered to the backends that take stacks."""
+        a, b_stack = stacked_problem(rng, 4)
+        assert ops.stack_backends("spmm") == {"sputnik", "dense"}
+        with pytest.raises(KeyError, match="no registered backend"):
+            ops.spmm_cost(a, 16, h=4, context=ctx, backend="cusparse")
+        with pytest.raises(KeyError, match="no registered backend"):
+            ops.spmm(a, b_stack, context=ctx, backend="merge")
+        ops.spmm_cost(a, 16, context=ctx, backend="cusparse")  # unstacked
+        chained = ops.spmm(a, b_stack, context=ctx, backend=["aspt", "dense"])
+        assert chained.reliability.backend_used == "dense"
+        with pytest.raises(ValueError, match="h must be >= 1"):
+            ops.spmm_cost(a, 16, h=0, context=ctx)
 
     def test_batch_size_part_of_plan_identity(self, rng, ctx):
         """h=4 and h=8 stacks must not share a cached plan."""
         a, _ = stacked_problem(rng, 8)
-        r4 = ops.spmm_batched_cost(a, 16, 4, context=ctx)
-        r8 = ops.spmm_batched_cost(a, 16, 8, context=ctx)
+        r4 = ops.spmm_cost(a, 16, h=4, context=ctx)
+        r8 = ops.spmm_cost(a, 16, h=8, context=ctx)
         assert r8.n_blocks == 2 * r4.n_blocks
         assert r8.flops == pytest.approx(2 * r4.flops)
         assert r8.runtime_s >= r4.runtime_s
@@ -241,8 +333,8 @@ class TestBatchedRepair:
         ctx = ExecutionContext(V100)
         spmm_cfg = ctx.spmm_config(parent, 16)
         sddmm_cfg = ctx.sddmm_config(parent, 16)
-        ctx.spmm_batched_plan(parent, 16, h, spmm_cfg)
-        ctx.sddmm_batched_plan(parent, 16, h, sddmm_cfg)
+        ctx.spmm_plan(parent, 16, spmm_cfg, h=h)
+        ctx.sddmm_plan(parent, 16, sddmm_cfg, h=h)
         work = parent
         for step in range(2):
             child, delta = _mutate(work, seed + step)
@@ -251,18 +343,18 @@ class TestBatchedRepair:
             repairs = ctx.telemetry.plan_repairs
             fresh = ExecutionContext(V100)
             _assert_same_launch(
-                ctx.spmm_batched_plan(child, 16, h, spmm_cfg),
-                fresh.spmm_batched_plan(child, 16, h, spmm_cfg),
+                ctx.spmm_plan(child, 16, spmm_cfg, h=h),
+                fresh.spmm_plan(child, 16, spmm_cfg, h=h),
             )
-            repaired = ctx.sddmm_batched_plan(child, 16, h, sddmm_cfg)
-            cold = fresh.sddmm_batched_plan(child, 16, h, sddmm_cfg)
+            repaired = ctx.sddmm_plan(child, 16, sddmm_cfg, h=h)
+            cold = fresh.sddmm_plan(child, 16, sddmm_cfg, h=h)
             _assert_same_launch(repaired, cold)
             assert repaired.drag == cold.drag
             assert ctx.telemetry.plan_repairs == repairs + 2
             work = child
 
     def test_dispatch_repairs_batched_ops(self, rng):
-        """Under a registered delta, ops.spmm_batched/sddmm_batched repair
+        """Under a registered delta, stacked ops.spmm/sddmm calls repair
         their plans and match a fresh context bit for bit."""
         h = 4
         parent = random_sparse(rng, 128, 96, 0.15)
@@ -271,20 +363,20 @@ class TestBatchedRepair:
         lhs = rng.standard_normal((h, 128, 16)).astype(np.float32)
         rhs = rng.standard_normal((h, 96, 16)).astype(np.float32)
         ctx = ExecutionContext(V100)
-        ops.spmm_batched(parent, b_stack, context=ctx)
-        ops.sddmm_batched(lhs, rhs, parent, context=ctx)
+        ops.spmm(parent, b_stack, context=ctx)
+        ops.sddmm(lhs, rhs, parent, context=ctx)
         ctx.register_topology_delta(delta)
         got = (
-            ops.spmm_batched(child, b_stack, context=ctx),
-            ops.sddmm_batched(lhs, rhs, child, context=ctx),
+            ops.spmm(child, b_stack, context=ctx),
+            ops.sddmm(lhs, rhs, child, context=ctx),
         )
         snap = ctx.telemetry_snapshot()
-        assert snap["spmm_batched/sputnik"]["plan_repairs"] >= 1
-        assert snap["sddmm_batched/sputnik"]["plan_repairs"] >= 1
+        assert snap["spmm/sputnik"]["plan_repairs"] >= 1
+        assert snap["sddmm/sputnik"]["plan_repairs"] >= 1
         fresh = ExecutionContext(V100)
         want = (
-            ops.spmm_batched(child, b_stack, context=fresh),
-            ops.sddmm_batched(lhs, rhs, child, context=fresh),
+            ops.spmm(child, b_stack, context=fresh),
+            ops.sddmm(lhs, rhs, child, context=fresh),
         )
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.output, w.output)
@@ -300,22 +392,21 @@ class TestBatchedReliability:
         H items — the loop would have paid one per head."""
         h = 8
         a, b_stack = stacked_problem(rng, h)
-        clean = ops.spmm_batched(a, b_stack, context=ExecutionContext(V100))
+        clean = ops.spmm(a, b_stack, context=ExecutionContext(V100))
         injector = FaultInjector(
-            [FaultSpec("launch", op="spmm_batched", backend="sputnik",
-                       rate=1.0)],
+            [FaultSpec("launch", op="spmm", backend="sputnik", rate=1.0)],
             seed=1234,
         )
         chain = FallbackPolicy(("sputnik", "dense"), max_attempts=2)
         with injector.attached(ctx):
-            result = ops.spmm_batched(a, b_stack, context=ctx, backend=chain)
+            result = ops.spmm(a, b_stack, context=ctx, backend=chain)
         report = result.reliability
         assert report is not None
         assert report.backend_used == "dense"
         assert report.fallbacks == 1
         assert ctx.last_dispatch_report is report
         snap = ctx.telemetry_snapshot()
-        assert snap["spmm_batched/sputnik"]["fallbacks"] == 1
+        assert snap["spmm/sputnik"]["fallbacks"] == 1
         np.testing.assert_allclose(
             result.output, clean.output, rtol=1e-5, atol=1e-5
         )
@@ -324,7 +415,7 @@ class TestBatchedReliability:
         """validate=True scans the full (H, m, n) output stack; a clean
         run comes back with a clean single report."""
         a, b_stack = stacked_problem(rng, 4)
-        result = ops.spmm_batched(
+        result = ops.spmm(
             a, b_stack, context=ctx, backend=["sputnik", "dense"],
             validate=True,
         )
@@ -538,7 +629,7 @@ class TestSweepBatchDimension:
         assert deep.row_key == "b0|sputnik|32|h4"
 
     def test_batched_depth_requires_batched_timer(self):
-        with pytest.raises(ValueError, match="no batched timer"):
+        with pytest.raises(ValueError, match="takes no stacks"):
             build_tasks(self.make_specs(1), ["cusparse"], n=32, h=4)
 
     def test_run_sweep_with_stack_depths(self, tmp_path):

@@ -33,6 +33,9 @@ from repro.sparse.csc import csr_to_csc
 #: Fixed capacity, so a ``REPRO_HBM_CAP`` override cannot move the peaks.
 CAPACITY = int(V100.dram_capacity)
 
+#: Depth of the stacked cases, run on every backend that takes stacks.
+#: Their ids keep the ``<op>_batched`` label of the entry points the
+#: depth replaced, so each case keeps the id it was captured under.
 H = 3
 K = 16
 N = 32
@@ -58,45 +61,41 @@ def _dense(seed: int, shape, dtype):
     return np.random.default_rng(seed).standard_normal(shape).astype(dtype)
 
 
-def _problem(op: str, name: str, dtype):
-    """Positional operands of the op's run and cost entry points."""
+def _problem(op: str, h: int, name: str, dtype):
+    """Positional operands of the op's run and cost entry points at depth
+    ``h``, and the stack keywords each one adds."""
     seed, rows, cols, density = MATRICES[name]
     a = _matrix(seed, rows, cols, density, dtype)
+    stack = (h,) if h > 1 else ()
+    run_kwargs = {}
+    cost_kwargs = {"h": h} if h > 1 else {}
     if op == "spmm":
-        return (a, _dense(seed + 1, (cols, N), dtype)), (a, N)
-    if op == "spmm_batched":
-        return (a, _dense(seed + 1, (H, cols, N), dtype)), (a, N, H)
+        run = (a, _dense(seed + 1, (*stack, cols, N), dtype))
+        return run, run_kwargs, (a, N), cost_kwargs
     if op == "sddmm":
-        lhs = _dense(seed + 1, (rows, K), dtype)
-        rhs = _dense(seed + 2, (cols, K), dtype)
-        return (lhs, rhs, a), (a, K)
-    if op == "sddmm_batched":
-        lhs = _dense(seed + 1, (H, rows, K), dtype)
-        rhs = _dense(seed + 2, (H, cols, K), dtype)
-        return (lhs, rhs, a), (a, K, H)
+        lhs = _dense(seed + 1, (*stack, rows, K), dtype)
+        rhs = _dense(seed + 2, (*stack, cols, K), dtype)
+        return (lhs, rhs, a), run_kwargs, (a, K), cost_kwargs
     if op == "sparse_softmax":
-        return (a,), (a,)
-    if op == "sparse_softmax_batched":
-        return (a, _dense(seed + 1, (a.nnz, H), dtype)), (a, H)
+        if h > 1:
+            run_kwargs["values"] = _dense(seed + 1, (a.nnz, h), dtype)
+        return (a,), run_kwargs, (a,), cost_kwargs
     if op == "csc_spmm":
         csc = csr_to_csc(a)
-        return (_dense(seed + 1, (N, rows), dtype), csc), (csc, N)
+        return (_dense(seed + 1, (N, rows), dtype), csc), {}, (csc, N), {}
     if op == "matmul":
         lhs = _dense(seed + 1, (rows, cols), dtype)
         rhs = _dense(seed + 2, (cols, N), dtype)
-        return (lhs, rhs), (rows, N, cols)
+        return (lhs, rhs), {}, (rows, N, cols), {}
     raise AssertionError(op)
 
 
-def _direct_run(ctx, impl, op: str, args):
+def _direct_run(ctx, impl, op: str, args, kwargs):
     """The registry implementation called without the dispatch layer."""
-    if op in ("spmm", "spmm_batched", "sddmm", "sddmm_batched"):
-        extra = (None, "heuristic")
-        if op == "spmm_batched":
-            extra += (None,)
-        return impl.run(ctx, *args, *extra)
-    if op in ("sparse_softmax", "sparse_softmax_batched"):
-        return impl.run(ctx, *args, 1.0)
+    if op in ("spmm", "sddmm"):
+        return impl.run(ctx, *args, None, "heuristic", **kwargs)
+    if op == "sparse_softmax":
+        return impl.run(ctx, *args, 1.0, **kwargs)
     if op == "csc_spmm":
         return impl.run(ctx, *args, None)
     return impl.run(ctx, *args)
@@ -126,29 +125,43 @@ def _output_bytes(output) -> tuple:
     )
 
 
+def _labels() -> dict[str, tuple[str, int, list[str]]]:
+    """Case label -> (op, depth, backends): every registered op at depth 1
+    on all its backends, and at depth :data:`H` on those taking stacks."""
+    labels = {}
+    for op in {key.split("/")[0] for key in ops.available()}:
+        labels[op] = (op, 1, sorted(ops.available(op)))
+        if ops.stack_backends(op):
+            labels[f"{op}_batched"] = (op, H, sorted(ops.stack_backends(op)))
+    return labels
+
+
+LABELS = _labels()
+
+
 def _cases():
-    for op, backends in sorted(
-        (op, sorted(ops.available(op))) for op in {
-            key.split("/")[0] for key in ops.available()
-        }
-    ):
-        for backend in backends:
+    for label in sorted(LABELS):
+        for backend in LABELS[label][2]:
             for name in MATRICES:
                 for dtype in (np.float32, np.float16):
                     for mode in ("run", "cost"):
-                        yield op, backend, name, np.dtype(dtype).name, mode
+                        yield label, backend, name, np.dtype(dtype).name, mode
 
 
 CASES = list(_cases())
 
 
-def _observe(op, backend, name, dtype, mode):
+def _observe(label, backend, name, dtype, mode):
     """Dispatch one case cold then warm; ``None`` if the backend rejects it."""
-    run_args, cost_args = _problem(op, name, np.dtype(dtype))
+    op, h, _ = LABELS[label]
+    run_args, run_kwargs, cost_args, cost_kwargs = _problem(
+        op, h, name, np.dtype(dtype)
+    )
     ctx = ExecutionContext(V100, memory=CAPACITY)
     fn = getattr(ops, op if mode == "run" else f"{op}_cost")
     args = run_args if mode == "run" else cost_args
     kwargs = {"context": ctx, "backend": backend}
+    kwargs.update(run_kwargs if mode == "run" else cost_kwargs)
     if op == "matmul" and mode == "cost":
         kwargs["element_bytes"] = np.dtype(dtype).itemsize
     try:
@@ -164,26 +177,28 @@ def _observe(op, backend, name, dtype, mode):
         snap["peak_allocated_bytes"],
         snap["peak_reserved_bytes"],
     )
-    return pinned, first, second, run_args
+    return pinned, first, second, run_args, run_kwargs
 
 
 @pytest.mark.parametrize(
-    "op,backend,name,dtype,mode", CASES, ids=["-".join(c) for c in CASES]
+    "label,backend,name,dtype,mode", CASES, ids=["-".join(c) for c in CASES]
 )
-def test_dispatch_golden(op, backend, name, dtype, mode):
-    case = "-".join((op, backend, name, dtype, mode))
-    observed = _observe(op, backend, name, dtype, mode)
+def test_dispatch_golden(label, backend, name, dtype, mode):
+    case = "-".join((label, backend, name, dtype, mode))
+    observed = _observe(label, backend, name, dtype, mode)
     if observed is None:
         assert case not in GOLDEN, f"{case} stopped accepting its operands"
         pytest.skip("backend does not accept these operands")
-    pinned, first, second, run_args = observed
+    pinned, first, second, run_args, run_kwargs = observed
     assert pinned == GOLDEN[case]
     if mode == "run":
+        op = LABELS[label][0]
         direct = _direct_run(
             ExecutionContext(V100, memory=CAPACITY),
             ops.get_impl(op, backend),
             op,
             run_args,
+            run_kwargs,
         )
         expected = _output_bytes(direct.output)
         assert _output_bytes(first.output) == expected
@@ -512,55 +527,55 @@ GOLDEN: dict[str, tuple] = {
     ),
     "sddmm_batched-sputnik-m0-float32-run": (
         "0x1.297b24fa59747p-19", "0x1.297b24fa59747p-19",
-        "sddmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,sim"
+        "sddmm/sputnik:launches=2,cache_hits=1,cache_misses=1,sim"
         "ulated_seconds=0x1.297b24fa59747p-18",
         54784, 1048576,
     ),
     "sddmm_batched-sputnik-m0-float32-cost": (
         "0x1.297b24fa59747p-19", "0x1.297b24fa59747p-19",
-        "sddmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,sim"
+        "sddmm/sputnik:launches=2,cache_hits=1,cache_misses=1,sim"
         "ulated_seconds=0x1.297b24fa59747p-18",
         54784, 1048576,
     ),
     "sddmm_batched-sputnik-m0-float16-cost": (
         "0x1.2871a1379a45ep-19", "0x1.2871a1379a45ep-19",
-        "sddmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,sim"
+        "sddmm/sputnik:launches=2,cache_hits=1,cache_misses=1,sim"
         "ulated_seconds=0x1.2871a1379a45ep-18",
         34560, 1048576,
     ),
     "sddmm_batched-sputnik-m1-float32-run": (
         "0x1.30e0414028583p-19", "0x1.30e0414028583p-19",
-        "sddmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,sim"
+        "sddmm/sputnik:launches=2,cache_hits=1,cache_misses=1,sim"
         "ulated_seconds=0x1.30e0414028583p-18",
         86784, 1048576,
     ),
     "sddmm_batched-sputnik-m1-float32-cost": (
         "0x1.30e0414028583p-19", "0x1.30e0414028583p-19",
-        "sddmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,sim"
+        "sddmm/sputnik:launches=2,cache_hits=1,cache_misses=1,sim"
         "ulated_seconds=0x1.30e0414028583p-18",
         86784, 1048576,
     ),
     "sddmm_batched-sputnik-m1-float16-cost": (
         "0x1.2c112fecda9d7p-19", "0x1.2c112fecda9d7p-19",
-        "sddmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,sim"
+        "sddmm/sputnik:launches=2,cache_hits=1,cache_misses=1,sim"
         "ulated_seconds=0x1.2c112fecda9d7p-18",
         53504, 1048576,
     ),
     "sddmm_batched-sputnik-m2-float32-run": (
         "0x1.2a486ecf61cc5p-19", "0x1.2a486ecf61cc5p-19",
-        "sddmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,sim"
+        "sddmm/sputnik:launches=2,cache_hits=1,cache_misses=1,sim"
         "ulated_seconds=0x1.2a486ecf61cc5p-18",
         133888, 1048576,
     ),
     "sddmm_batched-sputnik-m2-float32-cost": (
         "0x1.2a486ecf61cc5p-19", "0x1.2a486ecf61cc5p-19",
-        "sddmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,sim"
+        "sddmm/sputnik:launches=2,cache_hits=1,cache_misses=1,sim"
         "ulated_seconds=0x1.2a486ecf61cc5p-18",
         133888, 1048576,
     ),
     "sddmm_batched-sputnik-m2-float16-cost": (
         "0x1.24936705caba9p-19", "0x1.24936705caba9p-19",
-        "sddmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,sim"
+        "sddmm/sputnik:launches=2,cache_hits=1,cache_misses=1,sim"
         "ulated_seconds=0x1.24936705caba9p-18",
         90880, 1048576,
     ),
@@ -638,73 +653,73 @@ GOLDEN: dict[str, tuple] = {
     ),
     "sparse_softmax_batched-sputnik-m0-float32-run": (
         "0x1.1ea60a5c5991dp-19", "0x1.1ea60a5c5991dp-19",
-        "sparse_softmax_batched/sputnik:launches=2,cache_hits=1,cache_mis"
+        "sparse_softmax/sputnik:launches=2,cache_hits=1,cache_mis"
         "ses=1,simulated_seconds=0x1.1ea60a5c5991dp-18",
         25088, 1048576,
     ),
     "sparse_softmax_batched-sputnik-m0-float32-cost": (
         "0x1.1ea60a5c5991dp-19", "0x1.1ea60a5c5991dp-19",
-        "sparse_softmax_batched/sputnik:launches=2,cache_hits=1,cache_mis"
+        "sparse_softmax/sputnik:launches=2,cache_hits=1,cache_mis"
         "ses=1,simulated_seconds=0x1.1ea60a5c5991dp-18",
         25088, 1048576,
     ),
     "sparse_softmax_batched-sputnik-m0-float16-run": (
         "0x1.158ac233dc355p-19", "0x1.158ac233dc355p-19",
-        "sparse_softmax_batched/sputnik:launches=2,cache_hits=1,cache_mis"
+        "sparse_softmax/sputnik:launches=2,cache_hits=1,cache_mis"
         "ses=1,simulated_seconds=0x1.158ac233dc355p-18",
         15616, 1048576,
     ),
     "sparse_softmax_batched-sputnik-m0-float16-cost": (
         "0x1.158ac233dc355p-19", "0x1.158ac233dc355p-19",
-        "sparse_softmax_batched/sputnik:launches=2,cache_hits=1,cache_mis"
+        "sparse_softmax/sputnik:launches=2,cache_hits=1,cache_mis"
         "ses=1,simulated_seconds=0x1.158ac233dc355p-18",
         15616, 1048576,
     ),
     "sparse_softmax_batched-sputnik-m1-float32-run": (
         "0x1.1d97bf36439d6p-19", "0x1.1d97bf36439d6p-19",
-        "sparse_softmax_batched/sputnik:launches=2,cache_hits=1,cache_mis"
+        "sparse_softmax/sputnik:launches=2,cache_hits=1,cache_mis"
         "ses=1,simulated_seconds=0x1.1d97bf36439d6p-18",
         31744, 1048576,
     ),
     "sparse_softmax_batched-sputnik-m1-float32-cost": (
         "0x1.1d97bf36439d6p-19", "0x1.1d97bf36439d6p-19",
-        "sparse_softmax_batched/sputnik:launches=2,cache_hits=1,cache_mis"
+        "sparse_softmax/sputnik:launches=2,cache_hits=1,cache_mis"
         "ses=1,simulated_seconds=0x1.1d97bf36439d6p-18",
         31744, 1048576,
     ),
     "sparse_softmax_batched-sputnik-m1-float16-run": (
         "0x1.15039ca0d13b1p-19", "0x1.15039ca0d13b1p-19",
-        "sparse_softmax_batched/sputnik:launches=2,cache_hits=1,cache_mis"
+        "sparse_softmax/sputnik:launches=2,cache_hits=1,cache_mis"
         "ses=1,simulated_seconds=0x1.15039ca0d13b1p-18",
         19968, 1048576,
     ),
     "sparse_softmax_batched-sputnik-m1-float16-cost": (
         "0x1.15039ca0d13b1p-19", "0x1.15039ca0d13b1p-19",
-        "sparse_softmax_batched/sputnik:launches=2,cache_hits=1,cache_mis"
+        "sparse_softmax/sputnik:launches=2,cache_hits=1,cache_mis"
         "ses=1,simulated_seconds=0x1.15039ca0d13b1p-18",
         19968, 1048576,
     ),
     "sparse_softmax_batched-sputnik-m2-float32-run": (
         "0x1.17cba54a90773p-19", "0x1.17cba54a90773p-19",
-        "sparse_softmax_batched/sputnik:launches=2,cache_hits=1,cache_mis"
+        "sparse_softmax/sputnik:launches=2,cache_hits=1,cache_mis"
         "ses=1,simulated_seconds=0x1.17cba54a90773p-18",
         40704, 1048576,
     ),
     "sparse_softmax_batched-sputnik-m2-float32-cost": (
         "0x1.17cba54a90773p-19", "0x1.17cba54a90773p-19",
-        "sparse_softmax_batched/sputnik:launches=2,cache_hits=1,cache_mis"
+        "sparse_softmax/sputnik:launches=2,cache_hits=1,cache_mis"
         "ses=1,simulated_seconds=0x1.17cba54a90773p-18",
         40704, 1048576,
     ),
     "sparse_softmax_batched-sputnik-m2-float16-run": (
         "0x1.140bc2852ef02p-19", "0x1.140bc2852ef02p-19",
-        "sparse_softmax_batched/sputnik:launches=2,cache_hits=1,cache_mis"
+        "sparse_softmax/sputnik:launches=2,cache_hits=1,cache_mis"
         "ses=1,simulated_seconds=0x1.140bc2852ef02p-18",
         28416, 1048576,
     ),
     "sparse_softmax_batched-sputnik-m2-float16-cost": (
         "0x1.140bc2852ef02p-19", "0x1.140bc2852ef02p-19",
-        "sparse_softmax_batched/sputnik:launches=2,cache_hits=1,cache_mis"
+        "sparse_softmax/sputnik:launches=2,cache_hits=1,cache_mis"
         "ses=1,simulated_seconds=0x1.140bc2852ef02p-18",
         28416, 1048576,
     ),
@@ -1046,145 +1061,145 @@ GOLDEN: dict[str, tuple] = {
     ),
     "spmm_batched-dense-m0-float32-run": (
         "0x1.2f79eab087e17p-18", "0x1.2f79eab087e17p-18",
-        "spmm_batched/dense:launches=2,cache_hits=1,cache_misses=1,simula"
+        "spmm/dense:launches=2,cache_hits=1,cache_misses=1,simula"
         "ted_seconds=0x1.2f79eab087e17p-17",
         52992, 1048576,
     ),
     "spmm_batched-dense-m0-float32-cost": (
         "0x1.2f79eab087e17p-18", "0x1.2f79eab087e17p-18",
-        "spmm_batched/dense:launches=2,cache_hits=1,cache_misses=1,simula"
+        "spmm/dense:launches=2,cache_hits=1,cache_misses=1,simula"
         "ted_seconds=0x1.2f79eab087e17p-17",
         52992, 1048576,
     ),
     "spmm_batched-dense-m0-float16-run": (
         "0x1.b5b1a7b6374dep-19", "0x1.b5b1a7b6374dep-19",
-        "spmm_batched/dense:launches=2,cache_hits=1,cache_misses=1,simula"
+        "spmm/dense:launches=2,cache_hits=1,cache_misses=1,simula"
         "ted_seconds=0x1.b5b1a7b6374dep-18",
         27648, 1048576,
     ),
     "spmm_batched-dense-m0-float16-cost": (
         "0x1.b5b1a7b6374dep-19", "0x1.b5b1a7b6374dep-19",
-        "spmm_batched/dense:launches=2,cache_hits=1,cache_misses=1,simula"
+        "spmm/dense:launches=2,cache_hits=1,cache_misses=1,simula"
         "ted_seconds=0x1.b5b1a7b6374dep-18",
         27648, 1048576,
     ),
     "spmm_batched-dense-m1-float32-run": (
         "0x1.f18867b1f8316p-19", "0x1.f18867b1f8316p-19",
-        "spmm_batched/dense:launches=2,cache_hits=1,cache_misses=1,simula"
+        "spmm/dense:launches=2,cache_hits=1,cache_misses=1,simula"
         "ted_seconds=0x1.f18867b1f8316p-18",
         98304, 1048576,
     ),
     "spmm_batched-dense-m1-float32-cost": (
         "0x1.f18867b1f8316p-19", "0x1.f18867b1f8316p-19",
-        "spmm_batched/dense:launches=2,cache_hits=1,cache_misses=1,simula"
+        "spmm/dense:launches=2,cache_hits=1,cache_misses=1,simula"
         "ted_seconds=0x1.f18867b1f8316p-18",
         98304, 1048576,
     ),
     "spmm_batched-dense-m1-float16-run": (
         "0x1.7efbf0deab852p-19", "0x1.7efbf0deab852p-19",
-        "spmm_batched/dense:launches=2,cache_hits=1,cache_misses=1,simula"
+        "spmm/dense:launches=2,cache_hits=1,cache_misses=1,simula"
         "ted_seconds=0x1.7efbf0deab852p-18",
         50688, 1048576,
     ),
     "spmm_batched-dense-m1-float16-cost": (
         "0x1.7efbf0deab852p-19", "0x1.7efbf0deab852p-19",
-        "spmm_batched/dense:launches=2,cache_hits=1,cache_misses=1,simula"
+        "spmm/dense:launches=2,cache_hits=1,cache_misses=1,simula"
         "ted_seconds=0x1.7efbf0deab852p-18",
         50688, 1048576,
     ),
     "spmm_batched-dense-m2-float32-run": (
         "0x1.22a753d6031e6p-18", "0x1.22a753d6031e6p-18",
-        "spmm_batched/dense:launches=2,cache_hits=1,cache_misses=1,simula"
+        "spmm/dense:launches=2,cache_hits=1,cache_misses=1,simula"
         "ted_seconds=0x1.22a753d6031e6p-17",
         136960, 1048576,
     ),
     "spmm_batched-dense-m2-float32-cost": (
         "0x1.22a753d6031e6p-18", "0x1.22a753d6031e6p-18",
-        "spmm_batched/dense:launches=2,cache_hits=1,cache_misses=1,simula"
+        "spmm/dense:launches=2,cache_hits=1,cache_misses=1,simula"
         "ted_seconds=0x1.22a753d6031e6p-17",
         136960, 1048576,
     ),
     "spmm_batched-dense-m2-float16-run": (
         "0x1.a8df10dbb28adp-19", "0x1.a8df10dbb28adp-19",
-        "spmm_batched/dense:launches=2,cache_hits=1,cache_misses=1,simula"
+        "spmm/dense:launches=2,cache_hits=1,cache_misses=1,simula"
         "ted_seconds=0x1.a8df10dbb28adp-18",
         70656, 1048576,
     ),
     "spmm_batched-dense-m2-float16-cost": (
         "0x1.a8df10dbb28adp-19", "0x1.a8df10dbb28adp-19",
-        "spmm_batched/dense:launches=2,cache_hits=1,cache_misses=1,simula"
+        "spmm/dense:launches=2,cache_hits=1,cache_misses=1,simula"
         "ted_seconds=0x1.a8df10dbb28adp-18",
         70656, 1048576,
     ),
     "spmm_batched-sputnik-m0-float32-run": (
         "0x1.f700dbd6d246ap-19", "0x1.f700dbd6d246ap-19",
-        "spmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
+        "spmm/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
         "lated_seconds=0x1.f700dbd6d246ap-18",
         55296, 1048576,
     ),
     "spmm_batched-sputnik-m0-float32-cost": (
         "0x1.f700dbd6d246ap-19", "0x1.f700dbd6d246ap-19",
-        "spmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
+        "spmm/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
         "lated_seconds=0x1.f700dbd6d246ap-18",
         55296, 1048576,
     ),
     "spmm_batched-sputnik-m0-float16-run": (
         "0x1.81b82af1188fcp-19", "0x1.81b82af1188fcp-19",
-        "spmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
+        "spmm/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
         "lated_seconds=0x1.81b82af1188fcp-18",
         29952, 1048576,
     ),
     "spmm_batched-sputnik-m0-float16-cost": (
         "0x1.81b82af1188fcp-19", "0x1.81b82af1188fcp-19",
-        "spmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
+        "spmm/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
         "lated_seconds=0x1.81b82af1188fcp-18",
         29952, 1048576,
     ),
     "spmm_batched-sputnik-m1-float32-run": (
         "0x1.142210d71cfcep-18", "0x1.142210d71cfcep-18",
-        "spmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
+        "spmm/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
         "lated_seconds=0x1.142210d71cfcep-17",
         100608, 1048576,
     ),
     "spmm_batched-sputnik-m1-float32-cost": (
         "0x1.142210d71cfcep-18", "0x1.142210d71cfcep-18",
-        "spmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
+        "spmm/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
         "lated_seconds=0x1.142210d71cfcep-17",
         100608, 1048576,
     ),
     "spmm_batched-sputnik-m1-float16-run": (
         "0x1.9a59cddccc694p-19", "0x1.9a59cddccc694p-19",
-        "spmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
+        "spmm/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
         "lated_seconds=0x1.9a59cddccc694p-18",
         52992, 1048576,
     ),
     "spmm_batched-sputnik-m1-float16-cost": (
         "0x1.9a59cddccc694p-19", "0x1.9a59cddccc694p-19",
-        "spmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
+        "spmm/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
         "lated_seconds=0x1.9a59cddccc694p-18",
         52992, 1048576,
     ),
     "spmm_batched-sputnik-m2-float32-run": (
         "0x1.c20e9d9dae829p-19", "0x1.c20e9d9dae829p-19",
-        "spmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
+        "spmm/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
         "lated_seconds=0x1.c20e9d9dae829p-18",
         140800, 1048576,
     ),
     "spmm_batched-sputnik-m2-float32-cost": (
         "0x1.c20e9d9dae829p-19", "0x1.c20e9d9dae829p-19",
-        "spmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
+        "spmm/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
         "lated_seconds=0x1.c20e9d9dae829p-18",
         140800, 1048576,
     ),
     "spmm_batched-sputnik-m2-float16-run": (
         "0x1.673f0bd486adbp-19", "0x1.673f0bd486adbp-19",
-        "spmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
+        "spmm/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
         "lated_seconds=0x1.673f0bd486adbp-18",
         74496, 1048576,
     ),
     "spmm_batched-sputnik-m2-float16-cost": (
         "0x1.673f0bd486adbp-19", "0x1.673f0bd486adbp-19",
-        "spmm_batched/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
+        "spmm/sputnik:launches=2,cache_hits=1,cache_misses=1,simu"
         "lated_seconds=0x1.673f0bd486adbp-18",
         74496, 1048576,
     ),

@@ -187,12 +187,13 @@ class TestPartition:
 # ShardPlan caching through the two-tier plan store
 # ----------------------------------------------------------------------
 class TestShardPlanCache:
-    def test_store_version_is_8(self):
+    def test_store_version_is_9(self):
         # v6: ShardPlan carries row_order and envelopes can carry repair
         # lineage, so v5 entries must be discarded, not reinterpreted.
         # v7: the kernel plans carry their stack depth h.
         # v8: the kernel plans no longer carry a repair column histogram.
-        assert PLAN_STORE_VERSION == 8
+        # v9: every kernel plan key carries h; the batched keys are gone.
+        assert PLAN_STORE_VERSION == 9
 
     def test_plan_round_trips_through_store(self, tmp_path, rng):
         a = power_law_csr(rng, 256, 256)
@@ -238,16 +239,16 @@ class TestShardedOps:
         and every collective carries h times the bytes."""
         a = power_law_csr(rng, 256, 256)
         single = sharded_spmm_cost(a, 32, DeviceGroup(1), h=4)
-        assert single.runtime_s == ops.spmm_batched_cost(
-            a, 32, 4, context=ops.ExecutionContext(V100)
+        assert single.runtime_s == ops.spmm_cost(
+            a, 32, h=4, context=ops.ExecutionContext(V100)
         ).runtime_s
         flat = sharded_spmm_cost(a, 32, DeviceGroup(2))
         group = DeviceGroup(2)
         deep = sharded_spmm_cost(a, 32, group, h=4)
         _, subs = group.shards(a)
         for sub, result in zip(subs, deep.per_device):
-            assert result.runtime_s == ops.spmm_batched_cost(
-                sub, 32, 4, context=ops.ExecutionContext(V100)
+            assert result.runtime_s == ops.spmm_cost(
+                sub, 32, h=4, context=ops.ExecutionContext(V100)
             ).runtime_s
         assert [c.nbytes for c in deep.collectives] == [
             4 * c.nbytes for c in flat.collectives

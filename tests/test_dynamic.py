@@ -198,12 +198,12 @@ class TestPlanRepair:
         child, delta = _mutate(parent, rate=0.1)
         ctx = ops.ExecutionContext(V100)
         config = getattr(ctx, f"{op}_config")(parent, 16)
-        plan_for = getattr(ctx, f"{op}_batched_plan")
-        plan_for(parent, 16, h, config)
+        plan_for = getattr(ctx, f"{op}_plan")
+        plan_for(parent, 16, config, h=h)
         ctx.register_topology_delta(delta)
-        repaired = plan_for(child, 16, h, config)
-        cold = getattr(ops.ExecutionContext(V100), f"{op}_batched_plan")(
-            child, 16, h, config
+        repaired = plan_for(child, 16, config, h=h)
+        cold = getattr(ops.ExecutionContext(V100), f"{op}_plan")(
+            child, 16, config, h=h
         )
         assert ctx.telemetry.plan_repairs == 1
         assert_plans_equal(repaired, cold)
@@ -237,19 +237,19 @@ class TestPlanRepair:
         assert ctx.telemetry.plan_repairs == 0
 
     def test_store_lineage(self, rng, tmp_path):
-        assert PLAN_STORE_VERSION == 8
+        assert PLAN_STORE_VERSION == 9
         parent = random_sparse(rng, 64, 64, 0.2)
         child, delta = _mutate(parent)
         store = PlanStore(tmp_path)
         ctx = ops.ExecutionContext(V100, store=store)
         ctx.spmm_plan(parent, 8)
-        parent_key = (ctx.device, "spmm", delta.parent, 8,
+        parent_key = (ctx.device, "spmm", delta.parent, 8, 1,
                       ctx.spmm_config(parent, 8))
         assert store.lineage(parent_key) is None  # cold plans: no lineage
         ctx.register_topology_delta(delta)
         ctx.spmm_plan(child, 8)
         lineage = store.lineage(
-            (ctx.device, "spmm", delta.child, 8, ctx.spmm_config(child, 8))
+            (ctx.device, "spmm", delta.child, 8, 1, ctx.spmm_config(child, 8))
         )
         assert lineage is not None
         assert lineage["parent"] == delta.parent
@@ -320,7 +320,7 @@ class TestChaos:
         child, delta = _mutate(parent)
         ctx = ops.ExecutionContext(V100)
         ctx.spmm_plan(parent, 8)
-        key = ("spmm", delta.parent, 8, ctx.spmm_config(parent, 8))
+        key = ("spmm", delta.parent, 8, 1, ctx.spmm_config(parent, 8))
         ctx.plans.poison(key)
         ctx.register_topology_delta(delta)
         survived = ctx.spmm_plan(child, 8)

@@ -204,8 +204,8 @@ class TestContextIntegration:
 
 
 class TestBatchedPlanEnvelope:
-    """Batched plans — depth-``h`` plans of the one plan type per kernel,
-    z-scaled launches under batch-size keys (v7) — must round-trip through
+    """Stacked plans — depth-``h`` plans of the one plan type per kernel,
+    z-scaled launches under keys carrying ``h`` (v9) — must round-trip through
     the store, and plans persisted under an older version must self-heal
     instead of deserializing into plan classes that changed shape."""
 
@@ -215,11 +215,11 @@ class TestBatchedPlanEnvelope:
     def test_batched_cost_round_trips_across_contexts(self, tmp_path, rng):
         a = random_sparse(rng, 96, 64, 0.2)
         cold = ops.ExecutionContext(V100, store=tmp_path / "store")
-        first = ops.spmm_batched_cost(a, 32, 4, V100, context=cold)
+        first = ops.spmm_cost(a, 32, V100, h=4, context=cold)
         assert cold.store.stats.writes > 0
 
         warm = ops.ExecutionContext(V100, store=tmp_path / "store")
-        second = ops.spmm_batched_cost(a, 32, 4, V100, context=warm)
+        second = ops.spmm_cost(a, 32, V100, h=4, context=warm)
         assert warm.telemetry.store_hits > 0
         assert second.runtime_s == first.runtime_s
         assert second.flops == first.flops
@@ -229,9 +229,9 @@ class TestBatchedPlanEnvelope:
         a = random_sparse(rng, 96, 64, 0.2)
         ctx = ops.ExecutionContext(V100, store=tmp_path / "store")
         writes_before = ctx.store.stats.writes
-        ops.spmm_batched_cost(a, 32, 4, V100, context=ctx)
+        ops.spmm_cost(a, 32, V100, h=4, context=ctx)
         after_h4 = ctx.store.stats.writes
-        ops.spmm_batched_cost(a, 32, 8, V100, context=ctx)
+        ops.spmm_cost(a, 32, V100, h=8, context=ctx)
         assert after_h4 > writes_before
         assert ctx.store.stats.writes > after_h4
 
@@ -241,7 +241,7 @@ class TestBatchedPlanEnvelope:
         a = random_sparse(rng, 96, 64, 0.2)
         store_dir = tmp_path / "store"
         seeded = ops.ExecutionContext(V100, store=store_dir)
-        baseline = ops.spmm_batched_cost(a, 32, 4, V100, context=seeded)
+        baseline = ops.spmm_cost(a, 32, V100, h=4, context=seeded)
 
         for path in store_dir.glob("*.plan"):
             envelope = pickle.loads(path.read_bytes())
@@ -249,7 +249,7 @@ class TestBatchedPlanEnvelope:
             path.write_bytes(pickle.dumps(envelope))
 
         fresh = ops.ExecutionContext(V100, store=store_dir)
-        again = ops.spmm_batched_cost(a, 32, 4, V100, context=fresh)
+        again = ops.spmm_cost(a, 32, V100, h=4, context=fresh)
         assert again.runtime_s == baseline.runtime_s
         assert again.n_blocks == baseline.n_blocks
         assert fresh.telemetry.store_evictions > 0

@@ -120,6 +120,14 @@ class TestCSRConstruction:
 # Fallback chains + retry/backoff
 # ----------------------------------------------------------------------
 class TestFallbackChains:
+    @pytest.mark.parametrize("op", ["spmm_batched", "spmmm"])
+    def test_unknown_fault_target_rejected(self, op):
+        """A spec naming no registered operator would never fire: building
+        the injector rejects it (a typo, or a retired op name)."""
+        with pytest.raises(ValueError, match="unknown operator"):
+            FaultInjector([FaultSpec("launch", op=op, rate=1.0)])
+        FaultInjector([FaultSpec("launch", op="spmm", rate=1.0)])
+
     def test_transient_launch_fault_retried_bitwise_identical(self, rng, ctx):
         a, b = problem(rng)
         clean = ops.spmm(a, b, context=ExecutionContext(V100))
