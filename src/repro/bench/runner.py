@@ -48,25 +48,20 @@ def cusparse_spmm_time(
     precision: str = "fp32",
     *,
     selector: str = "heuristic",
-    h: int = 1,
 ) -> ExecutionResult:
-    return ops.spmm_cost(
-        a, n, device, backend="cusparse", precision=precision, h=h
-    )
+    return ops.spmm_cost(a, n, device, backend="cusparse", precision=precision)
 
 
 def merge_spmm_time(
-    a: CSRMatrix, n: int, device: DeviceSpec, *, selector: str = "heuristic",
-    h: int = 1,
+    a: CSRMatrix, n: int, device: DeviceSpec, *, selector: str = "heuristic"
 ) -> ExecutionResult:
-    return ops.spmm_cost(a, n, device, backend="merge", h=h)
+    return ops.spmm_cost(a, n, device, backend="merge")
 
 
 def aspt_spmm_time(
-    a: CSRMatrix, n: int, device: DeviceSpec, *, selector: str = "heuristic",
-    h: int = 1,
+    a: CSRMatrix, n: int, device: DeviceSpec, *, selector: str = "heuristic"
 ) -> ExecutionResult:
-    return ops.spmm_cost(a, n, device, backend="aspt", h=h)
+    return ops.spmm_cost(a, n, device, backend="aspt")
 
 
 def dense_spmm_time(
@@ -109,9 +104,9 @@ def aspt_sddmm_time(
 # Named kernel registries
 # ----------------------------------------------------------------------
 #: SpMM timers by name, so sweep configurations (and worker processes) can
-#: refer to kernels by string instead of shipping callables around. Each
-#: takes ``h=`` (a stack of ``h`` products sharing the topology); only the
-#: backends in ``ops.stack_backends("spmm")`` accept ``h > 1``.
+#: refer to kernels by string instead of shipping callables around. The
+#: timers of the backends that take stacks (``sputnik`` and ``dense``)
+#: also take ``h=``, a stack of ``h`` products sharing the topology.
 SPMM_KERNELS: dict[str, SpmmTimer] = {
     "sputnik": sputnik_spmm_time,
     "cusparse": cusparse_spmm_time,

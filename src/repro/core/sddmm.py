@@ -17,6 +17,7 @@ to preserve L1 capacity (Section VI-A).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -367,6 +368,7 @@ def sddmm(
 
 
 # Former names of the depth-``h`` forms, kept as aliases for callers that
-# resolve them by name.
-plan_sddmm_batched = plan_sddmm
-execute_sddmm_batched = execute_sddmm
+# resolve them by name. Each alias is its own object, so a tool that wraps
+# functions by identity wraps the alias and the function apart.
+plan_sddmm_batched = partial(plan_sddmm)
+execute_sddmm_batched = partial(execute_sddmm)

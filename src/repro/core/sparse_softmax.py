@@ -10,6 +10,7 @@ normalize), all through coalesced vector loads — a bandwidth-bound kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -141,6 +142,7 @@ def sparse_softmax(
 
 
 # Former names of the depth-``h`` forms, kept as aliases for callers that
-# resolve them by name.
-plan_sparse_softmax_batched = plan_sparse_softmax
-execute_sparse_softmax_batched = execute_sparse_softmax
+# resolve them by name. Each alias is its own object, so a tool that wraps
+# functions by identity wraps the alias and the function apart.
+plan_sparse_softmax_batched = partial(plan_sparse_softmax)
+execute_sparse_softmax_batched = partial(execute_sparse_softmax)

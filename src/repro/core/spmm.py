@@ -18,6 +18,7 @@ exists to remove.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -403,6 +404,8 @@ def execute_spmm(
         )
     b = np.asarray(b)
     stacked = b.ndim == 3
+    if values is not None and not stacked:
+        raise ValueError("per-item values need an (H, k, n) B stack")
     if (b.shape[0] if stacked else 1) != plan.h:
         raise ValueError(
             f"B shape {b.shape} does not carry the planned depth H={plan.h}"
@@ -448,6 +451,7 @@ def spmm(
 
 
 # Former names of the depth-``h`` forms, kept as aliases for callers that
-# resolve them by name.
-plan_spmm_batched = plan_spmm
-execute_spmm_batched = execute_spmm
+# resolve them by name. Each alias is its own object, so a tool that wraps
+# functions by identity wraps the alias and the function apart.
+plan_spmm_batched = partial(plan_spmm)
+execute_spmm_batched = partial(execute_spmm)

@@ -569,9 +569,11 @@ def matmul_cost(
 
 # Former names of the stacked entry points, kept as aliases for callers
 # that resolve them by name: the depth is the operand's rank (or ``h=``).
-spmm_batched = spmm
-spmm_batched_cost = spmm_cost
-sddmm_batched = sddmm
-sddmm_batched_cost = sddmm_cost
-sparse_softmax_batched = sparse_softmax
-sparse_softmax_batched_cost = sparse_softmax_cost
+# Each alias is its own object, so a tool that wraps functions by identity
+# wraps the alias and the op apart.
+spmm_batched = partial(spmm)
+spmm_batched_cost = partial(spmm_cost)
+sddmm_batched = partial(sddmm)
+sddmm_batched_cost = partial(sddmm_cost)
+sparse_softmax_batched = partial(sparse_softmax)
+sparse_softmax_batched_cost = partial(sparse_softmax_cost)

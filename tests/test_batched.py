@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 from repro import ops
 from repro.bench import build_tasks, run_sweep
 from repro.bench import sweep as sweep_mod
+from repro.core import execute_spmm
 from repro.datasets import MatrixSpec
 from repro.datasets.attention import banded_random_mask
 from repro.gpu import V100
@@ -218,6 +219,9 @@ class TestBatchedMatchesLoop:
             ops.spmm(a, b_stack[0], context=ctx, values=values)
         with pytest.raises(ValueError, match=r"\(H, k, n\)"):
             ops.spmm(a, b_stack[None], context=ctx)
+        plan = ctx.spmm_plan(a, DIM)
+        with pytest.raises(ValueError, match=r"\(H, k, n\)"):
+            execute_spmm(plan, a, b_stack[0], values)
 
     def test_spmm_rejects_wrong_value_shape(self, rng, ctx):
         a, b_stack = stacked_problem(rng, 2)
