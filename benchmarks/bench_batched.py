@@ -39,7 +39,7 @@ import numpy as np
 from repro import ops
 from repro.datasets.attention import banded_random_mask
 from repro.gpu import V100
-from repro.nn import Profile, sparse_attention, sparse_attention_batched
+from repro.nn import Profile, sparse_attention
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUT_JSON = REPO_ROOT / "BENCH_batched.json"
@@ -84,7 +84,7 @@ def bench_attention(seq: int, heads: int, dk: int, band: int, pairs: int) -> dic
         )
 
     def run_batched(profile=None):
-        return sparse_attention_batched(q, k, v, mask, device, profile)
+        return sparse_attention(q, k, v, mask, device, profile)
 
     # Correctness first: the batch must reproduce the loop bit-for-all-
     # practical-purposes, and the profiles carry the simulated story.

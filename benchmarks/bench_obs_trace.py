@@ -216,7 +216,7 @@ def bench_batched_trace(heads: int) -> dict:
     """Trace one batched multi-head attention pass; each stacked op span
     must be labeled with its depth (``batch``) and every launch ``_x{H}``."""
     from repro.datasets.attention import banded_random_mask
-    from repro.nn import sparse_attention_batched
+    from repro.nn import sparse_attention
     from repro.obs.profiler import PhaseProfiler
     from repro.obs.tracing import Tracer
 
@@ -234,7 +234,7 @@ def bench_batched_trace(heads: int) -> dict:
             rng.standard_normal((heads, seq, dk)).astype(np.float32)
             for _ in range(3)
         )
-        sparse_attention_batched(q, k, v, mask, V100)
+        sparse_attention(q, k, v, mask, V100)
     finally:
         profiler.stop()
         ops.reset_default_contexts()

@@ -1,12 +1,13 @@
 """Sparse attention: the Section VII-C Transformer workload.
 
 Builds the paper's banded + distance-decayed-random attention mask
-(Figure 11), then runs a full multi-head sparse attention layer through
-the BATCHED operator path: all heads share the mask's topology (Section
-VII-C1), so the stack goes down as three batched dispatches — batched
-SDDMM for the sampled Q K^T, one batched sparse softmax, one batched
-SpMM against V — each a single plan and a single z-scaled launch. The
-per-head loop is kept only as the comparison baseline. This is the
+(Figure 11), then runs a full multi-head sparse attention layer on an
+``(H, seq, dk)`` head stack: all heads share the mask's topology (Section
+VII-C1), so the stack goes down as three stacked dispatches — SDDMM for
+the sampled Q K^T, one sparse softmax, one SpMM against V — each a single
+plan and a single z-scaled launch. The same functions take one
+``(seq, dk)`` head; the per-head loop is kept only as the comparison
+baseline. This is the
 computation that gives the sparse Transformer its 2.1x speedup and
 12.8x memory saving (Table III).
 
@@ -26,9 +27,7 @@ from repro.nn import (
     TransformerConfig,
     benchmark_transformer,
     dense_attention,
-    dense_attention_batched,
     sparse_attention,
-    sparse_attention_batched,
 )
 
 
@@ -46,10 +45,10 @@ def multi_head_demo() -> None:
         for _ in range(3)
     )
 
-    # Dense vs sparse, both batched across all heads.
+    # Dense vs sparse, both stacked across all heads.
     dense_profile, sparse_profile = Profile(), Profile()
-    dense_out = dense_attention_batched(q, k, v, V100, dense_profile)
-    sparse_out = sparse_attention_batched(q, k, v, mask, V100, sparse_profile)
+    dense_out = dense_attention(q, k, v, V100, dense_profile)
+    sparse_out = sparse_attention(q, k, v, mask, V100, sparse_profile)
 
     print(f"\n{heads}-head attention layer (seq {seq}, head dim {dk}):")
     print(f"  dense : {dense_profile.runtime_s * 1e6:8.1f} us "
@@ -58,7 +57,7 @@ def multi_head_demo() -> None:
           f"({', '.join(sparse_profile.by_kernel())})")
     print(f"  speedup: {dense_profile.runtime_s / sparse_profile.runtime_s:.2f}x")
 
-    # The batch vs the per-head loop: identical numerics, one launch (and
+    # The stack vs the per-head loop: identical numerics, one launch (and
     # one plan lookup, one dispatch) per stage instead of one per head.
     loop_profile = Profile()
     t0 = time.perf_counter()
@@ -68,22 +67,22 @@ def multi_head_demo() -> None:
     ])
     wall_loop = time.perf_counter() - t0
     t0 = time.perf_counter()
-    sparse_attention_batched(q, k, v, mask, V100)
-    wall_batched = time.perf_counter() - t0
-    assert np.allclose(sparse_out, loop_out, atol=1e-5)
-    print(f"  batched vs per-head loop: {len(sparse_profile.records)} "
+    sparse_attention(q, k, v, mask, V100)
+    wall_stack = time.perf_counter() - t0
+    assert np.array_equal(sparse_out, loop_out)
+    print(f"  stack vs per-head loop: {len(sparse_profile.records)} "
           f"launches vs {len(loop_profile.records)}, simulated "
           f"{sparse_profile.runtime_s * 1e6:.1f} us vs "
           f"{loop_profile.runtime_s * 1e6:.1f} us, wall "
-          f"{wall_batched * 1e3:.2f} ms vs {wall_loop * 1e3:.2f} ms "
-          f"({wall_loop / wall_batched:.1f}x)")
+          f"{wall_stack * 1e3:.2f} ms vs {wall_loop * 1e3:.2f} ms "
+          f"({wall_loop / wall_stack:.1f}x)")
 
     # Sanity: with a *full* causal mask, sparse attention is exact.
     full = dense_causal_mask(256)
     qq, kk, vv = (rng.standard_normal((256, dk)).astype(np.float32) for _ in range(3))
-    exact = sparse_attention_batched(qq[None], kk[None], vv[None], full, V100)
+    exact = sparse_attention(qq, kk, vv, full, V100)
     ref = dense_attention(qq, kk, vv, V100)
-    assert np.allclose(exact[0], ref, atol=1e-3)
+    assert np.allclose(exact, ref, atol=1e-3)
     print("  exactness check vs dense causal attention: OK")
     del dense_out
 

@@ -5,11 +5,9 @@ are built from."""
 from .activation import bias_relu, elementwise_execution, relu
 from .attention import (
     dense_attention,
-    dense_attention_batched,
     dense_attention_cost,
     softmax,
     sparse_attention,
-    sparse_attention_batched,
     sparse_attention_cost,
 )
 from .batchnorm import (
@@ -18,7 +16,7 @@ from .batchnorm import (
     fuse_into_depthwise,
     fuse_into_sparse,
 )
-from .conv import depthwise_conv, im2col, sparse_conv3x3_operands
+from .conv import depthwise_conv, im2col
 from .dynamic import (
     DropGrowSchedule,
     drop_grow_step,
@@ -51,8 +49,6 @@ __all__ = [
     "softmax",
     "dense_attention",
     "sparse_attention",
-    "dense_attention_batched",
-    "sparse_attention_batched",
     "dense_attention_cost",
     "sparse_attention_cost",
     "BatchNorm",
@@ -61,7 +57,6 @@ __all__ = [
     "fuse_into_depthwise",
     "im2col",
     "depthwise_conv",
-    "sparse_conv3x3_operands",
     "TransformerConfig",
     "TransformerReport",
     "profile_dense",

@@ -5,12 +5,19 @@ matmuls; memory and compute grow quadratically with sequence length. Sparse
 attention computes only a subset of ``Q K^T`` — an SDDMM against the fixed
 connectivity mask — followed by a sparse softmax and an SpMM against ``V``.
 
+Both take one head ``(seq, dk)`` or a stack of heads ``(H, seq, dk)`` and,
+like the ops they call, read the stack depth from the operands' rank. All
+heads share one mask (Section VII-C1), so a stack costs one launch per
+kernel stage for all heads.
+
 Numerics run at any size; the Table III benchmark uses the cost-only
 entry points (:func:`dense_attention_cost`, :func:`sparse_attention_cost`)
 so a 12,288-token forward pass does not require terabytes of numpy work.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -36,32 +43,39 @@ def dense_attention(
     device: DeviceSpec,
     profile: Profile | None = None,
     causal: bool = True,
+    *,
+    context: ops.ExecutionContext | None = None,
 ) -> np.ndarray:
-    """Single-head dense attention with numerics and simulated cost.
+    """Dense attention with numerics and simulated cost.
 
-    ``q``/``k``/``v`` are ``(seq, dk)``; returns ``(seq, dk)``.
+    ``q``/``k``/``v`` are ``(seq, dk)`` or ``(H, seq, dk)`` stacks; returns
+    the shape of ``q``. A stack goes down as strided-batched cuBLAS GEMMs,
+    one launch per matmul stage for all heads, costed in ``context``
+    (default: the device's).
     """
-    q = np.asarray(q, np.float32)
-    k = np.asarray(k, np.float32)
-    v = np.asarray(v, np.float32)
-    dk = q.shape[1]
-    scores = ops.matmul(q, k.T.copy(), device)
-    logits = scores.output / np.sqrt(dk)
+    q, k, v = (np.asarray(t, np.float32) for t in (q, k, v))
+    if q.ndim not in (2, 3):
+        raise ValueError(f"expected (seq, dk) or (H, seq, dk), got {q.shape}")
+    h = q.shape[0] if q.ndim == 3 else 1
+    seq, dk = q.shape[-2:]
+    scores = ops.matmul_cost(h * seq, seq, dk, device, context=context)
+    k_t = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    logits = (q @ k_t) / np.sqrt(dk)
     if causal:
-        mask = np.triu(np.ones(logits.shape, dtype=bool), k=1)
+        mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
         logits = np.where(mask, -np.inf, logits)
-    probs = softmax(logits, axis=1)
-    out = ops.matmul(probs, v, device)
+    probs = softmax(logits, axis=-1)
+    out = ops.matmul_cost(h * seq, dk, seq, device, context=context)
     if profile is not None:
-        profile.add(scores.execution)
-        # Dense softmax: bandwidth-bound passes over the seq x seq scores.
         from .activation import elementwise_execution
 
+        profile.add(scores)
+        # Dense softmax: bandwidth-bound passes over the seq x seq scores.
         profile.add(
             elementwise_execution(logits.size, device, "dense_softmax", reads=2)
         )
-        profile.add(out.execution)
-    return out.output
+        profile.add(out)
+    return (probs @ v).astype(np.float32)
 
 
 def sparse_attention(
@@ -76,36 +90,46 @@ def sparse_attention(
     validate: bool = False,
     selector: str = "heuristic",
     reports: list | None = None,
+    context: ops.ExecutionContext | None = None,
 ) -> np.ndarray:
-    """Single-head sparse attention: SDDMM -> sparse softmax -> SpMM.
+    """Sparse attention: SDDMM -> sparse softmax -> SpMM.
 
-    The mask's nonzeros define which query/key similarities are computed
-    (``Q K^T ∘ I[Y]``, Section IV-B); causality lives in the mask itself.
+    ``q``/``k``/``v`` are ``(seq, dk)`` or ``(H, seq, dk)`` stacks; returns
+    the shape of ``q``. The mask's nonzeros define which query/key
+    similarities are computed (``Q K^T ∘ I[Y]``, Section IV-B); causality
+    lives in the mask itself. A stack shares the mask's topology across
+    heads: the SDDMM produces the ``(nnz, H)`` score matrix, and each
+    stage resolves ONE plan and costs ONE z-scaled launch. A 2-D call
+    dispatches unstacked, so backends that take no stacks serve it.
 
     ``policy`` (a backend chain or FallbackPolicy) and ``validate`` route
     all three kernels through the reliability layer; ``selector`` picks
     the config-selection policy for the SDDMM and SpMM stages; when
     ``reports`` is a list, each kernel's DispatchReport is appended so
     callers can inspect retries/fallbacks/degraded-mode completions per
-    stage.
+    stage. ``context`` is the execution context of all three kernels
+    (default: the device's).
     """
-    q = np.asarray(q, np.float32)
-    k = np.asarray(k, np.float32)
-    v = np.asarray(v, np.float32)
-    dk = q.shape[1]
-    backend = policy if policy is not None else "sputnik"
-    scores = ops.sddmm(
-        q, k, mask, device, backend=backend, selector=selector,
-        validate=validate,
-    )
+    q, k, v = (np.asarray(t, np.float32) for t in (q, k, v))
+    stacked = q.ndim == 3
+    kwargs = {
+        "backend": policy if policy is not None else "sputnik",
+        "validate": validate,
+        "context": context,
+    }
+    scores = ops.sddmm(q, k, mask, device, selector=selector, **kwargs)
+    # A stack's per-head values ride on the mask's topology; one head's
+    # ride on its CSR result.
+    a, values = (mask, scores.output) if stacked else (scores.output, None)
     probs = ops.sparse_softmax(
-        scores.output, device, scale=1.0 / np.sqrt(dk),
-        backend=backend, validate=validate,
+        a, device, scale=1.0 / np.sqrt(q.shape[-1]), values=values, **kwargs
     )
-    out = ops.spmm(
-        probs.output, v, device, backend=backend, selector=selector,
-        validate=validate,
+    a, values = (
+        (mask, np.ascontiguousarray(probs.output.T))
+        if stacked
+        else (probs.output, None)
     )
+    out = ops.spmm(a, v, device, selector=selector, values=values, **kwargs)
     if reports is not None:
         reports.extend(
             r.reliability
@@ -119,97 +143,10 @@ def sparse_attention(
     return out.output
 
 
-def dense_attention_batched(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    device: DeviceSpec,
-    profile: Profile | None = None,
-    causal: bool = True,
-) -> np.ndarray:
-    """Multi-head dense attention over ``(H, seq, dk)`` stacks.
-
-    All heads go down as strided-batched cuBLAS GEMMs — one launch per
-    matmul stage for the whole stack instead of one per head.
-    """
-    q = np.asarray(q, np.float32)
-    k = np.asarray(k, np.float32)
-    v = np.asarray(v, np.float32)
-    if q.ndim != 3:
-        raise ValueError(f"expected (H, seq, dk) stacks, got {q.shape}")
-    h, seq, dk = q.shape
-    scores_exec = ops.matmul_cost(h * seq, seq, dk, device)
-    logits = np.einsum("hsd,htd->hst", q, k) / np.sqrt(dk)
-    if causal:
-        causal_mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
-        logits = np.where(causal_mask[None], -np.inf, logits)
-    probs = softmax(logits, axis=2)
-    out_exec = ops.matmul_cost(h * seq, dk, seq, device)
-    out = np.einsum("hst,htd->hsd", probs, v).astype(np.float32)
-    if profile is not None:
-        from .activation import elementwise_execution
-
-        profile.add(scores_exec)
-        profile.add(
-            elementwise_execution(logits.size, device, "dense_softmax", reads=2)
-        )
-        profile.add(out_exec)
-    return out
-
-
-def sparse_attention_batched(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    mask: CSRMatrix,
-    device: DeviceSpec,
-    profile: Profile | None = None,
-    *,
-    policy=None,
-    validate: bool = False,
-    selector: str = "heuristic",
-    reports: list | None = None,
-) -> np.ndarray:
-    """Multi-head sparse attention over ``(H, seq, dk)`` stacks.
-
-    All heads share ``mask``'s topology (Section VII-C1), so the whole
-    stack is three stacked dispatches — SDDMM producing the ``(nnz, H)``
-    score matrix, one softmax over it, and one SpMM with per-head
-    probability values against ``V`` — each resolving ONE plan and costing
-    ONE z-scaled launch. A policy-routed call yields one DispatchReport
-    per stage covering the whole stack.
-    """
-    q = np.asarray(q, np.float32)
-    k = np.asarray(k, np.float32)
-    v = np.asarray(v, np.float32)
-    if q.ndim != 3:
-        raise ValueError(f"expected (H, seq, dk) stacks, got {q.shape}")
-    dk = q.shape[2]
-    backend = policy if policy is not None else "sputnik"
-    scores = ops.sddmm(
-        q, k, mask, device, backend=backend, selector=selector,
-        validate=validate,
-    )
-    probs = ops.sparse_softmax(
-        mask, device, scale=1.0 / np.sqrt(dk), values=scores.output,
-        backend=backend, validate=validate,
-    )
-    out = ops.spmm(
-        mask, v, device, backend=backend, selector=selector,
-        validate=validate,
-        values=np.ascontiguousarray(probs.output.T),
-    )
-    if reports is not None:
-        reports.extend(
-            r.reliability
-            for r in (scores, probs, out)
-            if r.reliability is not None
-        )
-    if profile is not None:
-        profile.add(scores.execution)
-        profile.add(probs.execution)
-        profile.add(out.execution)
-    return out.output
+# Former name of the stacked form, kept because benchmarks/e2e/layers.py
+# names it. A ``functools.partial`` is an object of its own, so wrapping
+# functions by identity wraps it apart from :func:`sparse_attention`.
+sparse_attention_batched = functools.partial(sparse_attention)
 
 
 def dense_attention_cost(

@@ -13,7 +13,6 @@ import numpy as np
 from ..gpu.device import DeviceSpec
 from ..gpu.executor import BlockCosts, ExecutionResult, KernelLaunch, execute
 from ..gpu.occupancy import BlockResources
-from ..sparse.csr import CSRMatrix
 from .profile import Profile
 
 
@@ -105,19 +104,3 @@ def depthwise_conv(
         )
     return out.astype(np.float32)
 
-
-def sparse_conv3x3_operands(
-    weight: CSRMatrix, x: np.ndarray, stride: int = 1
-) -> tuple[CSRMatrix, np.ndarray]:
-    """ResNet-style sparse 3x3 convolution: im2col + SpMM (Section VII-A1).
-
-    Returns the (sparse filter, unfolded patches) pair; the caller times the
-    SpMM alone, matching the paper ("we do not include the time of the
-    im2col transform in our benchmarks").
-    """
-    cols = im2col(x, kernel=3, stride=stride, padding=1)
-    if weight.n_cols != cols.shape[0]:
-        raise ValueError(
-            f"filter expects {weight.n_cols} unfolded channels, got {cols.shape[0]}"
-        )
-    return weight, cols.astype(np.float32)

@@ -163,35 +163,6 @@ class MobileNetV1:
         self,
         weight: CSRMatrix | np.ndarray,
         bias: np.ndarray,
-        x2d: np.ndarray,
-        device: DeviceSpec,
-        profile: Profile | None,
-    ) -> np.ndarray:
-        if isinstance(weight, CSRMatrix):
-            # Vector memory instructions need N % 4 == 0 (Section VII-A1);
-            # batch-1 spatial sizes are padded like the paper's benchmarks.
-            padded = pad_batch_for_vectors(x2d.astype(np.float32))
-            # The oracle selection (Section VII-D1) is cached per weight
-            # topology by the execution context.
-            selector = "oracle" if self.use_oracle else "heuristic"
-            result = ops.spmm(weight, padded, device, selector=selector)
-            if profile is not None:
-                profile.add(result.execution)
-            out = result.output[:, : x2d.shape[1]]
-            # Bias + ReLU fused into the sparse kernel's epilogue.
-            return np.maximum(out + bias[:, None], 0)
-        result = ops.matmul(weight, x2d.astype(np.float32), device)
-        if profile is not None:
-            profile.add(result.execution)
-        out, epilogue = bias_relu(result.output, bias, device)
-        if profile is not None:
-            profile.add(epilogue)
-        return out
-
-    def _pointwise_batch(
-        self,
-        weight: CSRMatrix | np.ndarray,
-        bias: np.ndarray,
         x_stack: np.ndarray,
         device: DeviceSpec,
         profile: Profile | None,
@@ -206,17 +177,21 @@ class MobileNetV1:
         """
         batch, _, spatial = x_stack.shape
         if isinstance(weight, CSRMatrix):
-            # Same vector-width padding as the single-image path; every
+            # Vector memory instructions need N % 4 == 0 (Section VII-A1);
+            # spatial sizes are padded like the paper's benchmarks. Every
             # slab shares the spatial size, so pad the stack in one shot.
             pad = pad_batch_for_vectors(x_stack[0]).shape[1] - spatial
             b_stack = np.ascontiguousarray(
                 np.pad(x_stack.astype(np.float32), ((0, 0), (0, 0), (0, pad)))
             )
+            # The oracle selection (Section VII-D1) is cached per weight
+            # topology by the execution context.
             selector = "oracle" if self.use_oracle else "heuristic"
             result = ops.spmm(weight, b_stack, device, selector=selector)
             if profile is not None:
                 profile.add(result.execution)
             out = result.output[:, :, :spatial]
+            # Bias + ReLU fused into the sparse kernel's epilogue.
             return np.maximum(out + bias[None, :, None], 0)
         wide = np.ascontiguousarray(
             x_stack.astype(np.float32).transpose(1, 0, 2).reshape(
@@ -233,32 +208,35 @@ class MobileNetV1:
             out.reshape(-1, batch, spatial).transpose(1, 0, 2)
         )
 
-    def forward_batch(
+    def forward(
         self,
         images: np.ndarray,
         device: DeviceSpec,
         profile: Profile | None = None,
     ) -> np.ndarray:
-        """Batched inference: ``images`` is ``(B, 3, 224, 224)`` CHW.
+        """Inference on one ``(3, 224, 224)`` CHW image or a
+        ``(B, 3, 224, 224)`` batch; returns ``(classes,)`` or
+        ``(B, classes)``.
 
         The sparse 1x1 convolutions — the vast majority of the FLOPs —
-        run as batched SpMMs across the spatial batch (one launch per
-        layer for the whole batch); the first conv and dense pointwise
-        path fold into single wide GEMMs. Returns ``(B, classes)``.
+        run as stacked SpMMs across the batch (one launch per layer for
+        the whole batch); the first conv and the dense pointwise path fold
+        into single wide GEMMs. One image is a batch of one.
         """
         images = np.asarray(images, dtype=np.float32)
-        if images.ndim != 4 or images.shape[1:] != (3, INPUT_SIZE, INPUT_SIZE):
+        stack = images if images.ndim == 4 else images[None]
+        if stack.ndim != 4 or stack.shape[1:] != (3, INPUT_SIZE, INPUT_SIZE):
             raise ValueError(
-                f"expected (B, 3, {INPUT_SIZE}, {INPUT_SIZE}), "
-                f"got {images.shape}"
+                f"expected (3, {INPUT_SIZE}, {INPUT_SIZE}) or "
+                f"(B, 3, {INPUT_SIZE}, {INPUT_SIZE}), got {images.shape}"
             )
-        batch = images.shape[0]
+        batch = stack.shape[0]
         if profile is not None:
             profile.add_weights(self.weight_bytes())
 
         # First conv: one wide GEMM over the horizontally-stacked patches.
         cols = np.concatenate(
-            [im2col(img, kernel=3, stride=2, padding=1) for img in images],
+            [im2col(img, kernel=3, stride=2, padding=1) for img in stack],
             axis=1,
         )
         r = ops.matmul(self.first_conv, cols, device)
@@ -281,57 +259,18 @@ class MobileNetV1:
                 )
                 for xi in x
             ])
-            x_stack = x.reshape(batch, x.shape[1], -1)
             weight = block.get("pw_sparse", block.get("pw_dense"))
-            x_stack = self._pointwise_batch(
-                weight, block["pw_bias"], x_stack, device, profile
+            x_stack = self._pointwise(
+                weight, block["pw_bias"], x.reshape(batch, x.shape[1], -1),
+                device, profile,
             )
-            x = x_stack.reshape(batch, x_stack.shape[1], x.shape[2], x.shape[3])
+            x = x_stack.reshape(batch, x_stack.shape[1], *x.shape[2:])
 
         pooled = x.mean(axis=(2, 3))
         logits = ops.matmul(self.fc, pooled.T.copy(), device)
         if profile is not None:
             profile.add(logits.execution)
-        return logits.output.T
-
-    def forward(
-        self,
-        image: np.ndarray,
-        device: DeviceSpec,
-        profile: Profile | None = None,
-    ) -> np.ndarray:
-        """Single-image inference: ``image`` is ``(3, 224, 224)`` CHW."""
-        image = np.asarray(image, dtype=np.float32)
-        if image.shape != (3, INPUT_SIZE, INPUT_SIZE):
-            raise ValueError(f"expected (3, {INPUT_SIZE}, {INPUT_SIZE})")
-        if profile is not None:
-            profile.add_weights(self.weight_bytes())
-
-        cols = im2col(image, kernel=3, stride=2, padding=1)
-        r = ops.matmul(self.first_conv, cols, device)
-        if profile is not None:
-            profile.add(r.execution)
-        x2d, epilogue = bias_relu(r.output, self.first_bias, device)
-        if profile is not None:
-            profile.add(epilogue)
-        side = INPUT_SIZE // 2
-        x = x2d.reshape(-1, side, side)
-
-        for block in self.blocks:
-            x = depthwise_conv(
-                x, block["dw"], block["dw_bias"], device,
-                stride=block["stride"], profile=profile,
-            )
-            x2d = x.reshape(x.shape[0], -1)
-            weight = block.get("pw_sparse", block.get("pw_dense"))
-            x2d = self._pointwise(weight, block["pw_bias"], x2d, device, profile)
-            x = x2d.reshape(x2d.shape[0], x.shape[1], x.shape[2])
-
-        pooled = x.mean(axis=(1, 2), keepdims=False)
-        logits = ops.matmul(self.fc, pooled[:, None], device)
-        if profile is not None:
-            profile.add(logits.execution)
-        return logits.output[:, 0]
+        return logits.output.T if images.ndim == 4 else logits.output[:, 0]
 
 
 @dataclass

@@ -6,13 +6,16 @@ realistic-but-smaller sizes: multi-head attention (dense causal or masked
 sparse), residual connections, layer norm, and the two-matmul FFN — every
 matrix multiply routed through the simulated kernels and profiled.
 
-:meth:`TransformerLayer.forward_sharded` runs the same layer
-model-parallel across a :class:`~repro.dist.DeviceGroup` (Megatron-style
-tensor parallelism): attention heads and FFN hidden units split across
-devices — column-parallel first projections, row-parallel second
-projections — with exactly two all-reduces per layer priced on the
-group's interconnect. The complementary *data*-parallel axis (replicas
-over independent problems) is the sweep runner's ``devices=`` dimension.
+One layer body runs over a tuple of execution contexts, one per device
+(Megatron-style tensor parallelism): attention heads and FFN hidden units
+split across them — column-parallel first projections, row-parallel
+second projections. :meth:`TransformerLayer.forward` is the one-device
+case on the device's default context, with all heads in one stacked
+attention. :meth:`TransformerLayer.forward_sharded` runs the body across
+a :class:`~repro.dist.DeviceGroup` and adds the two all-reduces per layer,
+priced on the group's interconnect. The complementary *data*-parallel axis
+(replicas over independent problems) is the sweep runner's ``devices=``
+dimension.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .. import ops
 from ..gpu.device import DeviceSpec
 from ..sparse.csr import CSRMatrix
-from .attention import dense_attention_batched, sparse_attention_batched
+from .attention import dense_attention, sparse_attention
 from .profile import Profile
 
 
@@ -83,13 +86,93 @@ class TransformerLayer:
         #: timing breakdown (per-stage max compute, comm, bound fraction).
         self.last_shard_report: dict | None = None
 
-    def _project(
-        self, w: np.ndarray, x: np.ndarray, device: DeviceSpec, profile
-    ) -> np.ndarray:
-        result = ops.matmul(w, x.T.copy(), device)
-        if profile is not None:
-            profile.add(result.execution)
-        return result.output.T
+    def _forward(
+        self,
+        x: np.ndarray,
+        contexts,
+        profile: Profile | None,
+        all_reduce=None,
+    ) -> tuple[np.ndarray, list[float], list[float]]:
+        """The layer body over ``k = len(contexts)`` devices.
+
+        Device ``d`` owns heads ``[d·H/k, (d+1)·H/k)`` — a column-parallel
+        slice of the QKV projections plus one stacked attention over those
+        heads — and ``d_ffn/k`` FFN hidden units. The output projections
+        are row-parallel: each device contributes a partial
+        ``(seq, d_model)`` sum, and ``all_reduce`` (if given) is called
+        once after each of the two sums. Returns the output and the
+        simulated seconds each device spent in the attention and in the
+        FFN stage.
+        """
+        x = np.asarray(x, dtype=np.float32)
+        if x.ndim != 2 or x.shape[1] != self.d_model:
+            raise ValueError(f"expected (seq, {self.d_model}), got {x.shape}")
+        if self.mask is not None and self.mask.n_rows != x.shape[0]:
+            raise ValueError("attention mask must be seq x seq")
+        k = len(contexts)
+        if self.n_heads % k:
+            raise ValueError("n_heads must divide evenly across the group")
+        if self.d_ffn % k:
+            raise ValueError("d_ffn must divide evenly across the group")
+        heads = self.n_heads // k
+        width = heads * self.head_dim
+        ffn = self.d_ffn // k
+        seq = x.shape[0]
+        attn_stage, ffn_stage = [0.0] * k, [0.0] * k
+
+        def run(w, inp, ctx, stage, d):
+            result = ops.matmul(w, inp.T.copy(), context=ctx)
+            if profile is not None:
+                profile.add(result.execution)
+            stage[d] += result.execution.runtime_s
+            return result.output.T
+
+        h = layer_norm(x)
+        parts = []
+        for d, ctx in enumerate(contexts):
+            lo, hi = d * width, (d + 1) * width
+            # This device's heads as (heads, seq, hd) stacks: one plan and
+            # one z-scaled launch per kernel stage for all of them
+            # (Section VII-C1 batching).
+            q, key, v = (
+                np.ascontiguousarray(
+                    run(w[lo:hi], h, ctx, attn_stage, d)
+                    .reshape(seq, heads, self.head_dim)
+                    .transpose(1, 0, 2)
+                )
+                for w in (self.w_q, self.w_k, self.w_v)
+            )
+            attn_profile = Profile()
+            if self.mask is None:
+                att = dense_attention(
+                    q, key, v, ctx.device, attn_profile, context=ctx
+                )
+            else:
+                att = sparse_attention(
+                    q, key, v, self.mask, ctx.device, attn_profile,
+                    selector=self.selector, context=ctx,
+                )
+            attn_stage[d] += attn_profile.runtime_s
+            if profile is not None:
+                for record in attn_profile.records:
+                    profile.add(record)
+            attended = np.ascontiguousarray(att.transpose(1, 0, 2)).reshape(
+                seq, width
+            )
+            parts.append(run(self.w_o[:, lo:hi], attended, ctx, attn_stage, d))
+        if all_reduce is not None:
+            all_reduce()
+        x = x + sum(parts[1:], parts[0])
+
+        h = layer_norm(x)
+        parts = []
+        for d, ctx in enumerate(contexts):
+            lo, hi = d * ffn, (d + 1) * ffn
+            hidden = np.maximum(run(self.w_ffn_in[lo:hi], h, ctx, ffn_stage, d), 0)
+            parts.append(run(self.w_ffn_out[:, lo:hi], hidden, ctx, ffn_stage, d))
+        if all_reduce is not None:
+            all_reduce()
+        return x + sum(parts[1:], parts[0]), attn_stage, ffn_stage
 
     def forward(
         self,
@@ -97,43 +180,9 @@ class TransformerLayer:
         device: DeviceSpec,
         profile: Profile | None = None,
     ) -> np.ndarray:
-        """``x`` is ``(seq, d_model)``; returns the same shape."""
-        x = np.asarray(x, dtype=np.float32)
-        if x.ndim != 2 or x.shape[1] != self.d_model:
-            raise ValueError(f"expected (seq, {self.d_model}), got {x.shape}")
-        if self.mask is not None and self.mask.n_rows != x.shape[0]:
-            raise ValueError("attention mask must be seq x seq")
-
-        h = layer_norm(x)
-        q = self._project(self.w_q, h, device, profile)
-        k = self._project(self.w_k, h, device, profile)
-        v = self._project(self.w_v, h, device, profile)
-
-        # All heads dispatch as ONE batched attention over (H, seq, hd)
-        # stacks — one plan and one z-scaled launch per kernel stage
-        # instead of a per-head loop (Section VII-C1 batching).
-        seq = x.shape[0]
-        q, k, v = (
-            np.ascontiguousarray(
-                t.reshape(seq, self.n_heads, self.head_dim).transpose(1, 0, 2)
-            )
-            for t in (q, k, v)
-        )
-        if self.mask is None:
-            attended_stack = dense_attention_batched(q, k, v, device, profile)
-        else:
-            attended_stack = sparse_attention_batched(
-                q, k, v, self.mask, device, profile, selector=self.selector
-            )
-        attended = np.ascontiguousarray(
-            attended_stack.transpose(1, 0, 2)
-        ).reshape(seq, self.d_model)
-        x = x + self._project(self.w_o, attended, device, profile)
-
-        h = layer_norm(x)
-        hidden = np.maximum(self._project(self.w_ffn_in, h, device, profile), 0)
-        x = x + self._project(self.w_ffn_out, hidden, device, profile)
-        return x
+        """``x`` is ``(seq, d_model)``; returns the same shape. Runs on the
+        device's default context."""
+        return self._forward(x, (ops.default_context(device),), profile)[0]
 
     def forward_sharded(
         self,
@@ -143,17 +192,12 @@ class TransformerLayer:
     ) -> np.ndarray:
         """Model-parallel forward across a :class:`~repro.dist.DeviceGroup`.
 
-        Megatron-style tensor parallelism: device ``d`` owns heads
-        ``[d·H/k, (d+1)·H/k)`` — a column-parallel slice of the QKV
-        projections plus its own batched attention over those heads — and
-        ``d_ffn/k`` FFN hidden units. The output projections are
-        row-parallel (each device contributes a partial ``(seq, d_model)``
-        sum), so the whole layer costs exactly two all-reduces on the
-        group's interconnect: one after attention, one after the FFN.
-        Per-head attention is independent, so the result matches
-        :meth:`forward` up to accumulation order (``allclose``; the
-        partial-sum reductions reorder float adds — bit-identical when
-        ``group.k == 1``).
+        The layer body runs on the group's contexts, so the whole layer
+        costs exactly two all-reduces on the group's interconnect: one
+        after attention, one after the FFN. Per-head attention is
+        independent, so the result matches :meth:`forward` up to
+        accumulation order (``allclose``; the partial-sum reductions
+        reorder float adds — bit-identical when ``group.k == 1``).
 
         Timing: stages run concurrently across devices, so compute counts
         as the per-stage max over devices; both all-reduces gate the
@@ -166,89 +210,22 @@ class TransformerLayer:
         from ..dist.sharded import _dist_span
         from ..gpu.interconnect import all_reduce
 
-        x = np.asarray(x, dtype=np.float32)
-        if x.ndim != 2 or x.shape[1] != self.d_model:
-            raise ValueError(f"expected (seq, {self.d_model}), got {x.shape}")
-        if self.mask is not None and self.mask.n_rows != x.shape[0]:
-            raise ValueError("attention mask must be seq x seq")
         k = group.k
-        if self.n_heads % k:
-            raise ValueError("n_heads must divide evenly across the group")
-        if self.d_ffn % k:
-            raise ValueError("d_ffn must divide evenly across the group")
-        heads_per = self.n_heads // k
-        width = heads_per * self.head_dim
-        ffn_per = self.d_ffn // k
-        seq = x.shape[0]
-
-        def run(w, inp, ctx, bucket, d):
-            result = ops.matmul(w, inp.T.copy(), context=ctx)
-            if profile is not None:
-                profile.add(result.execution)
-            bucket[d] += result.execution.runtime_s
-            return result.output.T
-
+        ar_bytes = np.asarray(x).shape[0] * self.d_model * 4
         with _dist_span(group, "transformer_layer_sharded") as span:
-            attn_stage = [0.0] * k
-            h = layer_norm(x)
-            attn_out = np.zeros((seq, self.d_model), dtype=np.float32)
-            for d, ctx in enumerate(group.contexts):
-                lo, hi = d * width, (d + 1) * width
-                q = run(self.w_q[lo:hi], h, ctx, attn_stage, d)
-                key = run(self.w_k[lo:hi], h, ctx, attn_stage, d)
-                v = run(self.w_v[lo:hi], h, ctx, attn_stage, d)
-                q, key, v = (
-                    np.ascontiguousarray(
-                        t.reshape(seq, heads_per, self.head_dim)
-                        .transpose(1, 0, 2)
-                    )
-                    for t in (q, key, v)
-                )
-                # The batched attention helpers resolve the implicit
-                # default context, so install this device's for the call.
-                attn_profile = Profile()
-                prev = ops.default_context(group.device)
-                ops.set_default_context(ctx)
-                try:
-                    if self.mask is None:
-                        att = dense_attention_batched(
-                            q, key, v, group.device, attn_profile
-                        )
-                    else:
-                        att = sparse_attention_batched(
-                            q, key, v, self.mask, group.device, attn_profile,
-                            selector=self.selector,
-                        )
-                finally:
-                    ops.set_default_context(prev)
-                attn_stage[d] += attn_profile.runtime_s
-                if profile is not None:
-                    for record in attn_profile.records:
-                        profile.add(record)
-                attended = np.ascontiguousarray(
-                    att.transpose(1, 0, 2)
-                ).reshape(seq, width)
-                attn_out += run(self.w_o[:, lo:hi], attended, ctx, attn_stage, d)
-            ar_bytes = seq * self.d_model * 4
-            ar1 = all_reduce(group.interconnect, ar_bytes, k)
-            group.charge_collective(ar1, span)
-            x = x + attn_out
+            collectives = []
 
-            ffn_stage = [0.0] * k
-            h = layer_norm(x)
-            ffn_out = np.zeros((seq, self.d_model), dtype=np.float32)
-            for d, ctx in enumerate(group.contexts):
-                lo, hi = d * ffn_per, (d + 1) * ffn_per
-                hidden = np.maximum(
-                    run(self.w_ffn_in[lo:hi], h, ctx, ffn_stage, d), 0
-                )
-                ffn_out += run(self.w_ffn_out[:, lo:hi], hidden, ctx, ffn_stage, d)
-            ar2 = all_reduce(group.interconnect, ar_bytes, k)
-            group.charge_collective(ar2, span)
-            x = x + ffn_out
+            def reduce_partials():
+                cost = all_reduce(group.interconnect, ar_bytes, k)
+                group.charge_collective(cost, span)
+                collectives.append(cost)
 
+            x, attn_stage, ffn_stage = self._forward(
+                x, group.contexts, profile, reduce_partials
+            )
+            ar1, ar2 = collectives
             if profile is not None:
-                for cost in (ar1, ar2):
+                for cost in collectives:
                     if cost.steps:
                         profile.add(
                             collective_execution(cost, group.interconnect)

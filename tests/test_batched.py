@@ -22,8 +22,13 @@ pin the contract:
   bit for bit, so bounding peak memory cannot change results, and the
   single-matrix references are exactly the H = 1 column of the batched
   ones on both SDDMM paths;
-- **plumbing** — model paths (attention, MobileNet) and the sweep's ``h``
-  dimension ride the same stacked dispatch.
+- **models** — attention reads the head depth and MobileNet the image
+  batch from the input's rank: a 2-D attention call equals the depth-1
+  stack bit for bit (output, every record's runtime, telemetry), a head
+  stack equals the per-head calls, a ``(B, ...)`` MobileNet forward equals
+  the per-image forwards, and a wrong rank is rejected;
+- **plumbing** — the sweep's ``h`` dimension rides the same stacked
+  dispatch.
 """
 
 from __future__ import annotations
@@ -44,11 +49,9 @@ from repro.nn import (
     MobileNetV1,
     Profile,
     dense_attention,
-    dense_attention_batched,
     drop_grow_update,
     select_rows,
     sparse_attention,
-    sparse_attention_batched,
 )
 from repro.ops import ExecutionContext
 from repro.reliability import FallbackPolicy, FaultInjector, FaultSpec
@@ -431,7 +434,7 @@ class TestBatchedReliability:
         one per stage for the whole batch, not three per head."""
         mask, q, k, v = attention_problem(rng, 4)
         reports: list = []
-        out = sparse_attention_batched(
+        out = sparse_attention(
             q, k, v, mask, V100,
             policy=["sputnik"], reports=reports,
         )
@@ -543,7 +546,7 @@ class TestReferencesBatchedEqualsLooped:
 
 
 # ----------------------------------------------------------------------
-# Model paths: attention and MobileNet ride the batched dispatch
+# Model paths: the depth is the rank of the model's input
 # ----------------------------------------------------------------------
 class TestBatchedModels:
     @pytest.mark.parametrize("h", HEADS)
@@ -554,11 +557,9 @@ class TestBatchedModels:
             sparse_attention(q[i], k[i], v[i], mask, V100, loop_profile)
             for i in range(h)
         ])
-        batched = sparse_attention_batched(
-            q, k, v, mask, V100, batched_profile
-        )
-        np.testing.assert_allclose(batched, loop, rtol=1e-5, atol=1e-5)
-        # Three batched launches replace 3H per-head ones and never cost
+        batched = sparse_attention(q, k, v, mask, V100, batched_profile)
+        np.testing.assert_array_equal(batched, loop)
+        # Three stacked launches replace 3H per-head ones and never cost
         # more simulated time.
         assert len(batched_profile.records) == 3
         assert len(loop_profile.records) == 3 * h
@@ -576,26 +577,78 @@ class TestBatchedModels:
         loop = np.stack([
             dense_attention(q[i], k[i], v[i], V100) for i in range(h)
         ])
-        batched = dense_attention_batched(q, k, v, V100)
-        np.testing.assert_allclose(batched, loop, rtol=1e-5, atol=1e-5)
+        batched = dense_attention(q, k, v, V100)
+        np.testing.assert_array_equal(batched, loop)
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_two_d_call_equals_depth_one_stack(self, rng, kind):
+        """One head, given as ``(seq, dk)`` or as a depth-1 stack, gives
+        the same output, record runtimes and telemetry, bit for bit."""
+        mask, q, k, v = attention_problem(rng, 1)
+        observed = []
+        for args in ((q[0], k[0], v[0]), (q, k, v)):
+            ctx, profile = ExecutionContext(V100), Profile()
+            if kind == "sparse":
+                out = sparse_attention(
+                    *args, mask, V100, profile, context=ctx
+                )
+            else:
+                out = dense_attention(*args, V100, profile, context=ctx)
+            observed.append((
+                out.reshape(q.shape[1:]).tobytes(),
+                [r.runtime_s for r in profile.records],
+                ctx.telemetry_snapshot(),
+            ))
+        assert observed[0] == observed[1]
+
+    def test_two_d_attention_dispatches_unstacked(self, rng):
+        """A 2-D call dispatches unstacked: a faulted sputnik SpMM falls
+        back to cuSPARSE, which takes no stacks."""
+        mask, q, k, v = attention_problem(rng, 1)
+        ctx = ExecutionContext(V100)
+        injector = FaultInjector(
+            [FaultSpec("launch", op="spmm", backend="sputnik", rate=1.0)],
+            seed=1234,
+        )
+        chain = FallbackPolicy(("sputnik", "cusparse", "dense"), max_attempts=3)
+        reports: list = []
+        with injector.attached(ctx):
+            out = sparse_attention(
+                q[0], k[0], v[0], mask, V100, reports=reports,
+                policy=chain, context=ctx,
+            )
+        assert out.shape == q.shape[1:]
+        assert [r.backend_used for r in reports] == [
+            "sputnik", "sputnik", "cusparse"
+        ]
 
     def test_mobilenet_forward_batch_matches_per_image(self, rng, device):
+        """A ``(B, 3, 224, 224)`` forward equals the per-image forwards."""
         model = MobileNetV1(width=0.25, sparse=True, seed=0)
         images = rng.standard_normal((2, 3, 224, 224)).astype(np.float32)
         profile = Profile()
-        batched = model.forward_batch(images, device, profile)
+        batched = model.forward(images, device, profile)
         assert batched.shape == (2, 1000)
         per_image = np.stack([
             model.forward(img, device) for img in images
         ])
+        assert per_image.shape == (2, 1000)
         np.testing.assert_allclose(batched, per_image, rtol=1e-3, atol=1e-3)
         # The pointwise convs went down as z-scaled batch-of-2 launches.
         assert any(r.name.endswith("_x2") for r in profile.records)
 
     def test_mobilenet_forward_batch_validates_shape(self, device):
+        """``forward`` takes one CHW image or a batch of them, nothing
+        else."""
         model = MobileNetV1(width=0.25, sparse=False, seed=0)
+        for shape in [(224, 224), (1, 1, 3, 224, 224), (2, 4, 224, 224)]:
+            with pytest.raises(ValueError):
+                model.forward(np.ones(shape, np.float32), device)
+
+    def test_dense_attention_rejects_wrong_rank(self, rng):
+        q = rng.standard_normal((1, 2, 8, 4)).astype(np.float32)
         with pytest.raises(ValueError):
-            model.forward_batch(np.ones((3, 224, 224), np.float32), device)
+            dense_attention(q, q, q, V100)
 
 
 # ----------------------------------------------------------------------

@@ -40,9 +40,7 @@ from repro.nn import (
     Profile,
     TransformerStack,
     dense_attention,
-    dense_attention_batched,
     sparse_attention,
-    sparse_attention_batched,
 )
 from repro.ops import ExecutionContext
 from tests.test_dispatch_golden import CAPACITY, _telemetry
@@ -74,8 +72,8 @@ def _mobilenet(variant: str, batch: str):
         if batch == "b1":
             return model.forward(images[0], V100, profile)
         if batch == "b1stack":
-            return model.forward_batch(images[:1], V100, profile)
-        return model.forward_batch(images, V100, profile)
+            return model.forward(images[:1], V100, profile)
+        return model.forward(images, V100, profile)
 
     return run
 
@@ -98,15 +96,10 @@ def _attention(kind: str, heads: str):
     )
     if heads == "h1":
         q, k, v = q[0], k[0], v[0]
-        fn = sparse_attention if kind == "sparse" else dense_attention
-    elif kind == "sparse":
-        fn = sparse_attention_batched
-    else:
-        fn = dense_attention_batched
     if kind == "sparse":
         mask = _mask()
-        return lambda profile: fn(q, k, v, mask, V100, profile)
-    return lambda profile: fn(q, k, v, V100, profile)
+        return lambda profile: sparse_attention(q, k, v, mask, V100, profile)
+    return lambda profile: dense_attention(q, k, v, V100, profile)
 
 
 MODELS = {

@@ -16,7 +16,6 @@ from repro.nn import (
     fuse_into_sparse,
     im2col,
     relu,
-    sparse_conv3x3_operands,
 )
 from repro.sparse import CSRMatrix
 from tests.conftest import random_sparse
@@ -207,16 +206,3 @@ class TestConv:
         out = depthwise_conv(x, f, np.zeros(2, np.float32), device, stride=2)
         assert out.shape == (2, 4, 4)
 
-    def test_sparse_conv3x3_operands(self, rng, device):
-        w = random_sparse(rng, 8, 18, 0.4)
-        x = rng.standard_normal((2, 6, 6)).astype(np.float32)
-        weight, cols = sparse_conv3x3_operands(w, x)
-        assert cols.shape == (18, 36)
-        # SpMM over the operands equals the dense conv-as-GEMM.
-        out = weight.to_dense() @ cols
-        assert out.shape == (8, 36)
-
-    def test_sparse_conv3x3_channel_check(self, rng):
-        w = random_sparse(rng, 8, 20, 0.4)
-        with pytest.raises(ValueError):
-            sparse_conv3x3_operands(w, np.ones((2, 6, 6), np.float32))

@@ -369,12 +369,16 @@ class TestExport:
 # Regression gate
 # ----------------------------------------------------------------------
 class TestRegress:
-    REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    #: Copies of the BENCH artifacts the gate reads and of their history,
+    #: so a benchmark run that rewrites the live files cannot move these
+    #: tests. The CI obs-regress job checks the live files.
+    FIXTURE_ROOT = os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), "fixtures", "regress"
+    )
 
     def test_committed_baselines_pass(self, capsys):
-        """The committed BENCH artifacts must pass against the committed
-        history — the CI obs-regress job runs exactly this."""
-        code = regress.main(["--check", "--root", self.REPO_ROOT])
+        """The fixture BENCH artifacts pass against the fixture history."""
+        code = regress.main(["--check", "--root", self.FIXTURE_ROOT])
         out = capsys.readouterr()
         assert code == 0, out.out + out.err
 
@@ -384,7 +388,7 @@ class TestRegress:
         for metric in regress.METRICS:
             factor = 0.8 if metric.higher_better else 1.2
             code = regress.main(
-                ["--check", "--root", self.REPO_ROOT,
+                ["--check", "--root", self.FIXTURE_ROOT,
                  "--scale", f"{metric.key}={factor}"]
             )
             capsys.readouterr()
@@ -392,7 +396,7 @@ class TestRegress:
 
     def test_within_noise_change_passes(self, capsys):
         code = regress.main(
-            ["--check", "--root", self.REPO_ROOT,
+            ["--check", "--root", self.FIXTURE_ROOT,
              "--scale", "batched.attention_sim_speedup=0.98"]
         )
         capsys.readouterr()
@@ -400,7 +404,7 @@ class TestRegress:
 
     def test_improvements_pass(self, capsys):
         code = regress.main(
-            ["--check", "--root", self.REPO_ROOT,
+            ["--check", "--root", self.FIXTURE_ROOT,
              "--scale", "autotune.geomean_speedup=1.5",
              "--scale", "obs.tracing_off_ratio=0.9"]
         )
@@ -410,21 +414,21 @@ class TestRegress:
     def test_ingest_then_check_roundtrip(self, tmp_path, capsys):
         history = tmp_path / "hist.jsonl"
         assert regress.main(
-            ["--ingest", "--root", self.REPO_ROOT,
+            ["--ingest", "--root", self.FIXTURE_ROOT,
              "--history", str(history), "--note", "unit"]
         ) == 0
         entry = json.loads(history.read_text().splitlines()[0])
         assert entry["note"] == "unit"
         assert len(entry["metrics"]) == len(regress.METRICS)
         assert regress.main(
-            ["--check", "--root", self.REPO_ROOT,
+            ["--check", "--root", self.FIXTURE_ROOT,
              "--history", str(history)]
         ) == 0
         capsys.readouterr()
 
     def test_no_history_exits_2(self, tmp_path, capsys):
         code = regress.main(
-            ["--check", "--root", self.REPO_ROOT,
+            ["--check", "--root", self.FIXTURE_ROOT,
              "--history", str(tmp_path / "none.jsonl")]
         )
         capsys.readouterr()
