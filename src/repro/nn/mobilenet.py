@@ -267,7 +267,7 @@ class MobileNetV1:
             x = x_stack.reshape(batch, x_stack.shape[1], *x.shape[2:])
 
         pooled = x.mean(axis=(2, 3))
-        logits = ops.matmul(self.fc, pooled.T.copy(), device)
+        logits = ops.matmul(self.fc, pooled.T, device)
         if profile is not None:
             profile.add(logits.execution)
         return logits.output.T if images.ndim == 4 else logits.output[:, 0]

@@ -121,7 +121,7 @@ class TransformerLayer:
         attn_stage, ffn_stage = [0.0] * k, [0.0] * k
 
         def run(w, inp, ctx, stage, d):
-            result = ops.matmul(w, inp.T.copy(), context=ctx)
+            result = ops.matmul(w, inp.T, context=ctx)
             if profile is not None:
                 profile.add(result.execution)
             stage[d] += result.execution.runtime_s

@@ -305,7 +305,11 @@ def _cublas_matmul_run(ctx, a, b):
     execution = ctx.gemm_execution(
         a.shape[0], b.shape[1], a.shape[1], a.dtype.itemsize
     )
-    out = (a.astype(np.float32) @ b.astype(np.float32)).astype(a.dtype)
+    # fp32 operands and transposed views go to BLAS as they are: the
+    # costed shape is (m, n, k) whatever the numpy layout.
+    out = (
+        a.astype(np.float32, copy=False) @ b.astype(np.float32, copy=False)
+    ).astype(a.dtype, copy=False)
     return KernelResult(output=out, execution=execution)
 
 

@@ -28,6 +28,10 @@ INDEX_DTYPE_FOR_VALUES = {
 }
 
 
+#: Largest offset or index an int32 index array can hold.
+INT32_MAX = int(np.iinfo(np.int32).max)
+
+
 def check_column_capacity(cols: int, value_dtype: np.dtype) -> np.dtype:
     """Return the index dtype for ``value_dtype``, rejecting unaddressable
     widths *before* any index array can silently wrap.
@@ -85,7 +89,9 @@ class StructureAnalysis:
     ``__dict__``: it is host bookkeeping, not plan bytes.
     """
 
-    __slots__ = ("_offsets", "_indices", "_extent", "_touched", "_order")
+    __slots__ = (
+        "_offsets", "_indices", "_extent", "_touched", "_order", "_blocks"
+    )
 
     def __init__(
         self, offsets: np.ndarray, indices: np.ndarray, extent: int
@@ -95,6 +101,7 @@ class StructureAnalysis:
         self._extent = extent
         self._touched: int | None = None
         self._order: np.ndarray | None = None
+        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def touched_columns(self) -> int:
@@ -114,6 +121,40 @@ class StructureAnalysis:
             order.setflags(write=False)
             self._order = order
         return self._order
+
+    def block_diagonal(self, h: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(offsets, indices)`` of ``h`` copies of the topology along the
+        diagonal of an ``(h·major, h·extent)`` matrix: copy ``i`` follows
+        copy ``i - 1`` in the nonzero order, its indices shifted by
+        ``i·extent``. A stacked SpMM with per-head values multiplies it
+        with the heads' values in one product (Section IX: the structure
+        is paid for once and reused across launches).
+
+        Memoized per ``h`` and read-only. The arrays are int32 when
+        ``h·nnz``, ``h·major`` and ``h·extent`` all fit in it, so scipy
+        takes them without a copy, and int64 otherwise.
+        """
+        try:
+            return self._blocks[h]
+        except KeyError:
+            pass
+        nnz = int(self._offsets[-1])
+        major = len(self._offsets) - 1
+        dtype = (
+            np.int32 if h * max(nnz, major, self._extent) <= INT32_MAX
+            else np.int64
+        )
+        copies = np.arange(h, dtype=np.int64)[:, None]
+        offsets = np.empty(h * major + 1, dtype=dtype)
+        offsets[0] = 0
+        offsets[1:] = (copies * nnz + self._offsets[1:]).ravel()
+        indices = (copies * self._extent + self._indices).ravel().astype(
+            dtype, copy=False
+        )
+        offsets.setflags(write=False)
+        indices.setflags(write=False)
+        block = self._blocks[h] = offsets, indices
+        return block
 
 
 class StructureIdentity:

@@ -30,14 +30,22 @@ from .csr import CSRMatrix
 SDDMM_CHUNK_NNZ = 1 << 18
 
 #: Dense-sample path of the SDDMM reference, for both the single and the
-#: batched entry point: when the full dense product stack holds at most
-#: this many fp32 elements (64 MB) AND the mask is at least
-#: :data:`SDDMM_DENSE_SAMPLE_DENSITY` dense, compute one batched BLAS GEMM
-#: and sample the mask coordinates from it. Per-nonzero gathers move ~2k
-#: bytes per output value; a GEMM runs an order of magnitude faster per
-#: flop, so it wins whenever more than a few percent of the product is
-#: actually needed and the product fits comfortably in memory.
-SDDMM_DENSE_SAMPLE_ELEMS = 1 << 24
+#: batched entry point: when the mask is at least
+#: :data:`SDDMM_DENSE_SAMPLE_DENSITY` dense, the product ``lhs @ rhs^T`` is
+#: computed by BLAS one block of rows at a time and sampled at the block's
+#: nonzeros before the next block is computed. Per-nonzero gathers move
+#: ~2k bytes per output value; a GEMM runs an order of magnitude faster
+#: per flop, so it wins whenever more than a few percent of the product is
+#: actually needed. Each block is written into one reused buffer of at
+#: most ``SDDMM_BLOCK_ELEMS`` fp32 elements per head (1 MiB), so peak
+#: memory is bounded by the block whatever the mask's size, and a block is
+#: still in cache when it is sampled. Within a block only the span from
+#: its lowest to its highest referenced column is computed, so a causal
+#: mask's upper triangle is never multiplied out. A block holds
+#: ``SDDMM_BLOCK_ELEMS // cols`` rows: the count depends on the mask's
+#: width only, never on the number of heads, so a stack runs the same
+#: per-head GEMMs as its per-head loop and equals it bit for bit.
+SDDMM_BLOCK_ELEMS = 1 << 18
 SDDMM_DENSE_SAMPLE_DENSITY = 0.02
 
 
@@ -104,7 +112,8 @@ def spmm_batched_reference(
     product against the column-stacked ``(k, H*n)`` operand. With a
     ``(H, nnz)`` ``values`` matrix (e.g. softmaxed attention scores per
     head), the heads form one block-diagonal CSR sharing ``a``'s structure
-    and the product is still a single scipy call — never a per-head loop.
+    (memoized per depth by :meth:`StructureAnalysis.block_diagonal`) and
+    the product is still a single scipy call — never a per-head loop.
     """
     b_stack = np.asarray(b_stack)
     if b_stack.ndim != 3 or b_stack.shape[1] != a.n_cols:
@@ -126,17 +135,13 @@ def spmm_batched_reference(
             f"per-head values shape {values.shape} != ({h}, {a.nnz})"
         )
     # Block-diagonal stacking: H copies of the structure with per-head
-    # values — still exactly one sparse matmul.
-    offsets = np.concatenate(
-        [[0]]
-        + [a.row_offsets[1:].astype(np.int64) + i * a.nnz for i in range(h)]
-    )
-    indices = np.concatenate(
-        [a.column_indices.astype(np.int64) + i * k for i in range(h)]
-    )
+    # values — still exactly one sparse matmul. The stacked structure is
+    # the topology's, built once per depth and reused on every call.
+    offsets, indices = a.analysis.block_diagonal(h)
     block = sparse.csr_matrix(
         (values.astype(np.float32, copy=False).ravel(), indices, offsets),
         shape=(h * a.n_rows, h * k),
+        copy=False,
     )
     out = block @ b_stack.reshape(h * k, n).astype(np.float32, copy=False)
     return np.asarray(out, dtype=values.dtype).reshape(h, a.n_rows, n)
@@ -156,12 +161,13 @@ def sddmm_batched_reference(
     head, all sharing ``mask``'s topology). Only the dot products at the
     mask's nonzeros are needed (the whole point of SDDMM).
 
-    Moderately-dense small masks take the dense-sample path: one BLAS
-    ``lhs @ rhs^T`` for the whole stack, sampled with a flat ``take`` at
-    the mask coordinates — per-nonzero gathers cost far more per flop
-    than a GEMM once a few percent of the product is needed. Large or very
-    sparse problems fall back to per-nonzero gathers chunked over nnz
-    blocks, so peak memory stays bounded either way.
+    Masks at least :data:`SDDMM_DENSE_SAMPLE_DENSITY` dense take the
+    dense-sample path: BLAS ``lhs @ rhs^T`` one row block at a time
+    (:data:`SDDMM_BLOCK_ELEMS`), each block sampled with a flat ``take`` at
+    its nonzeros — per-nonzero gathers cost far more per flop than a GEMM
+    once a few percent of the product is needed. Very sparse masks fall
+    back to per-nonzero gathers chunked over nnz blocks. Peak memory stays
+    bounded by the block or the chunk either way.
     """
     lhs_stack = np.asarray(lhs_stack, dtype=np.float32)
     rhs_stack = np.asarray(rhs_stack, dtype=np.float32)
@@ -181,19 +187,33 @@ def sddmm_batched_reference(
     if lhs_stack.shape[2] != rhs_stack.shape[2]:
         raise ValueError("lhs and rhs must share the inner dimension")
     h = lhs_stack.shape[0]
-    row_ids = np.repeat(np.arange(rows), mask.row_lengths)
+    offsets, lengths = mask.row_offsets, mask.row_lengths
     col_ids = mask.column_indices
-    dense_elems = h * rows * cols
-    density = mask.nnz / max(1, rows * cols)
-    if dense_elems <= SDDMM_DENSE_SAMPLE_ELEMS and density >= SDDMM_DENSE_SAMPLE_DENSITY:
-        scores = np.matmul(lhs_stack, rhs_stack.transpose(0, 2, 1))
-        flat = row_ids * cols + col_ids
-        out_vals = np.ascontiguousarray(
-            scores.reshape(h, rows * cols).take(flat, axis=1).T
-        )
+    out_vals = np.empty((mask.nnz, h), dtype=np.float32)
+    if mask.nnz >= SDDMM_DENSE_SAMPLE_DENSITY * rows * cols:
+        # Row-blocked dense sample: block i's product lands in one reused
+        # buffer, is sampled with a flat ``take`` and is overwritten by
+        # block i + 1; the full product never exists.
+        block = max(1, SDDMM_BLOCK_ELEMS // max(1, cols))
+        buf = np.empty(h * min(block, rows) * cols, dtype=np.float32)
+        rhs_t = rhs_stack.transpose(0, 2, 1)
+        for r0 in range(0, rows, block):
+            r1 = min(r0 + block, rows)
+            lo, hi = offsets[r0], offsets[r1]
+            if lo == hi:
+                continue
+            cols_blk = col_ids[lo:hi]
+            c0, c1 = int(cols_blk.min()), int(cols_blk.max()) + 1
+            width = c1 - c0
+            prod = buf[: h * (r1 - r0) * width].reshape(h, r1 - r0, width)
+            np.matmul(lhs_stack[:, r0:r1], rhs_t[:, :, c0:c1], out=prod)
+            flat = np.repeat(
+                np.arange(0, (r1 - r0) * width, width), lengths[r0:r1]
+            ) + (cols_blk - c0)
+            out_vals[lo:hi] = prod.reshape(h, -1).take(flat, axis=1).T
     else:
         # One gathered dot product per nonzero, never the dense product.
-        out_vals = np.empty((mask.nnz, h), dtype=np.float32)
+        row_ids = np.repeat(np.arange(rows), lengths)
         chunk = max(1, SDDMM_CHUNK_NNZ // max(1, h))
         for start in range(0, mask.nnz, chunk):
             sl = slice(start, start + chunk)
@@ -204,7 +224,7 @@ def sddmm_batched_reference(
                 dtype=np.float32,
             )
     if scale_by_values:
-        out_vals = out_vals * mask.values.astype(np.float32)[:, None]
+        out_vals *= mask.values.astype(np.float32)[:, None]
     return out_vals.astype(mask.values.dtype, copy=False)
 
 

@@ -19,9 +19,12 @@ pin the contract:
   ONCE for the whole stack: one DispatchReport, one fallback counter tick,
   not H of either;
 - **references** — the chunked SDDMM gathers match the unchunked einsum
-  bit for bit, so bounding peak memory cannot change results, and the
-  single-matrix references are exactly the H = 1 column of the batched
-  ones on both SDDMM paths;
+  bit for bit, so bounding peak memory cannot change results; the
+  row-blocked dense sample agrees with the gathers across blocks that
+  are partial, empty or edged by empty rows, and never holds the full
+  product; the single-matrix references are exactly the H = 1 column of
+  the batched ones on both SDDMM paths, and the per-head-values SpMM
+  equals its per-head loop;
 - **models** — attention reads the head depth and MobileNet the image
   batch from the input's rank: a 2-D attention call equals the depth-1
   stack bit for bit (output, every record's runtime, telemetry), a head
@@ -497,6 +500,104 @@ class TestChunkedSddmmReference:
         )
 
 
+# ----------------------------------------------------------------------
+# Row-blocked dense-sample SDDMM reference
+# ----------------------------------------------------------------------
+#: Rows per dense-sample block in these tests (the mask is 40 wide).
+BLOCK_ROWS = 8
+
+
+def blocked_mask(rng, dtype=np.float32) -> CSRMatrix:
+    """A 45 x 40 mask for 8-row blocks: 45 rows is no multiple of the
+    block, rows 8..15 (the whole second block) hold no nonzero, and rows
+    16, 23, 24 and 44 (the first or last row of their block) are empty."""
+    dense = (rng.random((45, 40)) < 0.3) * rng.standard_normal((45, 40))
+    dense[8:16] = 0.0
+    dense[[16, 23, 24, 44]] = 0.0
+    return CSRMatrix.from_dense(dense, dtype=dtype)
+
+
+class TestBlockedSddmmReference:
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        """Blocks of BLOCK_ROWS rows, so one small mask spans six."""
+        monkeypatch.setattr(
+            sparse_ops, "SDDMM_BLOCK_ELEMS", BLOCK_ROWS * 40
+        )
+
+    def test_mask_spans_the_block_edge_cases(self, rng):
+        mask = blocked_mask(rng)
+        lengths = mask.row_lengths
+        assert mask.n_rows % BLOCK_ROWS
+        assert not lengths[8:16].any() and lengths[:8].any()
+        assert not lengths[[16, 23, 24, 44]].any()
+        assert mask.nnz >= sparse_ops.SDDMM_DENSE_SAMPLE_DENSITY * 45 * 40
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    @pytest.mark.parametrize("scale_by_values", [False, True])
+    def test_blocked_matches_gather_path(
+        self, rng, monkeypatch, dtype, scale_by_values
+    ):
+        mask = blocked_mask(rng, dtype)
+        lhs = rng.standard_normal((4, 45, DIM)).astype(np.float32)
+        rhs = rng.standard_normal((4, 40, DIM)).astype(np.float32)
+        blocked = sparse_ops.sddmm_batched_reference(
+            lhs, rhs, mask, scale_by_values=scale_by_values
+        )
+        monkeypatch.setattr(sparse_ops, "SDDMM_DENSE_SAMPLE_DENSITY", 2.0)
+        gathered = sparse_ops.sddmm_batched_reference(
+            lhs, rhs, mask, scale_by_values=scale_by_values
+        )
+        assert blocked.dtype == gathered.dtype == np.dtype(dtype)
+        tol = 1e-5 if dtype == np.float32 else 1e-2
+        np.testing.assert_allclose(
+            blocked.astype(np.float32), gathered.astype(np.float32),
+            rtol=tol, atol=tol,
+        )
+
+    @pytest.mark.parametrize("h", HEADS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    @pytest.mark.parametrize("scale_by_values", [False, True])
+    def test_stack_equals_per_head_loop(self, rng, h, dtype, scale_by_values):
+        """The block's row count depends on the mask's width only, so a
+        stack runs the per-head GEMMs of its loop and equals it exactly."""
+        mask = blocked_mask(rng, dtype)
+        lhs = rng.standard_normal((h, 45, DIM)).astype(np.float32)
+        rhs = rng.standard_normal((h, 40, DIM)).astype(np.float32)
+        stacked = sparse_ops.sddmm_batched_reference(
+            lhs, rhs, mask, scale_by_values=scale_by_values
+        )
+        looped = np.stack(
+            [
+                sparse_ops.sddmm_reference(
+                    lhs[i], rhs[i], mask, scale_by_values=scale_by_values
+                ).values
+                for i in range(h)
+            ],
+            axis=1,
+        )
+        assert np.array_equal(stacked, looped)
+
+    def test_peak_memory_is_bounded_by_the_block(self, rng, monkeypatch):
+        """The full (H, rows, cols) product never exists: peak traced
+        memory stays well under it at the default block budget."""
+        import tracemalloc
+
+        monkeypatch.undo()
+        h, n = 2, 1024
+        mask = random_sparse(rng, n, n, 0.05)
+        lhs = rng.standard_normal((h, n, DIM)).astype(np.float32)
+        rhs = rng.standard_normal((h, n, DIM)).astype(np.float32)
+        full_product = h * n * n * 4
+        tracemalloc.start()
+        try:
+            sparse_ops.sddmm_batched_reference(lhs, rhs, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_product / 2, (peak, full_product)
+
+
 class TestReferencesBatchedEqualsLooped:
     """The single-matrix references are the H = 1 case of the batched
     ones, so the batched value matrix equals the per-head loop exactly."""
@@ -524,6 +625,23 @@ class TestReferencesBatchedEqualsLooped:
             axis=1,
         )
         assert np.array_equal(batched, looped)
+
+    @pytest.mark.parametrize("h", HEADS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_spmm_per_head_values(self, rng, h, dtype):
+        """The memoized block-diagonal product equals the per-head loop:
+        each output row accumulates its nonzeros in the same order."""
+        a, b_stack = stacked_problem(rng, h, dtype=dtype)
+        values = rng.standard_normal((h, a.nnz)).astype(dtype)
+        stacked = sparse_ops.spmm_batched_reference(a, b_stack, values)
+        looped = np.stack(
+            [
+                sparse_ops.spmm_reference(a.with_values(values[i]), b_stack[i])
+                for i in range(h)
+            ]
+        )
+        assert stacked.dtype == np.dtype(dtype)
+        assert np.array_equal(stacked, looped)
 
     @pytest.mark.parametrize("h", HEADS)
     @pytest.mark.parametrize("dtype", [np.float32, np.float16])

@@ -181,6 +181,28 @@ class TestOperatorEquivalence:
         cost = ops.spmm_cost(a, 16, context=ctx)
         assert cost.runtime_s == run.execution.runtime_s
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_matmul_takes_transposed_views(self, rng, dtype):
+        """A non-contiguous operand goes to BLAS as a view: the output
+        matches the contiguous call, the costed (m, n, k) GEMM is the same,
+        and fp16 operands still return fp16."""
+        w = dense_batch(rng, 24, 40).astype(dtype)
+        x = dense_batch(rng, 56, 40).astype(dtype)
+        view = ops.matmul(w, x.T, context=ExecutionContext(V100))
+        copied = ops.matmul(
+            w, np.ascontiguousarray(x.T), context=ExecutionContext(V100)
+        )
+        assert not x.T.flags.c_contiguous
+        assert view.output.dtype == np.dtype(dtype)
+        assert view.output.shape == (24, 56)
+        tol = 1e-5 if dtype == np.float32 else 1e-2
+        np.testing.assert_allclose(
+            view.output.astype(np.float32),
+            copied.output.astype(np.float32),
+            rtol=tol, atol=tol,
+        )
+        assert view.execution.runtime_s == copied.execution.runtime_s
+
     def test_oracle_selector_matches_oracle_config(self, rng, ctx):
         from repro.tune import oracle_spmm_config
 
