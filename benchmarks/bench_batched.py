@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
 from pathlib import Path
 
 import numpy as np
@@ -41,28 +40,10 @@ from repro.datasets.attention import banded_random_mask
 from repro.gpu import V100
 from repro.nn import Profile, sparse_attention
 
+from conftest import paired_median
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUT_JSON = REPO_ROOT / "BENCH_batched.json"
-
-
-def _paired_median(loop_a, loop_b, pairs: int) -> tuple[float, float, float]:
-    """Median wall time of each loop and the median of the per-pair
-    ``a / b`` ratios, timing A then B back to back ``pairs`` times."""
-    times_a, times_b = [], []
-    for _ in range(pairs):
-        t0 = time.perf_counter()
-        loop_a()
-        t1 = time.perf_counter()
-        loop_b()
-        t2 = time.perf_counter()
-        times_a.append(t1 - t0)
-        times_b.append(t2 - t1)
-    ratios = np.asarray(times_a) / np.asarray(times_b)
-    return (
-        float(np.median(times_a)),
-        float(np.median(times_b)),
-        float(np.median(ratios)),
-    )
 
 
 def bench_attention(seq: int, heads: int, dk: int, band: int, pairs: int) -> dict:
@@ -108,7 +89,7 @@ def bench_attention(seq: int, heads: int, dk: int, band: int, pairs: int) -> dic
     assert sim_batched <= sim_loop, (sim_batched, sim_loop)
 
     # Wall clock over a warm plan cache (both paths were just run once).
-    wall_loop, wall_batched, wall_speedup = _paired_median(
+    wall_loop, wall_batched, wall_speedup = paired_median(
         run_loop, run_batched, pairs
     )
 

@@ -14,8 +14,8 @@ and writes ``BENCH_dynamic.json`` at the repo root:
   same kernel outputs and costs, for SpMM fp32/fp16, SDDMM, and sharded
   execution at K in {1, 4} (shard plan and per-device cost);
 - **telemetry and lineage** — the repairs are counted
-  (``plan_repairs``/``plan_repair_rows``) and the plan store records the
-  parent -> child lineage envelope.
+  (``plan_repairs``/``plan_repair_rows``) and the context's flight ring
+  records the parent -> child ``plan_repair`` event.
 
 Every check is evaluated; all failures are printed before the script
 exits non-zero. There is no speed gate: a repair costs what a cold plan
@@ -33,7 +33,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,7 @@ from repro.dist import (
 )
 from repro.gpu import V100
 from repro.nn.dynamic import drop_grow_update, select_rows
-from repro.ops import PlanStore
+from repro.obs.flight import FlightRecorder
 from repro.sparse.csr import CSRMatrix
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -157,25 +156,28 @@ def equivalence(size: int, n: int) -> dict:
 
 
 def telemetry_and_lineage(size: int, n: int) -> tuple[dict, dict]:
-    """Repair telemetry counters and the store's lineage envelopes.
+    """Repair telemetry counters and the flight ring's lineage event.
 
     Returns ``(record, checks)``: the raw counters and lineage fields for
-    the report, and the pass/fail of each expectation on them.
+    the report, and the pass/fail of each expectation on them. The
+    context gets its own recorder, so ``REPRO_FLIGHT=off`` cannot hide the
+    event.
     """
     parent = random_csr(size, size, 0.1, seed=53)
     child, delta = one_mutation(parent, 0.05, seed=59)
-    with tempfile.TemporaryDirectory() as tmp:
-        store = PlanStore(tmp)
-        ctx = ops.ExecutionContext(V100, store=store)
-        ctx.spmm_plan(parent, n)
-        ctx.register_topology_delta(delta)
-        ctx.spmm_plan(child, n)
-        config = ctx.spmm_config(child, n)
-        lineage = store.lineage(
-            (ctx.device, "spmm", delta.child, n, config)
-        )
+    ctx = ops.ExecutionContext(V100, flight=FlightRecorder())
+    ctx.spmm_plan(parent, n)
+    ctx.register_topology_delta(delta)
+    ctx.spmm_plan(child, n)
+    lineage = next(
+        (
+            dict(attrs)
+            for kind, _name, _sim, attrs in ctx.flight.signature()
+            if kind == "plan_repair"
+        ),
+        {},
+    )
     tele = ctx.telemetry
-    lineage = lineage or {}
     record = {
         "edited_rows": int(delta.rows.size),
         "plan_repairs": tele.plan_repairs,

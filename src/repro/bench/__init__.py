@@ -32,7 +32,6 @@ from .sweep import (
     build_tasks,
     reset_worker_state,
     run_sweep,
-    warm_store,
 )
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "build_tasks",
     "reset_worker_state",
     "run_sweep",
-    "warm_store",
     "run_spmm_suite",
     "run_sddmm_suite",
     "reliability_counters",

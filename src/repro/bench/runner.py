@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -321,14 +321,15 @@ def _measure(
 
 
 def run_spmm_suite(
-    problems: list[tuple[str, CSRMatrix, int]],
+    problems: Iterable[tuple[str, CSRMatrix, int]],
     kernels: dict[str, SpmmTimer],
     device: DeviceSpec,
 ) -> list[BenchRow]:
     """Time every kernel on every (label, matrix, n) problem.
 
-    A kernel failure on one matrix yields a ``status="failed"`` row and the
-    sweep continues.
+    ``problems`` may be a generator: each matrix is dropped once its
+    kernels are timed. A kernel failure on one matrix yields a
+    ``status="failed"`` row and the sweep continues.
     """
     return [
         _measure(timer, label, name, a, n, device)
@@ -338,7 +339,7 @@ def run_spmm_suite(
 
 
 def run_sddmm_suite(
-    problems: list[tuple[str, CSRMatrix, int]],
+    problems: Iterable[tuple[str, CSRMatrix, int]],
     kernels: dict[str, SddmmTimer],
     device: DeviceSpec,
 ) -> list[BenchRow]:

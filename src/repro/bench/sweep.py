@@ -1,4 +1,4 @@
-"""Parallel corpus sweeps with a shared persistent plan store.
+"""Parallel corpus sweeps with a shared persistent store.
 
 A corpus sweep times every kernel on hundreds-to-thousands of matrices
 (Section II of the paper sweeps the full DNN corpus). Three properties make
@@ -10,10 +10,11 @@ handles all three:
   tasks contiguous so each worker materializes a matrix once per chunk.
 - **Warm starts** — every worker attaches the same disk-backed
   :class:`~repro.ops.store.PlanStore` (atomic writes, no locks) and installs
-  its context as the process default, so kernel timers resolve plans from
-  the shared store. Finished measurements are *also* persisted as
-  result-level store entries keyed by the spec's repr, so a warm re-run
-  skips even matrix materialization.
+  its context as the process default. Finished measurements are persisted
+  as row entries keyed by the spec's repr, so a warm re-run skips even
+  matrix materialization; searched (oracle/tuned) configs persist there
+  too. Plans are not stored: a worker rebuilds them from each matrix's
+  memoized structure analysis.
 - **Streaming + resume** — completed rows are appended to a JSONL file as
   chunks finish; ``resume=True`` reads it back and skips every task already
   measured, so an interrupted 10k-row sweep restarts where it stopped.
@@ -611,16 +612,3 @@ def run_sweep(
     )
     return resumed_rows + rows, report
 
-
-def warm_store(
-    specs: Iterable[MatrixSpec],
-    kernels: Sequence[str],
-    device: DeviceSpec,
-    store_path: str | Path,
-    **kwargs,
-) -> SweepReport:
-    """Pre-populate a plan store by running the sweep once (no JSONL)."""
-    _, report = run_sweep(
-        specs, kernels, device, store_path=store_path, **kwargs
-    )
-    return report

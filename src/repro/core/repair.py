@@ -8,8 +8,8 @@ misses the cache. Repair is the *lineage* path for that miss: a registered
 parent's plan, validates it against the child and rebuilds from the
 child's memoized analysis (``CSRMatrix.analysis``: an O(nnz) touched-column
 count and one row-swizzle argsort). The rebuild is a cold plan by
-construction; what repair adds is the parent -> child record (telemetry,
-flight events, the store's lineage envelope) and the chaos fallback.
+construction; what repair adds is the parent -> child record (telemetry
+and the flight ring's ``plan_repair`` event) and the chaos fallback.
 
 This module holds the pieces of repair that are independent of any one
 kernel:

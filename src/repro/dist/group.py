@@ -11,9 +11,10 @@ between them.
 
 The group also owns shard planning: :meth:`shard_plan` resolves a
 :class:`~repro.dist.partition.ShardPlan` for a topology through the lead
-context's two-tier plan cache (memory LRU -> PlanStore, version 5
-envelopes), and :meth:`shards` materializes the per-device sub-matrices,
-memoized LRU-style because slicing a big CSR is real host work.
+context's plan cache (memory only: a miss re-runs the partition over the
+matrix's memoized swizzle order), and :meth:`shards` materializes the
+per-device sub-matrices, memoized LRU-style because slicing a big CSR is
+real host work.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ class DeviceGroup:
         return iter(self.contexts)
 
     # ------------------------------------------------------------------
-    # Shard planning (two-tier cached) and shard materialization
+    # Shard planning (cached) and shard materialization
     # ------------------------------------------------------------------
     def shard_plan(
         self,
@@ -348,10 +349,6 @@ class DeviceGroup:
     def attach_tracer(self, tracer) -> None:
         for ctx in self.contexts:
             ctx.attach_tracer(tracer)
-
-    def attach_store(self, store) -> None:
-        for ctx in self.contexts:
-            ctx.attach_store(store)
 
     def reset_telemetry(self) -> None:
         for ctx in self.contexts:

@@ -20,7 +20,7 @@ Everything is deterministic: stable sort, first-minimum tie-breaks, no RNG.
 
 :class:`ShardPlan` captures one matrix's partition for ``k`` devices (row
 or 2-D strategy) and is what :class:`~repro.dist.group.DeviceGroup` caches
-through the two-tier plan cache (``("shard_plan", ...)`` store keys).
+in its lead context's plan cache under ``("shard_plan", ...)`` keys.
 """
 
 from __future__ import annotations
@@ -137,8 +137,6 @@ class ShardPlan:
     ``d = i * kc + j`` owns rows ``device_rows[i]`` restricted to column
     range ``col_ranges[j]``. Row groups are cost-balanced; column ranges
     are even width (dense-operand shards must be uniform).
-
-    Plans are pure numpy + ints, so they pickle into PlanStore envelopes.
     """
 
     k: int
@@ -147,11 +145,11 @@ class ShardPlan:
     device_rows: list[np.ndarray]
     col_ranges: list[tuple[int, int]]
     loads: np.ndarray
+    #: Decreasing-length row order the partition was derived from (the
+    #: matrix's ``analysis.swizzle_order``).
+    row_order: np.ndarray
     bundle_size: int = DEFAULT_BUNDLE_SIZE
     stats: dict = field(default_factory=dict)
-    #: Decreasing-length row order the partition was derived from (the
-    #: matrix's ``analysis.swizzle_order``; ``None`` on pre-v6 plans).
-    row_order: np.ndarray | None = None
 
     @property
     def max_load(self) -> int:
@@ -246,15 +244,9 @@ def repair_shard_plan(
     count, strategy and bundle size over the child's memoized swizzle
     order — a cold shard plan, field for field (tested in
     tests/test_dynamic.py). Raises
-    :class:`~repro.reliability.errors.PlanRepairError` when the ancestor
-    carries no ``row_order`` or its row count disagrees; the caller falls
-    back to a cold plan.
+    :class:`~repro.reliability.errors.PlanRepairError` when the
+    ancestor's row count disagrees; the caller falls back to a cold plan.
     """
-    if plan.row_order is None:
-        raise PlanRepairError(
-            "ancestor shard plan carries no row_order (pre-repair store "
-            "entry); cold re-plan required"
-        )
     if a.shape[0] != len(plan.row_order):
         raise PlanRepairError(
             f"shard-plan repair row mismatch: ancestor ordered "

@@ -222,7 +222,7 @@ class ExecutionResult:
     #: Individual launch results when this aggregates a multi-kernel op.
     children: list["ExecutionResult"] = field(default_factory=list)
     #: Per-phase attribution of ``runtime_s`` (None for results built
-    #: outside the executor, e.g. unpickled from an old plan store).
+    #: outside the executor, e.g. a sharded aggregate).
     phases: PhaseTimes | None = None
 
     @property

@@ -32,9 +32,11 @@ from .profile import Profile
 def layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Per-token layer normalization over the feature axis (axis 1)."""
     x = np.asarray(x, dtype=np.float32)
-    mean = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps)
+    out = x - x.mean(axis=1, keepdims=True)
+    # The variance of the centered rows, as ``x.var`` computes it, without
+    # deriving the mean a second time.
+    out /= np.sqrt(np.square(out).mean(axis=1, keepdims=True) + eps)
+    return out
 
 
 class TransformerLayer:

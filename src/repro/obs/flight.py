@@ -71,9 +71,10 @@ def flight_dump_dir() -> Path | None:
 class FlightRecorder:
     """Bounded ring of recent launch/fault events, dumpable as a trace.
 
-    Events are ``(ts, kind, name, sim_s, attrs)`` tuples; ``ts`` is wall
-    seconds since the recorder's epoch (excluded from :meth:`signature`, so
-    determinism checks compare only the simulated/semantic payload).
+    Events read back as ``(ts, kind, name, sim_s, attrs)`` tuples; ``ts``
+    is wall seconds since the recorder's epoch (excluded from
+    :meth:`signature`, so determinism checks compare only the
+    simulated/semantic payload).
     ``kind`` is ``"launch"`` for recorded kernel launches and a fault/event
     label (``"oom"``, ``"retry"``, ``"fallback"``, ...) for everything else.
     """
@@ -116,20 +117,23 @@ class FlightRecorder:
         self, kind: str, name: str, sim_s: float = 0.0, /, **attrs
     ) -> None:
         """Append one event to the ring (oldest events fall off)."""
-        self._events.append(
-            (time.perf_counter() - self._epoch, kind, name, sim_s, attrs)
-        )
+        self._events.append((time.perf_counter(), kind, name, sim_s, attrs))
         self.total_events += 1
 
     def record_launch(self, op: str, backend: str, execution) -> None:
-        """One dispatched launch (fed by ``Telemetry.record_launch``)."""
+        """One dispatched launch (fed by ``Telemetry.record_launch``).
+
+        Runs once per dispatch, so it stores the raw clock and the
+        ``(op, backend)`` pair; :meth:`_window` makes them the event's
+        epoch-relative time and attrs when the window is read.
+        """
         self._events.append(
             (
-                time.perf_counter() - self._epoch,
+                time.perf_counter(),
                 "launch",
                 execution.name,
                 execution.runtime_s,
-                {"op": op, "backend": backend},
+                (op, backend),
             )
         )
         self.total_events += 1
@@ -139,13 +143,22 @@ class FlightRecorder:
         self.total_events = 0
 
     # -- export ----------------------------------------------------------
+    def _window(self):
+        """The ring's events as ``(ts, kind, name, sim_s, attrs)``, with
+        ``ts`` in seconds since the recorder's epoch."""
+        epoch = self._epoch
+        for ts, kind, name, sim_s, attrs in self._events:
+            if isinstance(attrs, tuple):
+                attrs = {"op": attrs[0], "backend": attrs[1]}
+            yield ts - epoch, kind, name, sim_s, attrs
+
     def signature(self) -> list[tuple]:
         """Wall-time-free projection of the window, for determinism checks:
         two runs with the same seeds produce identical signatures even
         though their wall timestamps differ."""
         return [
             (kind, name, round(sim_s, 12), tuple(sorted(attrs.items())))
-            for _, kind, name, sim_s, attrs in self._events
+            for _, kind, name, sim_s, attrs in self._window()
         ]
 
     def to_records(self, reason: str = "dump") -> list[dict[str, Any]]:
@@ -173,7 +186,7 @@ class FlightRecorder:
             }
         ]
         for span_id, (ts, kind, name, sim_s, attrs) in enumerate(
-            self._events, start=1
+            self._window(), start=1
         ):
             args = dict(attrs)
             if self.device_id is not None:

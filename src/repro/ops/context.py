@@ -50,7 +50,6 @@ from ..tune import TuningResult, resolve_selector
 from .plans import (
     DEFAULT_MAX_PLANS,
     PlanCache,
-    is_poisoned,
     matrix_fingerprint,
 )
 from .store import PlanStore
@@ -72,7 +71,8 @@ TELEMETRY_SCHEMA: dict[str, type] = {
     "failures": int,
     "faults_injected": int,
     "backoff_seconds": float,
-    # Persistent plan-store counters (populated when a store is attached).
+    # Plan-store counters (populated when a store is attached and a
+    # searched config is looked up).
     "store_hits": int,
     "store_misses": int,
     "store_evictions": int,
@@ -180,8 +180,9 @@ class Telemetry:
             entry.cache_misses += 1
 
     def record_store(self, op: str, backend: str, status: str) -> None:
-        """One persistent plan-store lookup: ``"hit"``, ``"miss"``, or
-        ``"corrupt"`` (an evicted corrupt entry, which also misses)."""
+        """One plan-store lookup of a searched config: ``"hit"``,
+        ``"miss"``, or ``"corrupt"`` (an evicted corrupt entry, which also
+        misses)."""
         entry = self._get(op, backend)
         if status == "hit":
             entry.store_hits += 1
@@ -393,8 +394,9 @@ class ExecutionContext:
         self.device_id = device_id
         self.plans = PlanCache(max_plans)
         self.telemetry = Telemetry()
-        #: Optional disk-backed :class:`~repro.ops.store.PlanStore` consulted
-        #: between the in-memory cache and a plan rebuild; a path builds one.
+        #: Optional disk-backed :class:`~repro.ops.store.PlanStore` holding
+        #: searched (oracle/tuned) configs across processes; a path builds
+        #: one. Plans themselves are never persisted.
         self.attach_store(store)
         #: A :class:`~repro.reliability.injector.FaultInjector`, or ``None``;
         #: the policy loop consults it before every attempt.
@@ -445,9 +447,6 @@ class ExecutionContext:
         self._pinned: dict[tuple, int] = {}
         #: Bytes charged per resident plan-cache entry.
         self._plan_allocs: dict[tuple, Allocation] = {}
-        #: Plan keys the store must never receive (tuning results that fell
-        #: back under injected faults — see ``_cached``'s ``storable``).
-        self._no_spill: set = set()
         #: Residency keys evicted under pressure; re-pinning one counts as
         #: a host->device re-upload in ``bytes_reuploaded``.
         self._evicted_keys: set = set()
@@ -488,24 +487,26 @@ class ExecutionContext:
         storable=None,
         repair=None,
     ):
-        """Two-tier plan lookup: memory cache, then the persistent store,
-        then a repair (when a topology delta applies), then
-        ``build`` (persisting the result to both tiers).
+        """Plan lookup: the memory cache, then a repair (when a topology
+        delta applies), then ``build``.
 
         A poisoned in-memory entry raises
         :class:`~repro.reliability.errors.PlanCorruptionError` exactly like
-        the direct cache path, so the reliability policies keep working; a
-        corrupt *on-disk* entry is self-healing (evicted and rebuilt) and
-        only surfaces in the ``store_evictions`` telemetry.
+        the direct cache path, so the reliability policies keep working.
 
-        ``storable`` (a predicate over the built value) gates the on-disk
-        write: a tuning result that *fell back* under injected faults is
-        kept in memory for this process but never persisted, so a later
-        fault-free run re-tunes instead of inheriting the degraded pick.
+        ``storable`` (a predicate over the built value) makes the entry a
+        persisted decision: the attached store is read before a build and
+        receives every built value the predicate accepts. Only searched
+        configs pass one; a tuning result that *fell back* under injected
+        faults fails it, so a later fault-free run re-tunes instead of
+        inheriting the degraded pick. A corrupt on-disk entry is
+        self-healing (evicted and rebuilt) and only surfaces in the
+        ``store_evictions`` telemetry. Everything else is memory-only and
+        rebuilt from the matrix's memoized analysis on a miss.
 
         ``repair`` (a zero-arg callable returning ``(value, delta)`` or
-        ``None``) is the fingerprint-delta hook: tried only after both
-        cache tiers miss, and *any* failure inside it — including injected
+        ``None``) is the fingerprint-delta hook: tried only after the
+        lookups miss, and *any* failure inside it — including injected
         faults — falls through to the cold ``build``, so a repair can cost
         at most a re-plan, never a corrupt plan.
         """
@@ -517,8 +518,9 @@ class ExecutionContext:
                 span.set(plan_cache="hit", plan_source="memory")
             return value
         self.telemetry.record_cache(op, backend, False)
-        if self.store is not None:
-            stored, status = self.store.fetch((self.device,) + key)
+        store = self.store if storable is not None else None
+        if store is not None:
+            stored, status = store.fetch((self.device,) + key)
             self.telemetry.record_store(op, backend, status)
             if stored is not None:
                 if span is not None:
@@ -534,21 +536,19 @@ class ExecutionContext:
         if span is not None:
             span.set(plan_cache="miss", plan_source="built")
         self.plans.put(key, value)
-        if storable is None or storable(value):
-            if self.store is not None:
-                self.store.save((self.device,) + key, value)
-        else:
-            self._no_spill.add(key)
+        if store is not None and storable(value):
+            store.save((self.device,) + key, value)
         self._charge_plan(key, value, op, backend)
         return value
 
     def _attempt_repair(self, op: str, backend: str, key: tuple, repair, span):
         """Run one repair attempt; ``None`` means "fall back to cold".
 
-        Successful repairs are cached and persisted like built plans, with
-        the repair lineage recorded in the store envelope. Failures only
-        leave a span/flight breadcrumb — the caller cold-builds and the
-        result is correct either way.
+        A successful repair is cached like a built plan, and its lineage
+        (parent and child fingerprints, edited rows) is the flight ring's
+        ``plan_repair`` event. Failures only leave a span/flight
+        breadcrumb — the caller cold-builds and the result is correct
+        either way.
         """
         try:
             if self.injector is not None:
@@ -586,16 +586,6 @@ class ExecutionContext:
                 child=delta.child,
             )
         self.plans.put(key, value)
-        if self.store is not None:
-            self.store.save(
-                (self.device,) + key,
-                value,
-                lineage={
-                    "parent": delta.parent,
-                    "child": delta.child,
-                    "rows": rows,
-                },
-            )
         self._charge_plan(key, value, op, backend)
         return value
 
@@ -605,8 +595,8 @@ class ExecutionContext:
     def register_topology_delta(self, delta: TopologyDelta) -> None:
         """Make plans for ``delta.child`` repairable from ``delta.parent``.
 
-        The next plan lookup for the child fingerprint that misses both
-        cache tiers will try to repair the parent's plan instead of cold
+        The next plan lookup for the child fingerprint that misses the
+        cache will try to repair the parent's plan instead of cold
         building. Registration is bounded (LRU over
         :data:`MAX_TOPOLOGY_DELTAS` entries) and single-hop: per-step
         chains stay warm because each repaired plan lands in the cache
@@ -659,25 +649,19 @@ class ExecutionContext:
         """Build ``_cached``'s repair hook for one plan family.
 
         ``None`` when no delta is registered for ``fp``. The hook looks up
-        the ancestor plan under the delta's parent fingerprint — memory
-        first, then the store (an ancillary probe, not counted in store
-        telemetry) — and runs the kernel-specific repair. A poisoned
-        ancestor aborts the repair (cold build recovers).
+        the ancestor plan under the delta's parent fingerprint in the
+        memory cache and runs the kernel-specific repair. A missing or
+        poisoned ancestor aborts the repair (cold build recovers).
         """
         delta = self._deltas.get(fp)
         if delta is None:
             return None
 
         def attempt():
-            parent_key = parent_key_for(delta.parent)
             try:
-                ancestor = self.plans.get(parent_key)
+                ancestor = self.plans.get(parent_key_for(delta.parent))
             except PlanCorruptionError:
                 return None
-            if ancestor is None and self.store is not None:
-                ancestor, _status = self.store.fetch(
-                    (self.device,) + parent_key
-                )
             if ancestor is None:
                 return None
             return repair_with(ancestor, delta), delta
@@ -776,8 +760,9 @@ class ExecutionContext:
         protect=None,
     ) -> Allocation | None:
         """Allocate with in-line reclaim: flush the segment cache, then
-        evict cold residency (tensors first, then plans — spilled to the
-        store) until the request fits or nothing is left to reclaim.
+        evict cold residency (tensors first, then plans, which a later
+        lookup rebuilds) until the request fits or nothing is left to
+        reclaim.
 
         ``protect`` names a plan key that must survive reclaim (the entry
         being charged). Raises :class:`DeviceOOMError` — with the
@@ -837,8 +822,8 @@ class ExecutionContext:
         """Reclaim one cold entry; returns the bytes freed (0 = nothing).
 
         Unpinned tensor residency goes first (oldest first — big wins,
-        cheap to re-upload), then charged plan-cache entries (spilled to
-        the persistent store by the eviction callback, never just lost).
+        cheap to re-upload), then charged plan-cache entries (rebuilt from
+        the matrix's memoized analysis when next asked for).
         """
         for key in list(self._resident):
             if self._pinned.get(key):
@@ -896,20 +881,10 @@ class ExecutionContext:
         self._plan_allocs[key] = alloc
 
     def _on_plan_evicted(self, key, value) -> None:
-        """Plan-cache eviction observer: spill to the store, free bytes."""
-        spillable = (
-            self.store is not None
-            and not is_poisoned(value)
-            and key not in self._no_spill
-        )
-        self._no_spill.discard(key)
+        """Plan-cache eviction observer: free the entry's device bytes."""
         alloc = self._plan_allocs.pop(key, None)
         if alloc is None:
             return
-        if spillable:
-            full_key = (self.device,) + key
-            if full_key not in self.store:
-                self.store.save(full_key, value)
         self.memory.free(alloc)
         if self._reclaiming:
             op, backend = self._mem_attr
@@ -987,7 +962,7 @@ class ExecutionContext:
     def reset_telemetry(self) -> None:
         """Zero all telemetry counters *and* the attached store's counters
         in one call, so snapshot deltas never mix epochs (plan caches and
-        stored plans are kept)."""
+        stored configs are kept)."""
         self.telemetry.reset()
         if self.store is not None:
             self.store.reset_stats()
@@ -1028,8 +1003,9 @@ class ExecutionContext:
         Precision follows the matrix's value dtype: fp16 values select a
         mixed-precision config (fp16 value bytes, int16 index bytes).
         ``persist`` selectors (oracle, tuned — anything that costs
-        candidates) go through the two-tier :meth:`_cached` path so their
-        winners amortize across processes; the heuristic stays memory-only.
+        candidates) pass :meth:`_cached` a ``storable`` predicate, so their
+        winners amortize across processes through the attached store; the
+        heuristic stays memory-only.
         A :class:`~repro.tune.TuningResult` is cached whole (stats and
         all) and unwrapped to its config here.
         """

@@ -37,14 +37,6 @@ class _PoisonedEntry:
 _POISONED = _PoisonedEntry()
 
 
-def is_poisoned(value: Any) -> bool:
-    """Whether a cache value is the corruption sentinel, not a real plan.
-
-    Eviction observers use this to avoid spilling the sentinel to the
-    persistent store (a poisoned entry must be re-planned, never reloaded).
-    """
-    return value is _POISONED
-
 #: Default maximum number of cached plans per context. Plans hold the
 #: swizzled row order and ROMA extents (O(rows) each), so a few hundred is
 #: cheap; LRU eviction bounds the worst case for benchmark sweeps.

@@ -1,13 +1,18 @@
-"""Disk-backed persistent plan store.
+"""Disk-backed store of decisions that are expensive to recompute.
 
-Plans in this codebase are pure derived state: everything in an
-:class:`~repro.core.spmm.SpmmPlan` (and friends) follows deterministically
-from a matrix's *structure*, the kernel config, and the device. An
-in-process :class:`~repro.ops.plans.PlanCache` already amortizes planning
-within one process; the :class:`PlanStore` extends that across processes and
-runs — a corpus sweep's worker pool shares one store directory, and a warm
-re-run skips ``_analyze`` (and even matrix materialization, for the sweep's
-result-level entries) entirely.
+Kernel plans are not persisted: everything in an
+:class:`~repro.core.spmm.SpmmPlan` (and friends) follows from a matrix's
+memoized structure analysis, the kernel config and the device, so an
+in-process :class:`~repro.ops.plans.PlanCache` miss rebuilds it about as
+fast as a pickle would load. What a :class:`PlanStore` keeps across
+processes and runs is what costs a search or a measurement:
+
+- searched configs: the :class:`~repro.tune.TuningResult` of the oracle and
+  tuned selectors, under selector-qualified ``(device, "spmm_config", ...)``
+  keys (see ``ExecutionContext._select_config``);
+- finished sweep rows, under ``("sweep_row", ...)`` keys written by
+  :mod:`repro.bench.sweep`, so a warm re-run skips even matrix
+  materialization.
 
 On-disk format (one file per entry, named by a blake2b digest of the key):
 
@@ -20,8 +25,7 @@ On-disk format (one file per entry, named by a blake2b digest of the key):
   cost recomputation, never wrong results.
 - writes go to a temp file in the store directory followed by an atomic
   :func:`os.replace`, so concurrent sweep workers can share a store without
-  locks (last writer wins; all writers produce identical bytes-equivalent
-  plans anyway).
+  locks (last writer wins; all writers produce identical values anyway).
 
 Keys are tuples of ``repr``-stable values (strings, ints, frozen dataclass
 configs, :class:`~repro.gpu.device.DeviceSpec`); the digest covers the full
@@ -37,40 +41,13 @@ import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-#: Bump to invalidate every persisted plan (e.g. when a plan dataclass or
-#: the cost model changes shape). v2: ExecutionResult grew the per-launch
-#: ``phases`` attribution, so v1 pickles would deserialize without it.
-#: v3: the batched-plan envelope (SpmmBatchedPlan/SddmmBatchedPlan/
-#: SparseSoftmaxBatchedPlan with z-scaled launches and batch-size keys) —
-#: stale v2 pickles must self-heal rather than deserialize into the new
-#: batched execute signatures.
-#: v4: tuned selection persists whole ``repro.tune.TuningResult`` envelopes
-#: (config + search stats) under selector-qualified config keys — v3
-#: pickles of bare configs would miss the search metadata readers now
-#: unwrap.
-#: v5: multi-GPU sharding persists ``repro.dist.ShardPlan`` envelopes
-#: (per-device row assignments, column ranges, and load accounting) under
-#: ``("shard_plan", ...)`` keys — older stores know nothing of the key
-#: family and must not serve stale entries to the sharded dispatch path.
-#: v6: dynamic-sparsity plan repair — plan dataclasses grew repair state
-#: (a per-column histogram on SpmmPlan/SddmmPlan, ``SddmmPlan.row_order``,
-#: ``ShardPlan.row_order``) and envelopes carry an optional repair
-#: ``lineage`` record, so v5 pickles would deserialize without the state
-#: the repair path then maintained incrementally.
-#: v7: the stack depth ``h`` became a field of SpmmPlan/SddmmPlan/
-#: SparseSoftmaxPlan and the three ``*BatchedPlan`` classes are gone, so v6
-#: pickles of batched plans name classes that no longer exist.
-#: v8: repair rebuilds from the child's memoized analysis, so SpmmPlan and
-#: SddmmPlan lost their per-column histogram field. A v7 repaired plan
-#: would unpickle still carrying that histogram, and ``estimate_nbytes``
-#: (which walks ``__dict__``) would charge it bytes a fresh plan does not
-#: hold.
-#: v9: the stacked ops are the depth of the single ones, so every kernel
-#: plan key carries ``h`` (``("spmm", fp, n, h, config)``) and the
-#: ``*_batched`` key families are gone; v8 keys would never be asked for
-#: again.
+#: Bump to invalidate every persisted entry when a stored value or its key
+#: changes shape. The store holds searched configs (``TuningResult``) and
+#: sweep rows; plans are rebuilt in memory, so a plan-field change no
+#: longer bumps it. Versions 1-9 tracked the plan envelopes the store held
+#: until then (v9: every plan key carried the stack depth ``h``).
 PLAN_STORE_VERSION = 9
 
 #: Magic tag identifying a plan-store envelope.
@@ -105,7 +82,7 @@ class StoreStats:
 
 
 class PlanStore:
-    """A directory of pickled plan entries keyed by structure fingerprints.
+    """A directory of pickled entries (searched configs, sweep rows).
 
     ``version`` defaults to :data:`PLAN_STORE_VERSION`; passing a different
     value (tests, forced invalidation) makes every entry written under
@@ -143,9 +120,6 @@ class PlanStore:
 
     def path_for(self, key: Any) -> Path:
         return self.root / (self.key_digest(key) + _SUFFIX)
-
-    def __contains__(self, key: Any) -> bool:
-        return self.path_for(key).exists()
 
     # ------------------------------------------------------------------
     # Load / save
@@ -191,22 +165,8 @@ class PlanStore:
         self.stats.hits += 1
         return value, "hit"
 
-    def load(self, key: Any) -> Any | None:
-        """Value for ``key``, or ``None`` on miss/corruption."""
-        value, _ = self.fetch(key)
-        return value
-
-    def save(
-        self, key: Any, value: Any, lineage: dict | None = None
-    ) -> Path:
-        """Persist ``value`` under ``key`` (atomic, concurrency-safe).
-
-        ``lineage`` optionally records how a *repaired* plan came to be
-        (parent/child fingerprints, edited-row count): it rides in the
-        envelope for post-mortem inspection via :meth:`lineage` but plays
-        no part in validation — a repaired plan is bit-identical to a cold
-        one, so readers never need to care.
-        """
+    def save(self, key: Any, value: Any) -> Path:
+        """Persist ``value`` under ``key`` (atomic, concurrency-safe)."""
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         envelope = {
             "magic": _MAGIC,
@@ -215,8 +175,6 @@ class PlanStore:
             "checksum": hashlib.blake2b(payload, digest_size=16).hexdigest(),
             "payload": payload,
         }
-        if lineage is not None:
-            envelope["lineage"] = dict(lineage)
         path = self.path_for(key)
         fd, tmp = tempfile.mkstemp(
             dir=self.root, prefix=".tmp-", suffix=_SUFFIX
@@ -233,38 +191,6 @@ class PlanStore:
             raise
         self.stats.writes += 1
         return path
-
-    def lineage(self, key: Any) -> dict | None:
-        """Repair-lineage record of an entry, or ``None``.
-
-        ``None`` means the entry is absent, unreadable, or was written by
-        a cold build; only plans persisted by the repair path carry one.
-        """
-        path = self.path_for(key)
-        try:
-            envelope = pickle.loads(path.read_bytes())
-        except Exception:
-            return None
-        if (
-            not isinstance(envelope, dict)
-            or envelope.get("magic") != _MAGIC
-            or envelope.get("version") != self.version
-            or envelope.get("key") != repr(key)
-        ):
-            return None
-        lineage = envelope.get("lineage")
-        return dict(lineage) if isinstance(lineage, dict) else None
-
-    def get_or_build(
-        self, key: Any, build: Callable[[], Any]
-    ) -> tuple[Any, bool]:
-        """Return ``(value, was_hit)``, building and persisting on a miss."""
-        value, status = self.fetch(key)
-        if status == "hit":
-            return value, True
-        value = build()
-        self.save(key, value)
-        return value, False
 
     def evict(self, key: Any) -> None:
         """Drop one entry (missing is a no-op)."""

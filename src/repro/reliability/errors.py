@@ -101,9 +101,10 @@ class DeviceOOMError(ReliabilityError):
 
     Retryable: the dispatch policy runs a degradation ladder before giving
     up — flush the allocator's cached segments, evict cold plans/tensors
-    (spilling plans to the persistent store), then fall back to a
-    lower-footprint backend. ``snapshot`` is the allocator's gauge/counter
-    dict at the moment of exhaustion, for post-mortem diagnosis.
+    (an evicted plan is rebuilt from its matrix's memoized analysis when
+    next needed), then fall back to a lower-footprint backend.
+    ``snapshot`` is the allocator's gauge/counter dict at the moment of
+    exhaustion, for post-mortem diagnosis.
     """
 
     retryable = True

@@ -20,7 +20,8 @@ falls back to the heuristic config (``fell_back=True``) instead of
 crashing.
 
 Module-level wall-clock accounting (:func:`tuning_seconds`) lets the
-autotune benchmark assert that a warm plan store bounds tuning overhead.
+autotune benchmark assert that a warm plan store (which persists each
+search's :class:`TuningResult`) bounds tuning overhead.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 Covers the ring/shared collective cost model, the LPT cost-balanced
 partitioner (property-tested balance bound + determinism on power-law
-topologies), ShardPlan caching through the two-tier plan store (v5
-envelopes), sharded SpMM/SDDMM numerics vs the single-device kernels,
-the ``shard=`` routing on the ops layer, per-device HBM accounting, the
+topologies), ShardPlan caching in the lead context's plan cache,
+sharded SpMM/SDDMM numerics vs the single-device kernels, the
+``shard=`` routing on the ops layer, per-device HBM accounting, the
 report CLI's per-device rollup on a merged multi-device trace, the
 sweep's ``devices=`` dimension, and the model-parallel Transformer
 layer.
@@ -184,32 +184,14 @@ class TestPartition:
 
 
 # ----------------------------------------------------------------------
-# ShardPlan caching through the two-tier plan store
+# ShardPlan caching in the lead context's plan cache
 # ----------------------------------------------------------------------
 class TestShardPlanCache:
     def test_store_version_is_9(self):
-        # v6: ShardPlan carries row_order and envelopes can carry repair
-        # lineage, so v5 entries must be discarded, not reinterpreted.
-        # v7: the kernel plans carry their stack depth h.
-        # v8: the kernel plans no longer carry a repair column histogram.
-        # v9: every kernel plan key carries h; the batched keys are gone.
+        # Shard plans are no longer persisted, and plan-field changes no
+        # longer bump the version: the stored configs and sweep rows keep
+        # the v9 envelope.
         assert PLAN_STORE_VERSION == 9
-
-    def test_plan_round_trips_through_store(self, tmp_path, rng):
-        a = power_law_csr(rng, 256, 256)
-        first_group = DeviceGroup(4, store=str(tmp_path / "plans"))
-        plan = first_group.shard_plan(a)
-        assert isinstance(plan, ShardPlan)
-        writes = first_group.lead.store.stats.writes
-        assert writes >= 1
-
-        second_group = DeviceGroup(4, store=str(tmp_path / "plans"))
-        restored = second_group.shard_plan(a)
-        assert second_group.lead.store.stats.hits == 1
-        assert restored.k == plan.k and restored.strategy == plan.strategy
-        np.testing.assert_array_equal(restored.loads, plan.loads)
-        for mine, theirs in zip(restored.device_rows, plan.device_rows):
-            np.testing.assert_array_equal(mine, theirs)
 
     def test_memory_tier_hit_on_second_call(self, rng):
         a = power_law_csr(rng, 128, 128)

@@ -4,10 +4,10 @@ Covers the RigL-style mutation (constant nnz, shared offsets, seeded
 determinism), the fingerprint-delta repair path (repaired SpMM/SDDMM
 plans equal to cold plans field for field and byte for byte across
 dtypes and depths, repair chains, sharded K in {1, 4}), the
-``TopologyDelta`` shape, store lineage envelopes, the ``SparseLinear``
-topology-edit wiring (repairable deltas + generation-based
-invalidation), the sweep's ``mutations=`` dimension (row-key
-back-compat, composing with ``h`` and ``devices``), and chaos: an
+``TopologyDelta`` shape, the repair lineage in the flight ring, the
+``SparseLinear`` topology-edit wiring (repairable deltas +
+generation-based invalidation), the sweep's ``mutations=`` dimension
+(row-key back-compat, composing with ``h`` and ``devices``), and chaos: an
 injected mid-repair fault must fall back to a cold build with identical
 results, never a corrupt plan.
 """
@@ -26,8 +26,8 @@ from repro.dist import DeviceGroup, plan_shards, repair_shard_plan, sharded_spmm
 from repro.gpu import V100
 from repro.gpu.allocator import estimate_nbytes
 from repro.nn import DropGrowSchedule, SparseLinear, drop_grow_step, drop_grow_update, select_rows
-from repro.ops import PlanStore, matrix_fingerprint
-from repro.ops.store import PLAN_STORE_VERSION
+from repro.obs.flight import FlightRecorder
+from repro.ops import matrix_fingerprint
 from repro.reliability.errors import PlanRepairError
 from repro.reliability.injector import FaultInjector, FaultSpec
 
@@ -236,25 +236,32 @@ class TestPlanRepair:
         ctx.spmm_plan(child, 8)
         assert ctx.telemetry.plan_repairs == 0
 
-    def test_store_lineage(self, rng, tmp_path):
-        assert PLAN_STORE_VERSION == 9
+    def test_repair_lineage_in_flight_event(self, rng, tmp_path, monkeypatch):
+        # An explicit recorder keeps the event even with the env ring off.
+        monkeypatch.setenv("REPRO_FLIGHT", "off")
         parent = random_sparse(rng, 64, 64, 0.2)
         child, delta = _mutate(parent)
-        store = PlanStore(tmp_path)
-        ctx = ops.ExecutionContext(V100, store=store)
+        ctx = ops.ExecutionContext(
+            V100, store=tmp_path, flight=FlightRecorder()
+        )
+
+        def repairs():
+            return [
+                dict(attrs)
+                for kind, _name, _sim, attrs in ctx.flight.signature()
+                if kind == "plan_repair"
+            ]
+
         ctx.spmm_plan(parent, 8)
-        parent_key = (ctx.device, "spmm", delta.parent, 8, 1,
-                      ctx.spmm_config(parent, 8))
-        assert store.lineage(parent_key) is None  # cold plans: no lineage
+        assert repairs() == []  # a cold build records no lineage
         ctx.register_topology_delta(delta)
         ctx.spmm_plan(child, 8)
-        lineage = store.lineage(
-            (ctx.device, "spmm", delta.child, 8, 1, ctx.spmm_config(child, 8))
-        )
-        assert lineage is not None
+        (lineage,) = repairs()
         assert lineage["parent"] == delta.parent
         assert lineage["child"] == delta.child
         assert lineage["rows"] == delta.rows.size
+        # The lineage lives in the ring; the store receives no plan.
+        assert len(ctx.store) == 0
 
     def test_sharded_repair_k4(self, rng):
         parent = random_sparse(rng, 256, 128, 0.15)
@@ -291,9 +298,6 @@ class TestPlanRepair:
         parent = random_sparse(rng, 64, 64, 0.2)
         child, delta = _mutate(parent)
         plan = plan_shards(parent, 2)
-        legacy = dataclasses.replace(plan, row_order=None)
-        with pytest.raises(PlanRepairError, match="row_order"):
-            repair_shard_plan(legacy, child, delta)
         small = random_sparse(rng, 32, 64, 0.2)
         with pytest.raises(PlanRepairError, match="row mismatch"):
             repair_shard_plan(plan, small, delta)

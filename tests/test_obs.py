@@ -271,8 +271,8 @@ class TestTelemetryContract:
     def test_reset_also_resets_store_counters(self, rng, device, tmp_path):
         ctx = ops.ExecutionContext(device, store=tmp_path / "plans")
         a = random_sparse(rng, 64, 48, 0.3)
-        ops.spmm_cost(a, 32, context=ctx)
-        assert ctx.store.stats.misses > 0 or ctx.store.stats.writes > 0
+        ops.spmm_cost(a, 32, context=ctx, selector="tuned")
+        assert ctx.store.stats.misses > 0 and ctx.store.stats.writes > 0
         ctx.reset_telemetry()
         assert ctx.telemetry_snapshot() == {}
         assert ctx.store.stats.as_dict() == {
@@ -401,11 +401,12 @@ class TestTracedDispatch:
     def test_store_tier_annotated(self, rng, device, tmp_path):
         a = random_sparse(rng, 64, 48, 0.3)
         warm = ops.ExecutionContext(device, store=tmp_path / "plans")
-        ops.spmm_cost(a, 32, context=warm)
+        warm.spmm_config(a, 32, selector="tuned")
         cold = ops.ExecutionContext(
             device, store=tmp_path / "plans", tracer=Tracer("t")
         )
-        ops.spmm_cost(a, 32, context=cold)
+        with cold.tracer.span("select"):
+            cold.spmm_config(a, 32, selector="tuned")
         assert cold.tracer.spans[0].attrs["plan_source"] == "store"
 
     def test_untraced_context_records_nothing(self, rng, device):

@@ -1,5 +1,6 @@
-"""Tests for the disk-backed persistent plan store (repro.ops.store) and
-its integration with ExecutionContext's two-tier plan lookup."""
+"""Tests for the disk-backed persistent store (repro.ops.store) and its
+integration with ExecutionContext: only searched configs are persisted;
+plans stay in memory."""
 
 from __future__ import annotations
 
@@ -21,11 +22,11 @@ def store(tmp_path) -> PlanStore:
 
 class TestPlanStoreBasics:
     def test_miss_then_hit_round_trip(self, store):
-        key = ("spmm_plan", "fingerprint", 64)
-        assert store.load(key) is None
+        key = ("spmm_config", "fingerprint", 64)
+        assert store.fetch(key) == (None, "miss")
         store.save(key, {"tile": 4, "cost": 1.5})
-        assert key in store
-        assert store.load(key) == {"tile": 4, "cost": 1.5}
+        assert store.path_for(key).exists()
+        assert store.fetch(key) == ({"tile": 4, "cost": 1.5}, "hit")
         assert store.stats.hits == 1
         assert store.stats.misses == 1
         assert store.stats.writes == 1
@@ -34,28 +35,15 @@ class TestPlanStoreBasics:
         store.save(("a", 1), "first")
         store.save(("a", 2), "second")
         assert len(store) == 2
-        assert store.load(("a", 1)) == "first"
-        assert store.load(("a", 2)) == "second"
-
-    def test_get_or_build(self, store):
-        calls = []
-
-        def build():
-            calls.append(1)
-            return "built"
-
-        value, hit = store.get_or_build(("k",), build)
-        assert (value, hit) == ("built", False)
-        value, hit = store.get_or_build(("k",), build)
-        assert (value, hit) == ("built", True)
-        assert len(calls) == 1
+        assert store.fetch(("a", 1))[0] == "first"
+        assert store.fetch(("a", 2))[0] == "second"
 
     def test_evict_and_clear(self, store):
         store.save(("k1",), 1)
         store.save(("k2",), 2)
         store.evict(("k1",))
-        assert ("k1",) not in store
-        assert ("k2",) in store
+        assert not store.path_for(("k1",)).exists()
+        assert store.path_for(("k2",)).exists()
         store.clear()
         assert len(store) == 0
 
@@ -66,8 +54,8 @@ class TestPlanStoreBasics:
     def test_hit_rate(self, store):
         assert store.stats.hit_rate == 0.0
         store.save(("k",), 1)
-        store.load(("k",))
-        store.load(("other",))
+        store.fetch(("k",))
+        store.fetch(("other",))
         assert store.stats.hit_rate == pytest.approx(0.5)
 
     def test_no_leftover_tmp_files(self, store):
@@ -96,7 +84,7 @@ class TestCorruptionAndVersioning:
         key = ("victim",)
         path = store.save(key, "value")
         path.write_bytes(b"not a pickle at all")
-        assert store.load(key) is None
+        assert store.fetch(key) == (None, "corrupt")
         assert not path.exists()
 
     def test_payload_checksum_detects_bit_flip(self, store):
@@ -115,9 +103,9 @@ class TestCorruptionAndVersioning:
         key = ("victim",)
         path = store.save(key, "good")
         path.write_bytes(b"junk")
-        value, hit = store.get_or_build(key, lambda: "rebuilt")
-        assert (value, hit) == ("rebuilt", False)
-        assert store.load(key) == "rebuilt"
+        assert store.fetch(key) == (None, "corrupt")
+        store.save(key, "rebuilt")
+        assert store.fetch(key) == ("rebuilt", "hit")
 
     def test_version_bump_invalidates_without_evicting(self, tmp_path):
         """Another version's entries read as misses but stay on disk, so
@@ -125,8 +113,8 @@ class TestCorruptionAndVersioning:
         old = PlanStore(tmp_path, version=PLAN_STORE_VERSION)
         old.save(("k",), "v1-value")
         new = PlanStore(tmp_path, version=PLAN_STORE_VERSION + 1)
-        assert new.load(("k",)) is None
-        assert old.load(("k",)) == "v1-value"
+        assert new.fetch(("k",)) == (None, "miss")
+        assert old.fetch(("k",)) == ("v1-value", "hit")
 
     def test_key_digest_depends_on_version(self, tmp_path):
         a = PlanStore(tmp_path, version=1)
@@ -135,20 +123,48 @@ class TestCorruptionAndVersioning:
 
 
 class TestContextIntegration:
+    def test_heuristic_costing_writes_no_store_files(self, tmp_path, rng):
+        """Plans are rebuilt from the memoized analysis, never persisted:
+        a store-backed context costing heuristic Sputnik ops leaves the
+        store untouched."""
+        a = random_sparse(rng, 96, 64, 0.2)
+        ctx = ops.ExecutionContext(V100, store=tmp_path / "store")
+        ops.spmm_cost(a, 32, V100, context=ctx)
+        ops.spmm_cost(a, 32, V100, h=4, context=ctx)
+        ops.sddmm_cost(a, 32, V100, context=ctx)
+        assert len(ctx.store) == 0
+        assert ctx.store.stats.as_dict() == {
+            "hits": 0, "misses": 0, "writes": 0, "evictions": 0,
+        }
+        assert ctx.telemetry.store_misses == 0
+
+    def test_tuned_costing_writes_only_config_entries(self, tmp_path, rng):
+        a = random_sparse(rng, 64, 48, 0.3)
+        ctx = ops.ExecutionContext(V100, store=tmp_path / "store")
+        ops.spmm_cost(a, 32, V100, context=ctx, selector="tuned")
+        ops.sddmm_cost(a, 16, V100, context=ctx, selector="tuned")
+        fp = ops.matrix_fingerprint(a)
+        expected = {
+            ctx.store.path_for((V100, "spmm_config", fp, 32, "fp32", "tuned")),
+            ctx.store.path_for((V100, "sddmm_config", fp, 16, "fp32", "tuned")),
+        }
+        assert set(ctx.store.root.glob("*.plan")) == expected
+
     def test_cross_context_round_trip_identical_results(self, tmp_path, rng):
-        """The acceptance criterion: an op served from a fresh context via
-        the store must reproduce the original ExecutionResult exactly."""
+        """An op whose tuned config is served from a fresh context via the
+        store must reproduce the original ExecutionResult exactly."""
         a = random_sparse(rng, 96, 64, 0.2)
         cold = ops.ExecutionContext(V100, store=tmp_path / "store")
-        first = ops.spmm_cost(a, 32, V100, context=cold)
+        first = ops.spmm_cost(a, 32, V100, context=cold, selector="tuned")
         assert cold.telemetry.store_misses > 0
         assert cold.store.stats.writes > 0
 
         # A brand-new context simulates a different process: its in-memory
-        # cache is empty, so every plan must come from disk.
+        # cache is empty, so the tuned config must come from disk.
         warm = ops.ExecutionContext(V100, store=tmp_path / "store")
-        second = ops.spmm_cost(a, 32, V100, context=warm)
+        second = ops.spmm_cost(a, 32, V100, context=warm, selector="tuned")
         assert warm.telemetry.store_hits > 0
+        assert warm.telemetry.store_misses == 0
         assert second.runtime_s == first.runtime_s
         assert second.flops == first.flops
         assert second.dram_bytes == first.dram_bytes
@@ -157,28 +173,29 @@ class TestContextIntegration:
     def test_memory_cache_checked_before_store(self, tmp_path, rng):
         a = random_sparse(rng, 64, 64, 0.2)
         ctx = ops.ExecutionContext(V100, store=tmp_path / "store")
-        ops.spmm_cost(a, 32, V100, context=ctx)
-        hits_before = ctx.telemetry.store_hits
-        ops.spmm_cost(a, 32, V100, context=ctx)
+        ops.spmm_cost(a, 32, V100, context=ctx, selector="tuned")
+        lookups = ctx.store.stats.hits + ctx.store.stats.misses
+        ops.spmm_cost(a, 32, V100, context=ctx, selector="tuned")
         # Second call is an in-memory hit; the store is not consulted again.
-        assert ctx.telemetry.store_hits == hits_before
+        assert ctx.store.stats.hits + ctx.store.stats.misses == lookups
         assert ctx.telemetry.cache_hits > 0
 
     def test_corrupt_store_entry_recomputed(self, tmp_path, rng):
         a = random_sparse(rng, 64, 64, 0.2)
         ctx = ops.ExecutionContext(V100, store=tmp_path / "store")
-        baseline = ops.spmm_cost(a, 32, V100, context=ctx)
+        baseline = ops.spmm_cost(a, 32, V100, context=ctx, selector="tuned")
+        assert len(ctx.store) > 0
         for path in ctx.store.root.glob("*.plan"):
             path.write_bytes(b"bit rot")
         fresh = ops.ExecutionContext(V100, store=tmp_path / "store")
-        again = ops.spmm_cost(a, 32, V100, context=fresh)
+        again = ops.spmm_cost(a, 32, V100, context=fresh, selector="tuned")
         assert again.runtime_s == baseline.runtime_s
         assert fresh.telemetry.store_evictions > 0
 
     def test_store_counters_in_snapshot_and_summary(self, tmp_path, rng):
         a = random_sparse(rng, 64, 64, 0.2)
         ctx = ops.ExecutionContext(V100, store=tmp_path / "store")
-        ops.spmm_cost(a, 32, V100, context=ctx)
+        ops.spmm_cost(a, 32, V100, context=ctx, selector="tuned")
         snap = ctx.telemetry_snapshot()
         totals = {k: 0 for k in ("store_hits", "store_misses", "store_evictions")}
         for counters in snap.values():
@@ -198,42 +215,18 @@ class TestContextIntegration:
     def test_no_store_no_counters(self, rng):
         a = random_sparse(rng, 64, 64, 0.2)
         ctx = ops.ExecutionContext(V100)
-        ops.spmm_cost(a, 32, V100, context=ctx)
+        ops.spmm_cost(a, 32, V100, context=ctx, selector="tuned")
         assert ctx.telemetry.store_hits == 0
         assert ctx.telemetry.store_misses == 0
 
 
 class TestBatchedPlanEnvelope:
-    """Stacked plans — depth-``h`` plans of the one plan type per kernel,
-    z-scaled launches under keys carrying ``h`` (v9) — must round-trip through
-    the store, and plans persisted under an older version must self-heal
-    instead of deserializing into plan classes that changed shape."""
+    """A stacked (depth-``h``) cost persists only its searched config,
+    whose key has no ``h``; entries written under an older store version
+    must self-heal instead of deserializing."""
 
     def test_version_covers_batched_envelope(self):
         assert PLAN_STORE_VERSION >= 3
-
-    def test_batched_cost_round_trips_across_contexts(self, tmp_path, rng):
-        a = random_sparse(rng, 96, 64, 0.2)
-        cold = ops.ExecutionContext(V100, store=tmp_path / "store")
-        first = ops.spmm_cost(a, 32, V100, h=4, context=cold)
-        assert cold.store.stats.writes > 0
-
-        warm = ops.ExecutionContext(V100, store=tmp_path / "store")
-        second = ops.spmm_cost(a, 32, V100, h=4, context=warm)
-        assert warm.telemetry.store_hits > 0
-        assert second.runtime_s == first.runtime_s
-        assert second.flops == first.flops
-        assert second.n_blocks == first.n_blocks
-
-    def test_distinct_batch_sizes_distinct_entries(self, tmp_path, rng):
-        a = random_sparse(rng, 96, 64, 0.2)
-        ctx = ops.ExecutionContext(V100, store=tmp_path / "store")
-        writes_before = ctx.store.stats.writes
-        ops.spmm_cost(a, 32, V100, h=4, context=ctx)
-        after_h4 = ctx.store.stats.writes
-        ops.spmm_cost(a, 32, V100, h=8, context=ctx)
-        assert after_h4 > writes_before
-        assert ctx.store.stats.writes > after_h4
 
     def test_stale_version_envelope_self_heals(self, tmp_path, rng):
         """Rewriting every entry as the previous envelope version makes
@@ -241,7 +234,10 @@ class TestBatchedPlanEnvelope:
         a = random_sparse(rng, 96, 64, 0.2)
         store_dir = tmp_path / "store"
         seeded = ops.ExecutionContext(V100, store=store_dir)
-        baseline = ops.spmm_cost(a, 32, V100, h=4, context=seeded)
+        baseline = ops.spmm_cost(
+            a, 32, V100, h=4, context=seeded, selector="tuned"
+        )
+        assert seeded.store.stats.writes > 0
 
         for path in store_dir.glob("*.plan"):
             envelope = pickle.loads(path.read_bytes())
@@ -249,7 +245,9 @@ class TestBatchedPlanEnvelope:
             path.write_bytes(pickle.dumps(envelope))
 
         fresh = ops.ExecutionContext(V100, store=store_dir)
-        again = ops.spmm_cost(a, 32, V100, h=4, context=fresh)
+        again = ops.spmm_cost(
+            a, 32, V100, h=4, context=fresh, selector="tuned"
+        )
         assert again.runtime_s == baseline.runtime_s
         assert again.n_blocks == baseline.n_blocks
         assert fresh.telemetry.store_evictions > 0
