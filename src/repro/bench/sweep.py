@@ -335,8 +335,10 @@ def _run_chunk(
         # (REPRO_FLIGHT_DIR) is the durable record — instance attributes do
         # not survive the pool's exception pickling, but attach() still
         # serves the in-process (workers <= 1) path.
+        ctx.telemetry.emit(
+            "worker_crash", "sweep", "worker", error=type(exc).__name__
+        )
         if ctx.flight is not None:
-            ctx.flight.record("worker_crash", "sweep", error=type(exc).__name__)
             ctx.flight.attach(exc, "sweep_worker_crash")
         raise
 

@@ -274,17 +274,21 @@ class DeviceGroup:
     # ------------------------------------------------------------------
     # Communication + rollups
     # ------------------------------------------------------------------
-    def charge_collective(self, cost: CollectiveCost, span=None) -> None:
-        """Account one collective: lead-context telemetry (op = collective
-        name, backend = interconnect kind) and an optional span event."""
+    def charge_collective(self, cost: CollectiveCost) -> None:
+        """Account one collective on the lead context: a launch (op =
+        collective name, backend = interconnect kind) and a ``collective``
+        event on the open span."""
         if cost.seconds == 0.0 and cost.steps == 0:
             return
-        execution = collective_execution(cost, self.interconnect)
-        self.lead.telemetry.record_launch(
-            cost.op, self.interconnect.kind, execution
+        kind = self.interconnect.kind
+        telemetry = self.lead.telemetry
+        telemetry.record_launch(
+            cost.op, kind, collective_execution(cost, self.interconnect)
         )
-        if span is not None:
-            span.event("collective", **cost.as_dict())
+        telemetry.emit(
+            "collective", cost.op, kind, nbytes=cost.nbytes, k=cost.k,
+            seconds=cost.seconds, steps=cost.steps,
+        )
 
     def telemetry_snapshot(self) -> dict:
         """Per-(op, backend) counters summed over every device context."""

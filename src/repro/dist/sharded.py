@@ -162,7 +162,7 @@ def _finish(
         c for c in input_collectives + output_collectives if c.steps > 0
     ]
     for cost in collectives:
-        group.charge_collective(cost, span)
+        group.charge_collective(cost)
     sharded = ShardedExecution(
         name=name,
         k=group.k,

@@ -219,7 +219,7 @@ class TransformerLayer:
 
             def reduce_partials():
                 cost = all_reduce(group.interconnect, ar_bytes, k)
-                group.charge_collective(cost, span)
+                group.charge_collective(cost)
                 collectives.append(cost)
 
             x, attn_stage, ffn_stage = self._forward(

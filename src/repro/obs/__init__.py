@@ -42,7 +42,6 @@ from .metrics import (
     MetricsRegistry,
     bind_context_metrics,
     bind_group_metrics,
-    bind_telemetry,
 )
 from .profiler import KernelStats, LaunchRecord, PhaseProfiler
 from .report import (
@@ -77,7 +76,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "SIM_SECONDS_BUCKETS",
-    "bind_telemetry",
     "bind_context_metrics",
     "bind_group_metrics",
     "PhaseProfiler",

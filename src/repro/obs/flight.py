@@ -4,10 +4,13 @@ Tracing (:mod:`repro.obs.tracing`) is opt-in and unbounded — great for
 benchmarks, wrong for continuous operation: a long-running service cannot
 keep every span, and the runs that crash are exactly the ones nobody
 thought to trace. A :class:`FlightRecorder` is the complement: a bounded
-ring buffer (``collections.deque(maxlen=capacity)``) of recent launch and
-fault events that every :class:`~repro.ops.context.ExecutionContext`
-carries by default, costing one deque append per recorded launch on the
-hot path and dropping the oldest events as it fills.
+ring buffer (``collections.deque(maxlen=capacity)``) of recent events that
+every :class:`~repro.ops.context.ExecutionContext` carries by default,
+costing one deque append per recorded launch on the hot path and dropping
+the oldest events as it fills. Besides launches, the ring holds every
+``Telemetry.emit`` event whose :data:`~repro.ops.context.EVENTS` row sends
+it here (faults, OOMs and reclaim steps, retries, fallbacks, repairs,
+invalidations), with the same attributes its span event carries.
 
 When something terminal happens — a :class:`DeviceOOMError` that survived
 the reclaim ladder, a :class:`FallbackExhaustedError`, a sweep-worker
@@ -75,8 +78,9 @@ class FlightRecorder:
     is wall seconds since the recorder's epoch (excluded from
     :meth:`signature`, so determinism checks compare only the
     simulated/semantic payload).
-    ``kind`` is ``"launch"`` for recorded kernel launches and a fault/event
-    label (``"oom"``, ``"retry"``, ``"fallback"``, ...) for everything else.
+    ``kind`` is ``"launch"`` for recorded kernel launches and the
+    :data:`~repro.ops.context.EVENTS` kind (``"oom"``, ``"retry"``,
+    ``"fault"``, ...) for everything else; ``name`` is the op.
     """
 
     __slots__ = ("capacity", "process", "device_id", "total_events", "_events",

@@ -9,9 +9,9 @@ system counts. Two feeding modes:
   callback sampled at snapshot time. This is how the registry *absorbs*
   the dispatch layer's :class:`~repro.ops.context.Telemetry` without
   adding a single instruction to the hot dispatch path: the per-(op,
-  backend) ``OpStats`` remain the write store (the compatibility shim —
-  ``telemetry_snapshot()`` keeps working unchanged), and the registry
-  re-labels them as metric samples on read.
+  backend) ``OpStats`` remain the write store (``telemetry_snapshot()``
+  keeps working unchanged), and the registry re-labels them as metric
+  samples on read.
 
 :func:`bind_context_metrics` wires one
 :class:`~repro.ops.context.ExecutionContext` into a registry: telemetry
@@ -287,41 +287,8 @@ class MetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# Execution-context binding (the Telemetry compatibility shim)
+# Execution-context binding
 # ----------------------------------------------------------------------
-def bind_telemetry(
-    registry: MetricsRegistry,
-    telemetry,
-    prefix: str = "op",
-    extra_labels: dict[str, str] | None = None,
-) -> MetricsRegistry:
-    """Expose a Telemetry's per-(op, backend) counters as labeled samples.
-
-    Pull-mode: the live ``OpStats`` stay the write store (zero hot-path
-    cost) and every ``snapshot()`` re-labels them as ``{prefix}_<counter>``
-    samples with ``op=...,backend=...`` labels. Config-selection rows
-    (``*_config`` ops, whose backend field carries the selector name) get
-    an explicit ``selector`` label on top, so scrape queries can slice
-    tuning traffic without knowing that encoding. ``extra_labels`` (e.g.
-    ``{"device_id": "2"}`` for a :class:`~repro.dist.DeviceGroup` member)
-    are appended to every sample, keeping multi-context registries
-    collision-free.
-    """
-    extra = dict(extra_labels or {})
-
-    def collect() -> Iterable[Sample]:
-        for (op, backend), stats in sorted(telemetry.stats.items()):
-            labels = {"op": op, "backend": backend}
-            if op.endswith("_config"):
-                labels["selector"] = backend
-            labels.update(extra)
-            for key, value in stats.as_dict().items():
-                yield (f"{prefix}_{key}", labels, value)
-
-    registry.register_collector(collect)
-    return registry
-
-
 class _HistogramView:
     """A histogram handle with trailing label values pinned (e.g. the
     ``device_id`` of a group member): ``labels(op, backend)`` resolves the
@@ -341,7 +308,13 @@ class _HistogramView:
 def bind_context_metrics(registry: MetricsRegistry, ctx) -> MetricsRegistry:
     """Wire one ExecutionContext into a registry.
 
-    - telemetry counters (pull, via :func:`bind_telemetry`);
+    - telemetry counters (pull): the live ``OpStats`` stay the write store
+      (zero hot-path cost) and every ``snapshot()`` re-labels them as
+      ``op_<counter>`` samples with ``op=...,backend=...`` labels.
+      Config-selection rows (``*_config`` ops, whose backend field carries
+      the selector name) get an explicit ``selector`` label on top, so
+      scrape queries can slice tuning traffic without knowing that
+      encoding;
     - plan-cache occupancy gauges and plan-store counters (pull);
     - device-allocator gauges (allocated/reserved/cached/peak bytes,
       fragmentation) and OOM/eviction counters when the context accounts
@@ -355,9 +328,18 @@ def bind_context_metrics(registry: MetricsRegistry, ctx) -> MetricsRegistry:
     label names — so K contexts bound into one registry stay disjoint.
     """
     extra: dict[str, str] = {}
-    if getattr(ctx, "device_id", None) is not None:
+    if ctx.device_id is not None:
         extra["device_id"] = str(ctx.device_id)
-    bind_telemetry(registry, ctx.telemetry, extra_labels=extra or None)
+    telemetry = ctx.telemetry
+
+    def collect_telemetry() -> Iterable[Sample]:
+        for (op, backend), stats in sorted(telemetry.stats.items()):
+            labels = {"op": op, "backend": backend}
+            if op.endswith("_config"):
+                labels["selector"] = backend
+            labels.update(extra)
+            for key, value in stats.as_dict().items():
+                yield (f"op_{key}", labels, value)
 
     def collect_context() -> Iterable[Sample]:
         device = {"device": ctx.device.name, **extra}
@@ -365,7 +347,7 @@ def bind_context_metrics(registry: MetricsRegistry, ctx) -> MetricsRegistry:
         if ctx.store is not None:
             for key, value in ctx.store.stats.as_dict().items():
                 yield (f"plan_store_{key}", device, float(value))
-        memory = getattr(ctx, "memory", None)
+        memory = ctx.memory
         if memory is not None:
             yield ("hbm_capacity_bytes", device, float(memory.capacity))
             yield (
@@ -388,7 +370,6 @@ def bind_context_metrics(registry: MetricsRegistry, ctx) -> MetricsRegistry:
             )
             yield ("hbm_oom_total", device, float(memory.oom_count))
             yield ("hbm_flushes_total", device, float(memory.flush_count))
-            telemetry = ctx.telemetry
             yield (
                 "hbm_plan_evictions_total",
                 device,
@@ -397,7 +378,7 @@ def bind_context_metrics(registry: MetricsRegistry, ctx) -> MetricsRegistry:
             yield (
                 "hbm_tensor_evictions_total",
                 device,
-                float(getattr(ctx, "tensor_evictions", 0)),
+                float(ctx.tensor_evictions),
             )
             yield (
                 "hbm_bytes_evicted_total",
@@ -407,9 +388,10 @@ def bind_context_metrics(registry: MetricsRegistry, ctx) -> MetricsRegistry:
             yield (
                 "hbm_bytes_reuploaded_total",
                 device,
-                float(getattr(ctx, "bytes_reuploaded", 0)),
+                float(ctx.bytes_reuploaded),
             )
 
+    registry.register_collector(collect_telemetry)
     registry.register_collector(collect_context)
     labelnames = ("op", "backend") + (("device_id",) if extra else ())
     histogram = registry.histogram(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, make_dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,6 +93,55 @@ TELEMETRY_SCHEMA: dict[str, type] = {
 }
 
 
+class Event(NamedTuple):
+    """Where one kind of non-launch dispatch event lands."""
+
+    #: The :data:`TELEMETRY_SCHEMA` counters the event adds to, each mapped
+    #: to the event attribute that carries the amount (``None`` adds 1; an
+    #: absent attribute adds nothing).
+    counters: dict[str, str | None]
+    #: Appended to the open tracer span.
+    span: bool = True
+    #: Appended to the flight ring.
+    flight: bool = True
+
+
+#: The one event vocabulary: every non-launch fact the dispatch stack
+#: records goes through :meth:`Telemetry.emit`, which projects it into the
+#: counters, the open span and the flight ring as its row says, so the
+#: three stores cannot disagree.
+EVENTS: dict[str, Event] = {
+    # The fallback policy loop (repro.reliability.policy).
+    "retry": Event({"retries": None, "backoff_seconds": "backoff_s"}),
+    "fallback": Event({"fallbacks": None}),
+    "degraded": Event({"degraded": None}),
+    "failure": Event({"failures": None}),
+    "injected_latency": Event({}),
+    # One injected fault (repro.reliability.injector).
+    "fault": Event({"faults_injected": None}),
+    # Memory pressure: an allocation failure and the reclaim steps after it
+    # (one per evicted tensor or plan, plus the policy ladder's summary).
+    "oom": Event({"oom_events": None}),
+    "oom_flush": Event({}),
+    "oom_evict": Event({"bytes_evicted": "bytes", "plan_evictions": "plans"}),
+    # Dynamic sparsity: repairs and topology invalidation.
+    "plan_repair": Event({"plan_repairs": None, "plan_repair_rows": "rows"}),
+    "plan_repair_failed": Event({}),
+    "plan_invalidate": Event({"plan_invalidations": "entries"}),
+    # Plan-store lookups of searched configs: counters only.
+    "store_hit": Event({"store_hits": None}, span=False, flight=False),
+    "store_miss": Event({"store_misses": None}, span=False, flight=False),
+    "store_corrupt": Event(
+        {"store_evictions": None, "store_misses": None},
+        span=False, flight=False,
+    ),
+    # A charged collective; its launch itself goes through record_launch.
+    "collective": Event({}, flight=False),
+    # A sweep worker died outside any measured task.
+    "worker_crash": Event({}),
+}
+
+
 def _as_dict(self) -> dict[str, int | float]:
     """Snapshot row, coerced to the :data:`TELEMETRY_SCHEMA` types."""
     return {
@@ -115,17 +165,6 @@ OpStats = make_dataclass(
 OpStats.__module__ = __name__
 
 
-def _counter(name: str, doc: str):
-    """A ``record_*`` method adding ``amount`` to one counter."""
-
-    def record(self, op: str, backend: str, amount=1) -> None:
-        stats = self._get(op, backend)
-        setattr(stats, name, getattr(stats, name) + amount)
-
-    record.__doc__ = doc
-    return record
-
-
 @dataclass
 class Telemetry:
     """Per-context instrumentation, keyed by (op, backend).
@@ -133,17 +172,22 @@ class Telemetry:
     The live :class:`OpStats` objects in ``stats`` are the write store for
     the hot dispatch path. A :class:`~repro.obs.metrics.MetricsRegistry`
     reads them through a pull-mode collector (see
-    :func:`repro.obs.metrics.bind_telemetry`), so :meth:`snapshot` remains
-    the stable compatibility surface while the registry supersedes it.
+    :func:`repro.obs.metrics.bind_context_metrics`), so :meth:`snapshot`
+    remains the stable compatibility surface while the registry supersedes
+    it. Launches and plan-cache lookups have their own hot-path writers;
+    every other event goes through :meth:`emit`.
     """
 
     stats: dict[tuple[str, str], OpStats] = field(default_factory=dict)
     #: Optional :class:`~repro.obs.metrics.Histogram` labeled (op, backend)
     #: fed one observation per recorded launch.
     sim_histogram: object | None = field(default=None, repr=False)
-    #: Optional :class:`~repro.obs.flight.FlightRecorder` fed one ring event
-    #: per recorded launch (the always-on postmortem window).
+    #: The context's :class:`~repro.obs.flight.FlightRecorder` (or
+    #: ``None``): fed one ring event per recorded launch and per event.
     flight: object | None = field(default=None, repr=False)
+    #: The context's :class:`~repro.obs.tracing.Tracer` (or ``None``):
+    #: events land on its open span.
+    tracer: object | None = field(default=None, repr=False)
 
     def _get(self, op: str, backend: str) -> OpStats:
         stats = self.stats.get((op, backend))
@@ -155,11 +199,6 @@ class Telemetry:
         """Feed simulated launch runtimes into an (op, backend)-labeled
         histogram from now on (``None`` detaches)."""
         self.sim_histogram = histogram
-
-    def attach_flight(self, flight) -> None:
-        """Feed recorded launches into a flight recorder from now on
-        (``None`` detaches)."""
-        self.flight = flight
 
     def record_launch(
         self, op: str, backend: str, execution: ExecutionResult
@@ -179,61 +218,42 @@ class Telemetry:
         else:
             entry.cache_misses += 1
 
+    def emit(self, kind: str, op: str, backend: str, /, **attrs) -> None:
+        """Record one :data:`EVENTS` event: add to its counters, and append
+        it to the open span and the flight ring where its row sends it."""
+        event = EVENTS[kind]
+        if event.counters:
+            stats = self._get(op, backend)
+            for name, attr in event.counters.items():
+                if attr is None:
+                    setattr(stats, name, getattr(stats, name) + 1)
+                elif attr in attrs:
+                    setattr(stats, name, getattr(stats, name) + attrs[attr])
+        attrs = {"op": op, "backend": backend, **attrs}
+        if event.span and self.tracer is not None:
+            span = self.tracer.current
+            if span is not None:
+                span.event(kind, **attrs)
+        if event.flight and self.flight is not None:
+            self.flight.record(kind, op, **attrs)
+
     def record_store(self, op: str, backend: str, status: str) -> None:
         """One plan-store lookup of a searched config: ``"hit"``,
         ``"miss"``, or ``"corrupt"`` (an evicted corrupt entry, which also
         misses)."""
-        entry = self._get(op, backend)
-        if status == "hit":
-            entry.store_hits += 1
-        elif status == "corrupt":
-            entry.store_evictions += 1
-            entry.store_misses += 1
-        else:
-            entry.store_misses += 1
+        self.emit(f"store_{status}", op, backend)
 
-    # -- reliability counters (fed by repro.reliability.policy) ----------
-    record_retry = _counter("retries", "A retry of the same backend.")
-    record_fallback = _counter(
-        "fallbacks", "A backend was abandoned for the next one in its chain."
-    )
-    record_degraded = _counter(
-        "degraded", "A degraded-mode completion (fp32 re-run after overflow)."
-    )
-    record_failure = _counter(
-        "failures", "A terminal failure (taxonomy error raised to the caller)."
-    )
-    record_fault = _counter(
-        "faults_injected", "One injected fault landed on this (op, backend)."
-    )
-    record_backoff = _counter(
-        "backoff_seconds", "Simulated seconds spent backing off a retry."
-    )
-
-    # -- memory-pressure counters (fed by the context's allocator hooks) --
-    record_oom = _counter(
-        "oom_events", "One device allocation failure observed during this op."
-    )
-    record_bytes_evicted = _counter(
-        "bytes_evicted", "Tensor-residency bytes reclaimed under pressure."
-    )
-
-    def record_plan_eviction(self, op: str, backend: str, nbytes: int) -> None:
-        """One resident plan evicted under memory pressure."""
-        entry = self._get(op, backend)
-        entry.plan_evictions += 1
-        entry.bytes_evicted += nbytes
-
-    # -- dynamic-sparsity counters (fed by the plan-repair path) ----------
-    def record_plan_repair(self, op: str, backend: str, rows: int) -> None:
+    def record_plan_repair(
+        self, op: str, backend: str, rows: int, **attrs
+    ) -> None:
         """One plan produced by repair from an ancestor (``rows`` edited)."""
-        entry = self._get(op, backend)
-        entry.plan_repairs += 1
-        entry.plan_repair_rows += int(rows)
+        self.emit("plan_repair", op, backend, rows=int(rows), **attrs)
 
-    record_plan_invalidation = _counter(
-        "plan_invalidations", "Cached entries evicted by a topology change."
-    )
+    def record_plan_invalidation(
+        self, op: str, backend: str, amount: int = 1, **attrs
+    ) -> None:
+        """``amount`` cached entries evicted by a topology change."""
+        self.emit("plan_invalidate", op, backend, entries=amount, **attrs)
 
     def reset(self) -> None:
         """Zero every counter (plans/caches are unaffected)."""
@@ -411,7 +431,7 @@ class ExecutionContext:
         #: Optional :class:`~repro.obs.tracing.Tracer`. When set, every
         #: dispatched op opens a span and the plan cache/fallback policy
         #: annotate it; when ``None``, dispatch pays one attribute check.
-        self.tracer = tracer
+        self.attach_tracer(tracer)
         self._metrics = None
         #: The capacity-aware device allocator (``None`` = accounting off).
         if memory is False:
@@ -426,20 +446,18 @@ class ExecutionContext:
         else:
             self.memory = DeviceAllocator(device, int(memory))
         #: The always-on flight recorder (``None`` = recording off). Fed a
-        #: ring event per launch via the telemetry hook and a fault event
-        #: per OOM/reclaim step; dumped and attached to terminal errors.
+        #: ring event per launch and per telemetry event; dumped and
+        #: attached to terminal errors.
         if flight is False:
-            self.flight = None
-        elif isinstance(flight, FlightRecorder):
-            self.flight = flight
-        else:
+            flight = None
+        elif not isinstance(flight, FlightRecorder):
             # True and None both mean "the env-configured default ring".
-            self.flight = flight_from_env(
+            flight = flight_from_env(
                 None if flight is None or flight is True else int(flight),
                 process=f"flight:{device.name}",
                 device_id=device_id,
             )
-        self.telemetry.attach_flight(self.flight)
+        self.attach_flight(flight)
         #: LRU of device-resident sparse operands, keyed by
         #: (structure checksum, representation class).
         self._resident: OrderedDict[tuple, Allocation] = OrderedDict()
@@ -452,10 +470,6 @@ class ExecutionContext:
         self._evicted_keys: set = set()
         self.bytes_reuploaded = 0
         self.tensor_evictions = 0
-        #: (op, backend) attribution for reclaim work triggered outside a
-        #: dispatch scope (e.g. the policy ladder's explicit eviction).
-        self._mem_attr = ("memory", "allocator")
-        self._reclaiming = False
         #: Registered topology deltas, keyed by *child* fingerprint: the
         #: fingerprint-delta lookup (exact hit -> repairable ancestor ->
         #: cold build) consults this before paying a cold plan build.
@@ -545,10 +559,9 @@ class ExecutionContext:
         """Run one repair attempt; ``None`` means "fall back to cold".
 
         A successful repair is cached like a built plan, and its lineage
-        (parent and child fingerprints, edited rows) is the flight ring's
-        ``plan_repair`` event. Failures only leave a span/flight
-        breadcrumb — the caller cold-builds and the result is correct
-        either way.
+        (parent and child fingerprints, edited rows) is its ``plan_repair``
+        event. A failure only leaves a ``plan_repair_failed`` event — the
+        caller cold-builds and the result is correct either way.
         """
         try:
             if self.injector is not None:
@@ -558,33 +571,18 @@ class ExecutionContext:
                 return None
             value, delta = result
         except Exception as exc:
-            if span is not None:
-                span.event("plan_repair_failed", op=op, error=classify(exc))
-            if self.flight is not None:
-                self.flight.record(
-                    "plan_repair_failed",
-                    op,
-                    op=op,
-                    backend=backend,
-                    error=classify(exc),
-                )
+            self.telemetry.emit(
+                "plan_repair_failed", op, backend, error=classify(exc)
+            )
             return None
         rows = delta.n_rows_edited
-        self.telemetry.record_plan_repair(op, backend, rows)
         if span is not None:
             span.set(
                 plan_cache="miss", plan_source="repaired", repair_rows=rows
             )
-        if self.flight is not None:
-            self.flight.record(
-                "plan_repair",
-                op,
-                op=op,
-                backend=backend,
-                rows=rows,
-                parent=delta.parent,
-                child=delta.child,
-            )
+        self.telemetry.record_plan_repair(
+            op, backend, rows, parent=delta.parent, child=delta.child
+        )
         self.plans.put(key, value)
         self._charge_plan(key, value, op, backend)
         return value
@@ -634,15 +632,8 @@ class ExecutionContext:
         self._deltas.pop(fingerprint, None)
         if stale:
             self.telemetry.record_plan_invalidation(
-                op, "plan_cache", len(stale)
+                op, "plan_cache", len(stale), fingerprint=fingerprint
             )
-            if self.flight is not None:
-                self.flight.record(
-                    "plan_invalidate",
-                    op,
-                    fingerprint=fingerprint,
-                    entries=len(stale),
-                )
         return len(stale)
 
     def _repairable_plan(self, fp: str, parent_key_for, repair_with):
@@ -671,9 +662,6 @@ class ExecutionContext:
     # ------------------------------------------------------------------
     # HBM capacity accounting (see DESIGN.md Section 14)
     # ------------------------------------------------------------------
-    def _current_span(self):
-        return self.tracer.current if self.tracer is not None else None
-
     def memory_scope(self, op: str, backend: str, operands=(), workspace=0):
         """Scope charging one dispatch's operand residency + workspace.
 
@@ -777,34 +765,12 @@ class ExecutionContext:
             try:
                 return mem.allocate(nbytes, tag)
             except DeviceOOMError as exc:
-                self.telemetry.record_oom(op, backend)
-                span = self._current_span()
-                if span is not None:
-                    span.event(
-                        "oom",
-                        op=op,
-                        backend=backend,
-                        requested=int(nbytes),
-                        tag=tag,
-                    )
-                if self.flight is not None:
-                    self.flight.record(
-                        "oom",
-                        "oom",
-                        op=op,
-                        backend=backend,
-                        requested=int(nbytes),
-                        tag=tag,
-                    )
+                emit = self.telemetry.emit
+                emit("oom", op, backend, requested=int(nbytes), tag=tag)
                 if not flushed:
                     flushed = True
                     freed = mem.flush_cache()
-                    if span is not None:
-                        span.event("oom_flush", bytes_freed=freed)
-                    if self.flight is not None:
-                        self.flight.record(
-                            "oom_flush", "oom_flush", bytes_freed=freed
-                        )
+                    emit("oom_flush", op, backend, bytes_freed=freed)
                     if freed:
                         continue
                 if not self._evict_one(op, backend, protect=protect):
@@ -832,34 +798,18 @@ class ExecutionContext:
             self.memory.free(alloc)
             self._evicted_keys.add(key)
             self.tensor_evictions += 1
-            self.telemetry.record_bytes_evicted(op, backend, alloc.nbytes)
-            span = self._current_span()
-            if span is not None:
-                span.event("oom_evict", kind="tensor", bytes=alloc.nbytes)
-            if self.flight is not None:
-                self.flight.record(
-                    "oom_evict", "oom_evict", kind="tensor", bytes=alloc.nbytes
-                )
+            self.telemetry.emit(
+                "oom_evict", op, backend, kind="tensor", bytes=alloc.nbytes
+            )
             return alloc.nbytes
         for key in self.plans.keys():
             if key == protect or key not in self._plan_allocs:
                 continue
             nbytes = self._plan_allocs[key].nbytes
-            prev_attr = self._mem_attr
-            self._mem_attr = (op, backend)
-            self._reclaiming = True
-            try:
-                self.plans.evict(key)
-            finally:
-                self._reclaiming = False
-                self._mem_attr = prev_attr
-            span = self._current_span()
-            if span is not None:
-                span.event("oom_evict", kind="plan", bytes=nbytes)
-            if self.flight is not None:
-                self.flight.record(
-                    "oom_evict", "oom_evict", kind="plan", bytes=nbytes
-                )
+            self.plans.evict(key)
+            self.telemetry.emit(
+                "oom_evict", op, backend, kind="plan", bytes=nbytes, plans=1
+            )
             return nbytes
         return 0
 
@@ -883,12 +833,8 @@ class ExecutionContext:
     def _on_plan_evicted(self, key, value) -> None:
         """Plan-cache eviction observer: free the entry's device bytes."""
         alloc = self._plan_allocs.pop(key, None)
-        if alloc is None:
-            return
-        self.memory.free(alloc)
-        if self._reclaiming:
-            op, backend = self._mem_attr
-            self.telemetry.record_plan_eviction(op, backend, alloc.nbytes)
+        if alloc is not None:
+            self.memory.free(alloc)
 
     def flush_device_cache(self) -> int:
         """Release the allocator's fully-free segments (ladder stage 1)."""
@@ -968,14 +914,14 @@ class ExecutionContext:
             self.store.reset_stats()
 
     def attach_tracer(self, tracer) -> None:
-        """Attach (or detach, with ``None``) a tracer to this context."""
-        self.tracer = tracer
+        """Attach (or detach, with ``None``) a tracer, keeping the
+        telemetry's event feed pointed at the same spans."""
+        self.tracer = self.telemetry.tracer = tracer
 
     def attach_flight(self, flight) -> None:
         """Attach (or detach, with ``None``) a flight recorder, keeping the
-        telemetry's launch-event feed pointed at the same window."""
-        self.flight = flight
-        self.telemetry.attach_flight(flight)
+        telemetry's launch and event feed pointed at the same window."""
+        self.flight = self.telemetry.flight = flight
 
     @property
     def metrics(self):

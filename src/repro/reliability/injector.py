@@ -37,7 +37,7 @@ originate exactly where a real launch would die — mid-plan-build included.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,17 +165,20 @@ class FaultInjector:
             self._fired[i] = fired + 1
         return fire
 
-    def _record(self, spec: FaultSpec, op: str, backend: str, detail: str):
-        fault = InjectedFault(
-            index=len(self.log),
-            kind=spec.kind,
-            op=op,
-            backend=backend,
-            site=spec.site,
+    def _record(self, ctx, spec: FaultSpec, op: str, backend: str,
+                detail: str) -> None:
+        """Log one injected fault and emit it as a ``fault`` event (an
+        injected OOM also emits ``oom``, as the allocator's OOM does)."""
+        self.log.append(
+            InjectedFault(len(self.log), spec.kind, op, backend, spec.site,
+                          detail)
+        )
+        ctx.telemetry.emit(
+            "fault", op, backend, fault=spec.kind, site=spec.site,
             detail=detail,
         )
-        self.log.append(fault)
-        return fault
+        if spec.kind == "oom":
+            ctx.telemetry.emit("oom", op, backend, requested=0, tag="injected")
 
     # ------------------------------------------------------------------
     # Dispatch-site injection
@@ -199,27 +202,22 @@ class FaultInjector:
                 continue
             if spec.kind == "latency":
                 latency += spec.latency_s
-                self._record(spec, op, backend, f"+{spec.latency_s:g}s")
-                ctx.telemetry.record_fault(op, backend)
+                self._record(ctx, spec, op, backend, f"+{spec.latency_s:g}s")
             elif spec.kind == "bitflip":
                 detail = self._flip_operand_bit(operands)
                 if detail is None:
                     continue  # nothing corruptible; not a fault
-                self._record(spec, op, backend, detail)
-                ctx.telemetry.record_fault(op, backend)
+                self._record(ctx, spec, op, backend, detail)
             elif spec.kind == "plan_poison":
                 detail = self._poison_plan(ctx, op)
                 if detail is None:
                     continue  # empty cache; nothing to poison
-                self._record(spec, op, backend, detail)
-                ctx.telemetry.record_fault(op, backend)
+                self._record(ctx, spec, op, backend, detail)
             elif spec.kind == "oom":
-                self._record(spec, op, backend, "simulated allocation failure")
-                ctx.telemetry.record_fault(op, backend)
-                recorder = getattr(ctx.telemetry, "record_oom", None)
-                if recorder is not None:
-                    recorder(op, backend)
-                memory = getattr(ctx, "memory", None)
+                self._record(
+                    ctx, spec, op, backend, "simulated allocation failure"
+                )
+                memory = ctx.memory
                 raise DeviceOOMError(
                     f"injected allocation failure for {op}/{backend} "
                     f"(fault #{len(self.log) - 1})",
@@ -230,8 +228,9 @@ class FaultInjector:
                     ),
                 )
             elif spec.kind == "launch":
-                self._record(spec, op, backend, "simulated launch failure")
-                ctx.telemetry.record_fault(op, backend)
+                self._record(
+                    ctx, spec, op, backend, "simulated launch failure"
+                )
                 raise KernelLaunchError(
                     f"injected launch failure for {op}/{backend} "
                     f"(fault #{len(self.log) - 1})"
@@ -280,8 +279,7 @@ class FaultInjector:
                 continue
             if not self._should_fire(i, spec):
                 continue
-            self._record(spec, op, backend, "injected repair failure")
-            ctx.telemetry.record_fault(op, backend)
+            self._record(ctx, spec, op, backend, "injected repair failure")
             raise PlanRepairError(
                 f"injected plan-repair failure for {op}/{backend} "
                 f"(fault #{len(self.log) - 1})"
@@ -315,9 +313,9 @@ class FaultInjector:
                 continue
             if not self._should_fire(i, spec):
                 continue
-            self._record(spec, launch.name, "(executor)", "executor fault")
-            if self._ctx is not None:
-                self._ctx.telemetry.record_fault(launch.name, "(executor)")
+            self._record(
+                self._ctx, spec, launch.name, "(executor)", "executor fault"
+            )
             raise KernelLaunchError(
                 f"injected executor launch failure in {launch.name!r}"
             )

@@ -25,10 +25,11 @@ funnels through. Classification drives control flow:
   one-backend chain has nothing to fall back to and re-raises its last
   error. Either way the flight recorder's window rides on the error.
 
-Everything is recorded twice: per-call in a :class:`DispatchReport`
-(attached to the returned :class:`~repro.core.types.KernelResult` and to
-``context.last_dispatch_report``) and cumulatively in the context's
-per-(op, backend) telemetry.
+Each call is summarized in a :class:`DispatchReport` (attached to the
+returned :class:`~repro.core.types.KernelResult` and to
+``context.last_dispatch_report``). Each retry, fallback, degradation,
+failure and reclaim step is also one ``Telemetry.emit`` event, which the
+context's counters, open span and flight ring all record.
 """
 
 from __future__ import annotations
@@ -133,23 +134,9 @@ class DispatchReport:
         )
 
 
-def _event(ctx, name: str, op: str, flight: bool = True, **attrs) -> None:
-    """One reliability event: on the open dispatch span, and (unless
-    ``flight=False``) in the context's always-on flight recorder, so a
-    later postmortem window shows what preceded a failure."""
-    tracer = getattr(ctx, "tracer", None)
-    span = tracer.current if tracer is not None else None
-    if span is not None:
-        span.event(name, **attrs)
-    recorder = getattr(ctx, "flight", None) if flight else None
-    if recorder is not None:
-        recorder.record(name, op, **attrs)
-
-
 def _attach_window(ctx, error: BaseException, reason: str) -> None:
-    recorder = getattr(ctx, "flight", None)
-    if recorder is not None:
-        recorder.attach(error, reason)
+    if ctx.flight is not None:
+        ctx.flight.attach(error, reason)
 
 
 def _opened(report, op: str, policy: FallbackPolicy) -> DispatchReport:
@@ -162,12 +149,11 @@ def _opened(report, op: str, policy: FallbackPolicy) -> DispatchReport:
 def _fail(ctx, report, op, policy, backend, attempt_no, error):
     """Account a terminal failure before its error is raised."""
     report = _opened(report, op, policy)
-    ctx.telemetry.record_failure(op, backend)
     report.attempts.append(
         AttemptRecord(backend, attempt_no, "failed", classify(error))
     )
     ctx.last_dispatch_report = report
-    _event(ctx, "failure", op, backend=backend, error=classify(error))
+    ctx.telemetry.emit("failure", op, backend, error=classify(error))
     return report
 
 
@@ -215,22 +201,12 @@ def _succeed(ctx, report, chain, exact_backends, backend, attempt_no,
 def _reclaim(ctx, op: str, backend: str, exc, stage: int) -> int:
     """One stage of the OOM ladder; returns the bytes it freed."""
     if stage == 0:
-        flush = getattr(ctx, "flush_device_cache", None)
-        freed = flush() if flush is not None else 0
-        _event(
-            ctx, "oom_flush", op, flight=False, backend=backend,
-            bytes_freed=freed,
-        )
+        freed = ctx.flush_device_cache()
+        ctx.telemetry.emit("oom_flush", op, backend, bytes_freed=freed)
         return freed
-    evict = getattr(ctx, "evict_device_bytes", None)
-    freed = (
-        evict(max(getattr(exc, "requested", 0), 1), op, backend)
-        if evict is not None
-        else 0
-    )
-    _event(
-        ctx, "oom_evict", op, flight=False, kind="ladder", backend=backend,
-        bytes_freed=freed,
+    freed = ctx.evict_device_bytes(max(exc.requested, 1), op, backend)
+    ctx.telemetry.emit(
+        "oom_evict", op, backend, kind="ladder", bytes_freed=freed
     )
     return freed
 
@@ -286,9 +262,8 @@ def run_with_policy(
                     extra_s += stall
                     report = _opened(report, op, policy)
                     report.injected_latency_s += stall
-                    _event(
-                        ctx, "injected_latency", op, backend=backend,
-                        seconds=stall,
+                    ctx.telemetry.emit(
+                        "injected_latency", op, backend, seconds=stall
                     )
             if check_operands:
                 guardrails.validate_operands(operands)
@@ -336,8 +311,7 @@ def run_with_policy(
             guardrails.check_finite_result(result, op, backend)
             report = _opened(report, op, policy)
             report.degraded = True
-            ctx.telemetry.record_degraded(op, backend)
-            _event(ctx, "degraded", op, backend=backend, error=classify(exc))
+            ctx.telemetry.emit("degraded", op, backend, error=classify(exc))
             return _succeed(
                 ctx, report, chain, exact_backends, backend, attempt_no,
                 result, extra_s, "degraded", classify(exc),
@@ -369,25 +343,22 @@ def run_with_policy(
             extra_s += wait
             report.backoff_s += wait
             report.retries += 1
-            ctx.telemetry.record_retry(op, backend)
-            ctx.telemetry.record_backoff(op, backend, wait)
             report.attempts.append(
                 AttemptRecord(backend, attempt_no, "retry", classify(error))
             )
-            _event(
-                ctx, "retry", op, backend=backend, attempt=attempt_no,
+            ctx.telemetry.emit(
+                "retry", op, backend, attempt=attempt_no,
                 error=classify(error), backoff_s=wait,
             )
             attempt_no += 1
         elif index < len(chain) - 1:
             report.fallbacks += 1
-            ctx.telemetry.record_fallback(op, backend)
             report.attempts.append(
                 AttemptRecord(backend, attempt_no, "fallback", classify(error))
             )
             index += 1
-            _event(
-                ctx, "fallback", op, backend=backend, next=chain[index],
+            ctx.telemetry.emit(
+                "fallback", op, backend, next=chain[index],
                 error=classify(error),
             )
             backend, attempt_no = chain[index], 1
@@ -399,8 +370,7 @@ def run_with_policy(
                 raise error
             snapshot = None
             if isinstance(error, DeviceOOMError):
-                snap = getattr(ctx, "memory_snapshot", None)
-                snapshot = snap() if snap is not None else error.snapshot
+                snapshot = ctx.memory_snapshot()
             exhausted = FallbackExhaustedError(
                 op=op, attempts=report.attempts, snapshot=snapshot
             )

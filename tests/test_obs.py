@@ -20,7 +20,6 @@ from repro.obs import (
     MetricsRegistry,
     PhaseProfiler,
     Tracer,
-    bind_telemetry,
     build_report,
     chrome_trace_from_records,
     format_report,
@@ -228,12 +227,11 @@ class TestMetrics:
 
 
 class TestTelemetryBinding:
-    def test_bind_telemetry_relabels_opstats(self, rng, device):
+    def test_context_metrics_relabel_opstats(self, rng, device):
         ctx = ops.ExecutionContext(device)
         a = random_sparse(rng, 64, 48, 0.3)
         ops.spmm_cost(a, 32, context=ctx)
-        reg = bind_telemetry(MetricsRegistry(), ctx.telemetry)
-        snap = reg.snapshot()
+        snap = ctx.metrics.snapshot()
         assert snap["op_launches"]["samples"]["op=spmm,backend=sputnik"] == 1
         assert "op_simulated_seconds" in snap
 

@@ -4,6 +4,7 @@ CLI's bottleneck classifier / trace diffing."""
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -209,6 +210,169 @@ class TestContextFlight:
         second = run_once()
         assert first == second
         assert any(kind == "retry" for kind, _, _, _ in first)
+
+
+# ----------------------------------------------------------------------
+# One event vocabulary: counters, span events and the flight ring agree
+# ----------------------------------------------------------------------
+MiB = 1024 * 1024
+
+
+def _inject(ctx, rng, spec, warm=False, chain=("sputnik", "cusparse")):
+    a, b = problem(rng)
+    if warm:
+        ops.spmm(a, b, context=ctx)
+    injector = FaultInjector([spec], seed=CHAOS_SEED)
+    with injector.attached(ctx):
+        try:
+            ops.spmm(a, b, context=ctx, backend=FallbackPolicy(chain))
+        except FallbackExhaustedError:
+            pass
+
+
+def _allocator_oom(ctx, rng):
+    # Demand nearly the whole 8 MiB device: tensors, then plans, go.
+    ops.spmm_cost(random_sparse(rng, 256, 256, 0.125), 16, context=ctx)
+    ctx.memory.free(ctx.try_allocate(15 * MiB // 2, "workspace", "test", "x"))
+
+
+def _mutated(rng):
+    from repro.nn.dynamic import drop_grow_update, select_rows
+
+    parent = random_sparse(rng, 96, 96, 0.2)
+    grad = rng.standard_normal((96, 96)).astype(np.float32)
+    child, delta = drop_grow_update(
+        parent, grad, select_rows(parent, 0.1, rng), 0.3
+    )
+    return parent, child, delta
+
+
+def _repair_and_invalidate(ctx, rng):
+    parent, child, delta = _mutated(rng)
+    ctx.spmm_plan(parent, 8)
+    ctx.register_topology_delta(delta)
+    ctx.spmm_plan(child, 8)
+    ctx.invalidate_topology(delta.parent)
+
+
+def _repair_fault(ctx, rng):
+    parent, child, delta = _mutated(rng)
+    ctx.spmm_plan(parent, 8)
+    ctx.register_topology_delta(delta)
+    with FaultInjector([FaultSpec("repair", every=1)]).attached(ctx):
+        ctx.spmm_plan(child, 8)
+
+
+def _fp16_degraded(ctx, rng):
+    from repro.sparse.csr import CSRMatrix
+
+    a = CSRMatrix.from_dense(
+        np.full((8, 64), 64.0, dtype=np.float32), dtype=np.float16
+    )
+    b = np.full((64, 4), 64.0, dtype=np.float16)
+    ops.spmm(a, b, context=ctx, validate=True)
+
+
+def _store_lookups(ctx, rng):
+    a = random_sparse(rng, 64, 64, 0.2)
+    with tempfile.TemporaryDirectory() as root:
+        ctx.attach_store(root)
+        ctx.spmm_config(a, 16, selector="oracle")
+        ctx.clear()
+        ctx.spmm_config(a, 16, selector="oracle")
+        ctx.attach_store(None)
+    assert ctx.telemetry.store_misses == ctx.telemetry.store_hits == 1
+
+
+#: (scenario, context kwargs, driver, event kinds it must emit).
+EVENT_SCENARIOS = [
+    ("allocator_oom", {"memory": 8 * MiB}, _allocator_oom,
+     {"oom", "oom_flush", "oom_evict"}),
+    ("injected_oom", {}, lambda ctx, rng: _inject(
+        ctx, rng, FaultSpec("oom", backend="sputnik", every=1, max_faults=3),
+        warm=True,
+    ), {"fault", "oom", "oom_flush", "oom_evict", "retry", "fallback"}),
+    ("launch", {}, lambda ctx, rng: _inject(
+        ctx, rng, FaultSpec("launch", backend="sputnik", every=1,
+                            max_faults=1),
+    ), {"fault", "retry"}),
+    ("latency", {}, lambda ctx, rng: _inject(
+        ctx, rng, FaultSpec("latency", every=1, max_faults=1),
+    ), {"fault", "injected_latency"}),
+    ("bitflip", {}, lambda ctx, rng: _inject(
+        ctx, rng, FaultSpec("bitflip", op="spmm", every=1, max_faults=1),
+    ), {"fault", "retry"}),
+    ("plan_poison", {}, lambda ctx, rng: _inject(
+        ctx, rng, FaultSpec("plan_poison", op="spmm", every=1, max_faults=1),
+        warm=True,
+    ), {"fault", "retry"}),
+    ("exhausted_chain", {}, lambda ctx, rng: _inject(
+        ctx, rng, FaultSpec("launch", rate=1.0),
+    ), {"fault", "retry", "fallback", "failure"}),
+    ("repair_fault", {}, _repair_fault, {"fault", "plan_repair_failed"}),
+    ("repair_invalidate", {}, _repair_and_invalidate,
+     {"plan_repair", "plan_invalidate"}),
+    ("fp16_degraded", {}, _fp16_degraded, {"degraded"}),
+    ("store_lookups", {}, _store_lookups, set()),
+]
+
+
+class TestEventProjections:
+    @pytest.mark.parametrize(
+        "kwargs, drive, kinds",
+        [scenario[1:] for scenario in EVENT_SCENARIOS],
+        ids=[scenario[0] for scenario in EVENT_SCENARIOS],
+    )
+    def test_counters_spans_and_flight_agree(self, rng, kwargs, drive, kinds):
+        """Every event lands in each store its EVENTS row names, with the
+        same count and amounts, so the counter totals can be rebuilt from
+        the span events and from the flight ring alike."""
+        from repro.obs.report import rollup_memory
+        from repro.ops.context import EVENTS, TELEMETRY_SCHEMA
+
+        tracer = Tracer(process="test")
+        ctx = ExecutionContext(
+            V100, tracer=tracer, flight=FlightRecorder(4096), **kwargs
+        )
+        with tracer.span("scenario"):
+            drive(ctx, rng)
+        projected = {
+            "span": [
+                (ev["name"], ev["args"])
+                for span in tracer.spans
+                for ev in span.events
+            ],
+            "flight": [
+                (kind, attrs)
+                for _, kind, _, _, attrs in ctx.flight._window()
+                if kind != "launch"
+            ],
+        }
+        assert kinds <= {kind for kind, _ in projected["flight"]}
+        for where, events in projected.items():
+            routed = {k for k, e in EVENTS.items() if getattr(e, where)}
+            assert {kind for kind, _ in events} <= routed
+            implied = dict.fromkeys(TELEMETRY_SCHEMA, 0)
+            for kind, attrs in events:
+                for counter, attr in EVENTS[kind].counters.items():
+                    implied[counter] += 1 if attr is None else attrs.get(
+                        attr, 0
+                    )
+            for counter in TELEMETRY_SCHEMA:
+                feeders = {
+                    k for k, e in EVENTS.items() if counter in e.counters
+                }
+                if feeders and feeders <= routed:
+                    assert implied[counter] == pytest.approx(
+                        getattr(ctx.telemetry, counter)
+                    ), (where, counter)
+        both = {k for k, e in EVENTS.items() if e.span and e.flight}
+        for kind in both:
+            assert [a for k, a in projected["span"] if k == kind] == [
+                a for k, a in projected["flight"] if k == kind
+            ], kind
+        memory = rollup_memory(tracer.to_jsonl_records()) or {}
+        assert memory.get("oom_events", 0) == ctx.telemetry.oom_events
 
 
 # ----------------------------------------------------------------------
