@@ -22,8 +22,13 @@ Exercises the PR's acceptance criteria end to end and records them in
    < 5%. Both overheads are the median of per-pair ratios over interleaved
    A/B pairs.
 
-Artifacts (the traces + offline report) land in ``trace_artifacts/`` for
-the CI ``obs-smoke`` job to upload.
+Every launch record in these traces is written by
+``Telemetry.record_launch`` (the live sweep and attention passes) or by
+``Profile.to_trace`` (the model timeline), both through
+``repro.obs.tracing.launch_record``. Artifacts (each trace as JSONL and
+Chrome JSON, plus the offline report) land in ``trace_artifacts/``; the CI
+``obs-smoke`` job runs the report CLI over every ``*.jsonl`` there and
+uploads the directory.
 
 Run as a script (pytest collects nothing here)::
 
@@ -101,8 +106,8 @@ def bench_traced_sweep(n_matrices: int, workers: int) -> dict:
     kernels = ["sputnik", "cusparse"]
     trace_path = ARTIFACTS / "sweep_trace.jsonl"
 
-    # Cold start for both runs: otherwise the second sweep's plan cache is
-    # warm and no launches are simulated (nothing for the trace to attribute).
+    # Cold start for both runs, so the traced sweep pays the same plan
+    # builds as the untraced one and the overhead compares like with like.
     reset_worker_state()
     ops.reset_default_contexts()
     t0 = time.perf_counter()
@@ -165,6 +170,7 @@ def bench_mobilenet_trace() -> dict:
     problems = validate_chrome_trace(trace)
     assert not problems, f"invalid Chrome trace: {problems[:3]}"
     (ARTIFACTS / "mobilenet_trace.json").write_text(json.dumps(trace))
+    tracer.write_jsonl(ARTIFACTS / "mobilenet_trace.jsonl")
 
     launches = [
         r for r in tracer.to_jsonl_records() if r.get("type") == "launch"
@@ -192,16 +198,12 @@ def bench_batched_trace(heads: int) -> dict:
     must be labeled with its depth (``batch``) and every launch ``_x{H}``."""
     from repro.datasets.attention import banded_random_mask
     from repro.nn import sparse_attention
-    from repro.obs.profiler import PhaseProfiler
     from repro.obs.tracing import Tracer
 
     seq, dk = 256, 32
     ops.reset_default_contexts()
-    ctx = ops.ExecutionContext(V100)
     tracer = Tracer(process="batched-attention")
-    profiler = PhaseProfiler(tracer=tracer, device=V100).start()
-    ctx.attach_tracer(tracer)
-    ops.set_default_context(ctx)
+    ops.set_default_context(ops.ExecutionContext(V100, tracer=tracer))
     try:
         mask = banded_random_mask(seq, band=32, seed=5)
         rng = np.random.default_rng(5)
@@ -211,7 +213,6 @@ def bench_batched_trace(heads: int) -> dict:
         )
         sparse_attention(q, k, v, mask, V100)
     finally:
-        profiler.stop()
         ops.reset_default_contexts()
 
     records = tracer.to_jsonl_records()
@@ -235,6 +236,7 @@ def bench_batched_trace(heads: int) -> dict:
     problems = validate_chrome_trace(trace)
     assert not problems, f"invalid Chrome trace: {problems[:3]}"
     (ARTIFACTS / "batched_attention_trace.json").write_text(json.dumps(trace))
+    tracer.write_jsonl(ARTIFACTS / "batched_attention_trace.jsonl")
 
     result = {
         "seq": seq,

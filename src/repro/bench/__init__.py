@@ -7,7 +7,6 @@ from .report import (
     geometric_mean,
     pair_rows,
     paper_comparison,
-    peak_fraction,
     speedup_stats,
 )
 from .runner import (
@@ -60,5 +59,4 @@ __all__ = [
     "geometric_mean",
     "format_table",
     "paper_comparison",
-    "peak_fraction",
 ]

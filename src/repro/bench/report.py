@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gpu.device import DeviceSpec
 from .runner import BenchRow
 
 
@@ -38,14 +37,6 @@ class SpeedupStats:
     min_speedup: float
     fraction_faster: float
     peak_throughput_flops: float
-
-    def row(self) -> str:
-        return (
-            f"{self.kernel:>18s} vs {self.baseline:<18s} "
-            f"geomean {self.geomean_speedup:6.2f}x  peak {self.peak_speedup:7.2f}x  "
-            f"wins {100 * self.fraction_faster:5.1f}%  "
-            f"peak TFLOPs {self.peak_throughput_flops / 1e12:5.2f}"
-        )
 
 
 def pair_rows(
@@ -83,11 +74,6 @@ def speedup_stats(
         fraction_faster=float(np.mean(speedups > 1.0)),
         peak_throughput_flops=float(thr.max()),
     )
-
-
-def peak_fraction(stats: SpeedupStats, device: DeviceSpec) -> float:
-    """Peak throughput as a fraction of the device's fp32 peak."""
-    return stats.peak_throughput_flops / device.fp32_peak_flops
 
 
 def format_table(

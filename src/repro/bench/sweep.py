@@ -108,11 +108,6 @@ class SweepReport:
         done = self.measured + self.from_store
         return done / self.wall_s if self.wall_s > 0 else 0.0
 
-    def as_dict(self) -> dict:
-        out = asdict(self)
-        out["rows_per_s"] = self.rows_per_s
-        return out
-
 
 def build_tasks(
     specs: Iterable[MatrixSpec],
@@ -195,9 +190,9 @@ def build_tasks(
 #: reuses the same mechanism.
 _WORKER_CONTEXTS: dict[tuple, "ops.ExecutionContext"] = {}
 
-#: Per-process tracing state for traced sweeps: (device, store path) ->
-#: (Tracer, PhaseProfiler). Built lazily on the first traced chunk.
-_WORKER_TRACERS: dict[tuple, tuple] = {}
+#: Per-process tracers for traced sweeps: (device, store path) -> Tracer.
+#: Built lazily on the first traced chunk.
+_WORKER_TRACERS: dict[tuple, object] = {}
 
 #: Per-process DeviceGroup cache for sharded tasks:
 #: (device, k, store path) -> DeviceGroup. Groups are long-lived like
@@ -245,11 +240,7 @@ def reset_worker_state() -> None:
     Long-lived processes (tests, benchmarks) that run several sweeps and
     want each to start cold — empty plan cache, fresh tracer — call this
     between runs. Pool workers never need it: they are created per sweep.
-    Detaches every cached :class:`PhaseProfiler` from the global completion
-    observers so stale tracers stop collecting launches.
     """
-    for _tracer, profiler in _WORKER_TRACERS.values():
-        profiler.stop()
     _WORKER_TRACERS.clear()
     _WORKER_CONTEXTS.clear()
     _WORKER_GROUPS.clear()
@@ -275,23 +266,19 @@ def _row_store_key(device: DeviceSpec, task: SweepTask) -> tuple:
 
 
 def _worker_tracer(ctx, key: tuple):
-    """This process's (tracer, profiler) pair for traced sweeps.
+    """This process's tracer for traced sweeps.
 
-    Built once per worker: the tracer attaches to the worker's context (so
-    every dispatch opens a span) and a :class:`PhaseProfiler` streams each
-    simulated launch into it as ``launch`` records.
+    Built once per worker and attached to the worker's context, so every
+    dispatch opens a span and every launch it records becomes a ``launch``
+    record with its phase attribution.
     """
-    pair = _WORKER_TRACERS.get(key)
-    if pair is None:
-        from ..obs.profiler import PhaseProfiler
+    tracer = _WORKER_TRACERS.get(key)
+    if tracer is None:
         from ..obs.tracing import Tracer
 
-        tracer = Tracer(process="sweep-worker")
-        profiler = PhaseProfiler(tracer=tracer, device=ctx.device).start()
+        tracer = _WORKER_TRACERS[key] = Tracer(process="sweep-worker")
         ctx.attach_tracer(tracer)
-        pair = (tracer, profiler)
-        _WORKER_TRACERS[key] = pair
-    return pair
+    return tracer
 
 
 def _run_chunk(
@@ -312,7 +299,7 @@ def _run_chunk(
     ctx = _worker_context(device, store_path)
     tracer = None
     if trace:
-        tracer, _ = _worker_tracer(ctx, (device, store_path))
+        tracer = _worker_tracer(ctx, (device, store_path))
         spans0, launches0 = len(tracer.spans), len(tracer.launches)
     store = ctx.store
     store_before = store.stats.as_dict() if store is not None else {}
@@ -491,8 +478,10 @@ def run_sweep(
       ``resume=True`` tasks whose ``row_key`` already appears there are
       skipped and the existing rows are returned alongside the new ones.
     - ``trace_path`` captures a trace of the sweep to JSONL: every measured
-      task becomes a ``sweep.task`` span and every simulated launch a phase
-      record; worker records merge into the one file as chunks complete,
+      task becomes a ``sweep.task`` span and every launch it dispatches
+      (on each device of a sharded task's group too) a ``launch`` record
+      with its phase attribution; a row served from the store dispatches
+      nothing. Worker records merge into the one file as chunks complete,
       keeping their own pid rows (worker wall clocks have per-process
       epochs, so cross-process alignment is approximate). Summarize it with
       ``python -m repro.obs.report <trace_path>``.

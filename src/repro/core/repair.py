@@ -15,9 +15,8 @@ This module holds the pieces of repair that are independent of any one
 kernel:
 
 - :class:`TopologyDelta` — the edited-row diff between a parent topology
-  and its child.
-- :func:`edited_rows` — structural diff between two same-shape CSR
-  matrices, for callers that mutated a topology without tracking rows.
+  and its child, with :func:`make_delta` to build one from the rows the
+  edit touched.
 
 Kernel-specific repair lives next to each planner (``core.spmm``,
 ``core.sddmm``, ``dist.partition``); the cache-lookup policy (exact hit ->
@@ -79,7 +78,7 @@ def make_delta(
 
     Fingerprints are passed in (they live in the ``ops`` layer's plan
     cache); ``repro.ops.topology_delta`` wraps this with fingerprint
-    computation and an automatic row diff.
+    computation.
     """
     if parent.shape != child.shape:
         raise PlanRepairError(
@@ -90,43 +89,3 @@ def make_delta(
         child=child_fp,
         rows=_as_sorted_rows(rows, parent.n_rows),
     )
-
-
-def edited_rows(parent: CSRMatrix, child: CSRMatrix) -> np.ndarray:
-    """Rows whose column sets differ between two same-shape topologies.
-
-    O(nnz), fully vectorized: rows with changed lengths are edited; for
-    equal-length rows the child's entries are gathered back into the
-    parent's layout and compared element-wise.
-    """
-    if parent.shape != child.shape:
-        raise PlanRepairError(
-            f"cannot diff topologies of different shapes "
-            f"{parent.shape} vs {child.shape}"
-        )
-    pl = parent.row_lengths.astype(np.int64)
-    cl = child.row_lengths.astype(np.int64)
-    length_changed = pl != cl
-    same = ~length_changed
-    if child.nnz and same.any():
-        row_of = np.repeat(np.arange(child.n_rows, dtype=np.int64), cl)
-        sel = same[row_of]
-        if sel.any():
-            pos_in_row = np.arange(child.nnz, dtype=np.int64) - np.repeat(
-                child.row_offsets[:-1].astype(np.int64), cl
-            )
-            parent_pos = (
-                parent.row_offsets[:-1].astype(np.int64)[row_of] + pos_in_row
-            )
-            mismatch = (
-                np.asarray(child.column_indices, dtype=np.int64)[sel]
-                != np.asarray(parent.column_indices, dtype=np.int64)[
-                    parent_pos[sel]
-                ]
-            )
-            if mismatch.any():
-                hits = np.bincount(
-                    row_of[sel][mismatch], minlength=child.n_rows
-                )
-                length_changed = length_changed | (hits > 0)
-    return np.flatnonzero(length_changed).astype(np.int64)

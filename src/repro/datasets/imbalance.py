@@ -9,8 +9,6 @@ same axis.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..sparse.csr import CSRMatrix
 from .spec import MatrixSpec
 
@@ -57,7 +55,3 @@ def cov_sweep(
     """The Figure 7 x-axis sweep."""
     return [imbalanced_spec(c) for c in covs]
 
-
-def dense_operand(n: int = FIG7_N, k: int = FIG7_K, seed: int = 4) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((k, n)).astype(np.float32)

@@ -73,10 +73,6 @@ class RnnProblem:
     def materialize(self) -> CSRMatrix:
         return self.spec().materialize()
 
-    def dense_operand(self) -> np.ndarray:
-        rng = np.random.default_rng(self.seed + 1)
-        return rng.standard_normal((self.k, self.n)).astype(np.float32)
-
 
 def problem_grid(
     cells: tuple[str, ...] = ("rnn", "gru", "lstm"),

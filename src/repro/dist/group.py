@@ -214,17 +214,6 @@ class DeviceGroup:
         for ctx in self.contexts:
             ctx.register_topology_delta(delta)
 
-    def invalidate_topology(self, fingerprint: str, op: str = "topology"):
-        """Evict plans keyed on ``fingerprint`` from every device context
-        (and the memoized shard sets derived from it). Returns the total
-        number of in-memory entries evicted."""
-        evicted = sum(
-            ctx.invalidate_topology(fingerprint, op) for ctx in self.contexts
-        )
-        for key in [k for k in self._shard_sets if k[0] == fingerprint]:
-            del self._shard_sets[key]
-        return evicted
-
     def _register_shard_deltas(
         self,
         a: CSRMatrix,

@@ -92,11 +92,6 @@ class ShardedExecution:
         return sum(r.flops for r in self.per_device)
 
     @property
-    def throughput_flops(self) -> float:
-        """Effective FLOP/s: total useful work over the sharded runtime."""
-        return self.flops / self.runtime_s if self.runtime_s > 0 else 0.0
-
-    @property
     def comm_bytes(self) -> int:
         return sum(c.nbytes for c in self.collectives)
 
@@ -118,25 +113,6 @@ class ShardedExecution:
             children=list(per),
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "k": self.k,
-            "strategy": self.strategy,
-            "runtime_s": self.runtime_s,
-            "max_compute_s": self.max_compute_s,
-            "mean_compute_s": self.mean_compute_s,
-            "compute_imbalance": self.compute_imbalance,
-            "input_comm_s": self.input_comm_s,
-            "output_comm_s": self.output_comm_s,
-            "exposed_comm_s": self.exposed_comm_s,
-            "interconnect_bound_fraction": self.interconnect_bound_fraction,
-            "flops": self.flops,
-            "throughput_flops": self.throughput_flops,
-            "comm_bytes": self.comm_bytes,
-            "collectives": [c.as_dict() for c in self.collectives],
-            "plan_stats": dict(self.plan_stats),
-        }
 
 
 def _dist_span(group: DeviceGroup, name: str):

@@ -14,9 +14,7 @@ from .executor import (
     KernelLaunch,
     PhaseTimes,
     execute,
-    register_completion_observer,
     register_launch_observer,
-    unregister_completion_observer,
     unregister_launch_observer,
 )
 from .memory import (
@@ -75,8 +73,6 @@ __all__ = [
     "execute",
     "register_launch_observer",
     "unregister_launch_observer",
-    "register_completion_observer",
-    "unregister_completion_observer",
     "BlockResources",
     "Occupancy",
     "compute_occupancy",

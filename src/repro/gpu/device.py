@@ -119,8 +119,12 @@ GTX1080 = DeviceSpec(
 
 
 def get_device(name: str) -> DeviceSpec:
-    """Look up a device preset by (case-insensitive) short name."""
+    """Look up a device preset by its ``name`` or a (case-insensitive)
+    short name."""
     table = {"v100": V100, "gtx1080": GTX1080, "1080": GTX1080}
+    for spec in (V100, GTX1080):
+        if name == spec.name:
+            return spec
     try:
         return table[name.lower().replace(" ", "").replace("-", "")]
     except KeyError as exc:

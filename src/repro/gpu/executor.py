@@ -299,34 +299,6 @@ def unregister_launch_observer(
         pass
 
 
-#: Observers called at the bottom of every :func:`execute` with
-#: ``(launch, device, result)`` — after scheduling, with the phase
-#: attribution attached. The observability layer's kernel-phase profiler
-#: registers here. Like launch observers, a raising completion observer
-#: propagates to the caller but never corrupts the observer list.
-_COMPLETION_OBSERVERS: list[
-    Callable[[KernelLaunch, DeviceSpec, ExecutionResult], None]
-] = []
-
-
-def register_completion_observer(
-    observer: Callable[[KernelLaunch, DeviceSpec, ExecutionResult], None],
-) -> None:
-    """Install a callback invoked after every simulated launch completes."""
-    if observer not in _COMPLETION_OBSERVERS:
-        _COMPLETION_OBSERVERS.append(observer)
-
-
-def unregister_completion_observer(
-    observer: Callable[[KernelLaunch, DeviceSpec, ExecutionResult], None],
-) -> None:
-    """Remove a completion observer (missing is a no-op)."""
-    try:
-        _COMPLETION_OBSERVERS.remove(observer)
-    except ValueError:
-        pass
-
-
 def execute(launch: KernelLaunch, device: DeviceSpec) -> ExecutionResult:
     """Simulate one kernel launch on ``device`` and return its result."""
     for observer in tuple(_LAUNCH_OBSERVERS):
@@ -378,7 +350,7 @@ def execute(launch: KernelLaunch, device: DeviceSpec) -> ExecutionResult:
         overhead_s=device.launch_overhead_s,
     )
 
-    result = ExecutionResult(
+    return ExecutionResult(
         name=launch.name,
         runtime_s=runtime,
         flops=launch.flops,
@@ -391,6 +363,3 @@ def execute(launch: KernelLaunch, device: DeviceSpec) -> ExecutionResult:
         schedule=sched,
         phases=phases,
     )
-    for observer in tuple(_COMPLETION_OBSERVERS):
-        observer(launch, device, result)
-    return result

@@ -115,15 +115,6 @@ class CollectiveCost:
     seconds: float
     steps: int
 
-    def as_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "nbytes": self.nbytes,
-            "k": self.k,
-            "seconds": self.seconds,
-            "steps": self.steps,
-        }
-
 
 def _ring_cost(
     op: str, spec: InterconnectSpec, nbytes: int, k: int, passes: int

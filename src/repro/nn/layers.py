@@ -201,8 +201,8 @@ class SparseLinear:
         :class:`~repro.ops.context.ExecutionContext` — wires the plan
         cache for the edit:
 
-        - ``delta`` (a :class:`~repro.core.repair.TopologyDelta`, computed
-          by diffing when ``None``) is registered so the next forward SpMM
+        - ``delta`` (the edit's :class:`~repro.core.repair.TopologyDelta`,
+          required with a context) is registered so the next forward SpMM
           and SDDMM lookups repair from the parent's plans. The backward
           ``Wᵀ`` SpMM gets no delta: a row edit of ``W`` touches most
           rows of ``Wᵀ``, so its plan is simply built cold;
@@ -216,12 +216,11 @@ class SparseLinear:
                 f"update_topology shape mismatch: layer is "
                 f"{tuple(self._weight.shape)}, got {tuple(new_weight.shape)}"
             )
-        old = self._weight
         old_w_t = self._w_t
         stale_fp = self._parent_fp
         stale_wt_fp = self._parent_wt_fp
         if context is not None and delta is None:
-            delta = ops.topology_delta(old, new_weight)
+            raise ValueError("update_topology with a context needs the delta")
         self.weight = new_weight  # property: rebuilds the transpose caches
         if context is None:
             return

@@ -164,7 +164,7 @@ class Profile:
         attribution — so a model forward exports to Chrome trace / the
         report CLI exactly like a live-traced sweep.
         """
-        from ..obs.tracing import Tracer
+        from ..obs.tracing import Tracer, launch_record
 
         if tracer is None:
             tracer = Tracer(process=name, clock="sim")
@@ -192,22 +192,6 @@ class Profile:
             phases = getattr(result, "phases", None)
             if phases is not None:
                 span.set(phases=phases.as_dict())
-                tracer.add_launch(
-                    {
-                        "name": result.name,
-                        "device": "",
-                        "runtime_s": result.runtime_s,
-                        "flops": result.flops,
-                        "dram_bytes": result.dram_bytes,
-                        "l2_bytes": result.l2_bytes,
-                        "n_blocks": result.n_blocks,
-                        "phases": phases.as_dict(),
-                        "imbalance": (
-                            result.schedule.imbalance
-                            if result.schedule is not None
-                            else 1.0
-                        ),
-                    }
-                )
+                tracer.add_launch(launch_record(result))
             cursor += result.runtime_s
         return tracer

@@ -1,15 +1,15 @@
-"""Observability: tracing, metrics, profiling, and continuous operation.
+"""Observability: tracing, metrics, phase reports, and continuous operation.
 
 Cooperating pieces (DESIGN.md Sections 11 and 16):
 
 - :mod:`repro.obs.tracing` — hierarchical spans over wall *and* simulated
-  device time, exported as JSONL streams or Chrome-trace JSON;
+  device time, exported as JSONL streams or Chrome-trace JSON, plus one
+  ``launch`` record per dispatched launch (its
+  compute/L1/L2/DRAM/imbalance/overhead phase attribution), written by
+  ``Telemetry.record_launch`` through :func:`~repro.obs.tracing.launch_record`;
 - :mod:`repro.obs.metrics` — a label-aware registry (counters, gauges,
   histograms) that absorbs the dispatch layer's ``Telemetry`` counters via
   pull-mode collectors, keeping ``telemetry_snapshot()`` as a shim;
-- :mod:`repro.obs.profiler` — per-launch phase attribution
-  (compute/L1/L2/DRAM/imbalance/overhead) and roofline points, hooked into
-  the executor's completion observers;
 - :mod:`repro.obs.flight` — the always-on bounded flight recorder every
   execution context carries; terminal faults dump their last-N-events
   window as a trace-schema JSONL artifact;
@@ -18,8 +18,9 @@ Cooperating pieces (DESIGN.md Sections 11 and 16):
 - :mod:`repro.obs.regress` — the perf-regression gate over BENCH_*.json
   headline metrics (``python -m repro.obs.regress --check``).
 
-``python -m repro.obs.report trace.jsonl`` summarizes a captured trace
-(``--diff old new`` compares two).
+``python -m repro.obs.report trace.jsonl`` summarizes a captured trace:
+span rollups, per-kernel phase tables and roofline points rebuilt from its
+launch records (:func:`build_report`; ``--diff old new`` compares two).
 """
 
 from ..gpu.executor import PHASE_NAMES, PhaseTimes
@@ -43,7 +44,6 @@ from .metrics import (
     bind_context_metrics,
     bind_group_metrics,
 )
-from .profiler import KernelStats, LaunchRecord, PhaseProfiler
 from .report import (
     build_report,
     classify_phases,
@@ -78,9 +78,6 @@ __all__ = [
     "SIM_SECONDS_BUCKETS",
     "bind_context_metrics",
     "bind_group_metrics",
-    "PhaseProfiler",
-    "LaunchRecord",
-    "KernelStats",
     "PhaseTimes",
     "PHASE_NAMES",
     "build_report",

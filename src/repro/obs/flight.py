@@ -142,10 +142,6 @@ class FlightRecorder:
         )
         self.total_events += 1
 
-    def clear(self) -> None:
-        self._events.clear()
-        self.total_events = 0
-
     # -- export ----------------------------------------------------------
     def _window(self):
         """The ring's events as ``(ts, kind, name, sim_s, attrs)``, with
@@ -169,7 +165,9 @@ class FlightRecorder:
         """The window as trace-schema JSONL records (meta + spans + launches).
 
         Launch events become ``type="launch"`` records; everything else
-        becomes a zero-duration ``cat="flight"`` span, so the output passes
+        becomes a zero-duration ``cat="flight"`` span whose ``kind`` field
+        is the event kind and whose ``args`` are the event's own
+        attributes, so neither can hide the other. The output passes
         :func:`~repro.obs.tracing.validate_trace_records` and feeds
         :func:`~repro.obs.tracing.chrome_trace_from_records` unchanged.
         """
@@ -201,11 +199,11 @@ class FlightRecorder:
                      "ts": ts, **args}
                 )
             else:
-                args.setdefault("kind", kind)
                 records.append(
                     {
                         "type": "span",
                         "name": name,
+                        "kind": kind,
                         "cat": "flight",
                         "id": span_id,
                         "parent": None,

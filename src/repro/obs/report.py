@@ -116,7 +116,10 @@ def rollup_memory(records: Iterable[dict]) -> dict[str, Any] | None:
     Counts ``oom`` / ``oom_flush`` / ``oom_evict`` span events (the
     eviction ladder's breadcrumbs), attributes them to the op span they
     fired inside, and folds in ``category="memory"`` summary spans whose
-    attrs carry the allocator snapshot.
+    attrs carry the allocator snapshot. Evictions are the per-entry
+    ``oom_evict`` events (``entry="tensor"|"plan"``); the policy ladder's
+    summary event (``entry="ladder"``) repeats what they freed, so it is
+    not counted again.
     """
     ooms = 0
     flushes = 0
@@ -142,13 +145,12 @@ def rollup_memory(records: Iterable[dict]) -> dict[str, Any] | None:
             elif ev_name == "oom_flush":
                 flushes += 1
                 flush_bytes += float(args.get("bytes_freed", 0))
-            elif ev_name == "oom_evict":
-                kind = str(args.get("kind", "?"))
-                bucket = evictions.setdefault(kind, {"count": 0, "bytes": 0.0})
-                bucket["count"] += 1
-                bucket["bytes"] += float(
-                    args.get("bytes", args.get("bytes_freed", 0))
+            elif ev_name == "oom_evict" and args.get("entry") != "ladder":
+                bucket = evictions.setdefault(
+                    str(args.get("entry", "?")), {"count": 0, "bytes": 0.0}
                 )
+                bucket["count"] += 1
+                bucket["bytes"] += float(args.get("bytes", 0))
                 entry = by_op.setdefault(name, {"oom": 0, "evictions": 0})
                 entry["evictions"] += 1
     if not (ooms or flushes or evictions or snapshots):
@@ -217,7 +219,10 @@ def rollup_devices(records: Iterable[dict]) -> dict[int, dict[str, Any]] | None:
             ev_name = ev.get("name")
             if ev_name == "oom":
                 entry["oom_events"] += 1
-            elif ev_name == "oom_evict":
+            elif (
+                ev_name == "oom_evict"
+                and (ev.get("args") or {}).get("entry") != "ladder"
+            ):
                 entry["evictions"] += 1
     return out or None
 

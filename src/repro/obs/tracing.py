@@ -20,7 +20,7 @@ Two export formats:
   ``span``, ``launch``), the streaming/merging format: sweep workers ship
   their records to the parent, which appends them to one file;
   ``python -m repro.obs.report`` consumes it.
-- **Chrome trace** (:meth:`Tracer.write_chrome_trace`) — the
+- **Chrome trace** (:meth:`Tracer.to_chrome_trace`) — the
   ``chrome://tracing`` / Perfetto JSON object format, built from the same
   records by :func:`chrome_trace_from_records`;
   :func:`validate_chrome_trace` checks the invariants the viewers require.
@@ -38,11 +38,33 @@ import time
 from pathlib import Path
 from typing import Any, Iterable
 
+from ..gpu.executor import ExecutionResult, PhaseTimes
+
 #: Bumped when the JSONL record layout changes incompatibly.
 TRACE_SCHEMA_VERSION = 1
 
 #: Record types a trace JSONL stream may contain.
 RECORD_TYPES = ("meta", "span", "launch")
+
+
+def launch_record(execution: ExecutionResult, device: str = "") -> dict:
+    """The ``launch`` record of one simulated kernel launch: its totals,
+    its Section V phase attribution (all overhead when the result has
+    none) and the name of the device it was costed on, whose roofs the
+    report's roofline reads."""
+    phases = execution.phases or PhaseTimes(overhead_s=execution.runtime_s)
+    schedule = execution.schedule
+    return {
+        "name": execution.name,
+        "device": device,
+        "runtime_s": execution.runtime_s,
+        "flops": execution.flops,
+        "dram_bytes": execution.dram_bytes,
+        "l2_bytes": execution.l2_bytes,
+        "n_blocks": execution.n_blocks,
+        "phases": phases.as_dict(),
+        "imbalance": schedule.imbalance if schedule is not None else 1.0,
+    }
 
 
 class _NoopSpan:
@@ -244,7 +266,7 @@ class Tracer:
         return span
 
     def add_launch(self, record: dict[str, Any]) -> None:
-        """Attach one kernel-launch record (see repro.obs.profiler)."""
+        """Attach one kernel-launch record (see :func:`launch_record`)."""
         self.launches.append(dict(record, type="launch"))
 
     def merge_records(self, records: Iterable[dict[str, Any]]) -> int:
@@ -284,11 +306,6 @@ class Tracer:
 
     def to_chrome_trace(self) -> dict[str, Any]:
         return chrome_trace_from_records(self.to_jsonl_records())
-
-    def write_chrome_trace(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.to_chrome_trace()))
-        return path
 
 
 # ----------------------------------------------------------------------
@@ -430,7 +447,7 @@ def chrome_trace_from_records(records: Iterable[dict]) -> dict[str, Any]:
                     }
                 )
         elif rtype == "launch":
-            # Launch records are profiler data, not timeline events; they
+            # Launch records are phase data, not timeline events; they
             # ride along in otherData for tools that want them.
             continue
     for pid, name in sorted(processes.items()):

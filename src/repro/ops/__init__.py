@@ -54,7 +54,6 @@ from .store import PLAN_STORE_VERSION, PlanStore, StoreStats
 from .registry import (
     KernelImpl,
     available,
-    exact_backends,
     get_impl,
     register,
     stack_backends,
@@ -90,6 +89,5 @@ __all__ = [
     "register",
     "get_impl",
     "available",
-    "exact_backends",
     "stack_backends",
 ]

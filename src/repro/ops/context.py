@@ -40,6 +40,7 @@ from ..gpu.allocator import (
 from ..gpu.device import V100, DeviceSpec
 from ..gpu.executor import ExecutionResult
 from ..obs.flight import FlightRecorder, flight_from_env
+from ..obs.tracing import launch_record
 from ..reliability.errors import (
     DeviceOOMError,
     PlanCorruptionError,
@@ -174,8 +175,9 @@ class Telemetry:
     reads them through a pull-mode collector (see
     :func:`repro.obs.metrics.bind_context_metrics`), so :meth:`snapshot`
     remains the stable compatibility surface while the registry supersedes
-    it. Launches and plan-cache lookups have their own hot-path writers;
-    every other event goes through :meth:`emit`.
+    it. Launches and plan-cache lookups have their own hot-path writers
+    (:meth:`record_launch` is also the one producer of a trace's
+    ``launch`` records); every other event goes through :meth:`emit`.
     """
 
     stats: dict[tuple[str, str], OpStats] = field(default_factory=dict)
@@ -186,8 +188,11 @@ class Telemetry:
     #: ``None``): fed one ring event per recorded launch and per event.
     flight: object | None = field(default=None, repr=False)
     #: The context's :class:`~repro.obs.tracing.Tracer` (or ``None``):
-    #: events land on its open span.
+    #: events land on its open span, and each recorded launch becomes one
+    #: of its ``launch`` records.
     tracer: object | None = field(default=None, repr=False)
+    #: Name of the context's device, stamped on the trace's launch records.
+    device: str = ""
 
     def _get(self, op: str, backend: str) -> OpStats:
         stats = self.stats.get((op, backend))
@@ -210,6 +215,8 @@ class Telemetry:
             self.sim_histogram.labels(op, backend).observe(execution.runtime_s)
         if self.flight is not None:
             self.flight.record_launch(op, backend, execution)
+        if self.tracer is not None:
+            self.tracer.add_launch(launch_record(execution, self.device))
 
     def record_cache(self, op: str, backend: str, hit: bool) -> None:
         entry = self._get(op, backend)
@@ -413,7 +420,7 @@ class ExecutionContext:
         #: per device by the report CLI.
         self.device_id = device_id
         self.plans = PlanCache(max_plans)
-        self.telemetry = Telemetry()
+        self.telemetry = Telemetry(device=device.name)
         #: Optional disk-backed :class:`~repro.ops.store.PlanStore` holding
         #: searched (oracle/tuned) configs across processes; a path builds
         #: one. Plans themselves are never persisted.
@@ -799,7 +806,7 @@ class ExecutionContext:
             self._evicted_keys.add(key)
             self.tensor_evictions += 1
             self.telemetry.emit(
-                "oom_evict", op, backend, kind="tensor", bytes=alloc.nbytes
+                "oom_evict", op, backend, entry="tensor", bytes=alloc.nbytes
             )
             return alloc.nbytes
         for key in self.plans.keys():
@@ -808,7 +815,7 @@ class ExecutionContext:
             nbytes = self._plan_allocs[key].nbytes
             self.plans.evict(key)
             self.telemetry.emit(
-                "oom_evict", op, backend, kind="plan", bytes=nbytes, plans=1
+                "oom_evict", op, backend, entry="plan", bytes=nbytes, plans=1
             )
             return nbytes
         return 0

@@ -21,7 +21,7 @@ from typing import Any, Callable, Hashable
 
 import numpy as np
 
-from ..core.repair import TopologyDelta, edited_rows, make_delta
+from ..core.repair import TopologyDelta, make_delta
 from ..reliability.errors import PlanCorruptionError
 
 
@@ -60,21 +60,14 @@ def matrix_fingerprint(matrix: Any) -> str:
         ) from None
 
 
-def topology_delta(
-    parent,
-    child,
-    rows: np.ndarray | None = None,
-) -> TopologyDelta:
+def topology_delta(parent, child, rows: np.ndarray) -> TopologyDelta:
     """Fingerprint-aware :class:`~repro.core.repair.TopologyDelta`.
 
-    ``rows`` is the edited row set when the caller tracked it (drop/grow
-    updates know exactly which rows they touched); when ``None`` the two
-    structures are diffed (O(nnz), vectorized). Register the result with a
-    context (:meth:`ExecutionContext.register_topology_delta`) to make the
-    child's plans repairable from the parent's.
+    ``rows`` is the edited row set, which every topology edit tracks
+    (drop/grow updates know exactly which rows they touched). Register the
+    result with a context (:meth:`ExecutionContext.register_topology_delta`)
+    to make the child's plans repairable from the parent's.
     """
-    if rows is None:
-        rows = edited_rows(parent, child)
     return make_delta(
         parent,
         child,

@@ -121,11 +121,6 @@ def available(op: str | None = None) -> dict[str, str]:
     }
 
 
-def exact_backends(op: str) -> frozenset[str]:
-    """Backends of ``op`` whose numerics are mutually bitwise-exact."""
-    return BACKEND_SETS.get(op, NO_BACKENDS)[1]
-
-
 def stack_backends(op: str) -> frozenset[str]:
     """Backends of ``op`` that take a stack of depth ``h > 1``."""
     return STACK_BACKEND_SETS.get(op, NO_BACKENDS)[0]

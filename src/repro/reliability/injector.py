@@ -136,14 +136,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Schedule bookkeeping
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Restart the schedule from the seed (log cleared)."""
-        self.rng = np.random.default_rng(self.seed)
-        self.log.clear()
-        self._matches.clear()
-        self._fired.clear()
-        self._repairs.clear()
-
     def faults_of_kind(self, kind: str) -> list[InjectedFault]:
         return [f for f in self.log if f.kind == kind]
 

@@ -206,7 +206,7 @@ def _reclaim(ctx, op: str, backend: str, exc, stage: int) -> int:
         return freed
     freed = ctx.evict_device_bytes(max(exc.requested, 1), op, backend)
     ctx.telemetry.emit(
-        "oom_evict", op, backend, kind="ladder", bytes_freed=freed
+        "oom_evict", op, backend, entry="ladder", bytes_freed=freed
     )
     return freed
 

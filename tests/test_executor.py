@@ -10,12 +10,10 @@ from repro.gpu import (
     KernelLaunch,
     V100,
     execute,
-    register_completion_observer,
     register_launch_observer,
-    unregister_completion_observer,
     unregister_launch_observer,
 )
-from repro.gpu.executor import _COMPLETION_OBSERVERS, _LAUNCH_OBSERVERS
+from repro.gpu.executor import _LAUNCH_OBSERVERS
 
 
 def make_launch(**kwargs) -> KernelLaunch:
@@ -132,15 +130,13 @@ class TestExecutionResultHelpers:
 
 
 class TestObserverErrorPaths:
-    """A misbehaving observer must never corrupt the observer lists."""
+    """A misbehaving observer must never corrupt the observer list."""
 
     @pytest.fixture(autouse=True)
     def _clean_observers(self):
-        before_launch = list(_LAUNCH_OBSERVERS)
-        before_done = list(_COMPLETION_OBSERVERS)
+        before = list(_LAUNCH_OBSERVERS)
         yield
-        _LAUNCH_OBSERVERS[:] = before_launch
-        _COMPLETION_OBSERVERS[:] = before_done
+        _LAUNCH_OBSERVERS[:] = before
 
     def test_raising_launch_observer_propagates_without_leak(self):
         def bad(launch, device):
@@ -156,17 +152,6 @@ class TestObserverErrorPaths:
         assert bad not in _LAUNCH_OBSERVERS
         assert execute(make_launch(), V100).runtime_s > 0
 
-    def test_raising_completion_observer_propagates_without_leak(self):
-        def bad(launch, device, result):
-            raise RuntimeError("completion boom")
-
-        register_completion_observer(bad)
-        with pytest.raises(RuntimeError, match="completion boom"):
-            execute(make_launch(), V100)
-        assert bad in _COMPLETION_OBSERVERS
-        unregister_completion_observer(bad)
-        assert execute(make_launch(), V100).runtime_s > 0
-
     def test_register_is_idempotent(self):
         def obs(launch, device):
             pass
@@ -179,7 +164,6 @@ class TestObserverErrorPaths:
 
     def test_unregister_missing_is_noop(self):
         unregister_launch_observer(lambda launch, device: None)
-        unregister_completion_observer(lambda launch, device, result: None)
 
     def test_unregister_during_notify_is_safe(self):
         """An observer removing itself (or a peer) mid-notification must not
@@ -200,26 +184,3 @@ class TestObserverErrorPaths:
         # Second launch: only the peer remains.
         execute(make_launch(), V100)
         assert calls == ["self_removing", "peer", "peer"]
-
-    def test_completion_unregister_during_notify_is_safe(self):
-        seen = []
-
-        def once(launch, device, result):
-            seen.append(result.runtime_s)
-            unregister_completion_observer(once)
-
-        register_completion_observer(once)
-        execute(make_launch(), V100)
-        execute(make_launch(), V100)
-        assert len(seen) == 1
-
-    def test_completion_observer_sees_final_result(self):
-        captured = []
-        register_completion_observer(
-            lambda launch, device, result: captured.append((launch, result))
-        )
-        launch = make_launch()
-        result = execute(launch, V100)
-        assert captured and captured[0][0] is launch
-        assert captured[0][1] is result
-        assert captured[0][1].phases is not None

@@ -18,7 +18,6 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    PhaseProfiler,
     Tracer,
     build_report,
     chrome_trace_from_records,
@@ -332,56 +331,94 @@ class TestPhaseAttribution:
 
 
 class TestPhaseProfiler:
+    """Per-kernel phase tables and rooflines, rebuilt by ``obs.report``
+    from the launch records a traced context writes."""
+
     def test_collects_and_aggregates(self, rng, device):
-        ctx = ops.ExecutionContext(device)
+        ctx = ops.ExecutionContext(device, tracer=Tracer("t"))
         a = random_sparse(rng, 128, 96, 0.25)
-        with PhaseProfiler() as prof:
-            ops.spmm_cost(a, 32, context=ctx)
-            ops.sddmm_cost(a, 32, context=ctx)
-        assert len(prof.records) >= 2
-        kernels = prof.by_kernel()
-        assert all(stats.launches >= 1 for stats in kernels.values())
-        for record in prof.records:
-            assert sum(record.phases.values()) == pytest.approx(
-                record.runtime_s, rel=0.01
+        ops.spmm_cost(a, 32, context=ctx)
+        ops.sddmm_cost(a, 32, context=ctx)
+        records = ctx.tracer.to_jsonl_records()
+        launches = [r for r in records if r["type"] == "launch"]
+        assert len(launches) == 2
+        kernels = build_report(records)["kernels"]
+        assert sum(entry["launches"] for entry in kernels.values()) == 2
+        for record in launches:
+            assert record["device"] == device.name
+            assert sum(record["phases"].values()) == pytest.approx(
+                record["runtime_s"], rel=0.01
             )
 
     def test_stops_collecting_after_exit(self, rng, device):
-        ctx = ops.ExecutionContext(device)
+        tracer = Tracer("t")
+        ctx = ops.ExecutionContext(device, tracer=tracer)
         a = random_sparse(rng, 64, 48, 0.3)
-        with PhaseProfiler() as prof:
-            ops.spmm_cost(a, 32, context=ctx)
-        n = len(prof.records)
+        ops.spmm_cost(a, 32, context=ctx)
+        n = len(tracer.launches)
+        ctx.attach_tracer(None)
         ops.sddmm_cost(a, 16, context=ctx)
-        assert len(prof.records) == n
+        assert len(tracer.launches) == n == 1
 
     def test_roofline_and_report(self, rng, device):
-        ctx = ops.ExecutionContext(device)
+        ctx = ops.ExecutionContext(device, tracer=Tracer("t"))
         a = random_sparse(rng, 128, 96, 0.25)
-        with PhaseProfiler() as prof:
-            ops.spmm_cost(a, 32, context=ctx)
-        points = prof.roofline(device)
+        ops.spmm_cost(a, 32, context=ctx)
+        report = build_report(ctx.tracer.to_jsonl_records())
+        points = report["roofline"]
         assert points and points[0]["bound"] in ("memory", "compute")
         assert 0 < points[0]["roof_fraction"] <= 1.5
-        report = prof.report(device)
-        assert report["launches"] == len(prof.records)
-        assert "roofline" in report
-        assert prof.summary().splitlines()
+        assert sum(k["launches"] for k in report["kernels"].values()) == 1
+        assert "roofline:" in format_report(report).splitlines()
 
     def test_device_filter(self, rng, device):
+        """A context records only its own launches."""
         from repro.gpu import GTX1080
 
+        tracer = Tracer("t")
+        other = ops.ExecutionContext(GTX1080, tracer=tracer)
         ctx = ops.ExecutionContext(device)
         a = random_sparse(rng, 64, 48, 0.3)
-        with PhaseProfiler(device=GTX1080) as prof:
-            ops.spmm_cost(a, 32, context=ctx)
-        assert prof.records == []
+        ops.spmm_cost(a, 32, context=ctx)
+        assert tracer.launches == []
+        ops.spmm_cost(a, 32, context=other)
+        assert [r["device"] for r in tracer.launches] == [GTX1080.name]
 
 
 # ----------------------------------------------------------------------
 # Traced dispatch
 # ----------------------------------------------------------------------
 class TestTracedDispatch:
+    def test_every_dispatched_launch_is_a_launch_record(self, rng, device):
+        """Launch records come from the dispatch path, one per launch it
+        records, so they account for all of the op spans' simulated time."""
+        ctx = ops.ExecutionContext(device, tracer=Tracer("t"))
+        a = random_sparse(rng, 128, 96, 0.25)
+        b = rng.standard_normal((96, 32)).astype(np.float32)
+        for _ in range(3):
+            ops.spmm_cost(a, 32, context=ctx)
+            ops.spmm(a, b, context=ctx)
+            ops.sddmm_cost(a, 32, context=ctx, backend="cusparse")
+        records = ctx.tracer.to_jsonl_records()
+        launches = [r for r in records if r["type"] == "launch"]
+        assert len(launches) == 9
+        launch_s = sum(r["runtime_s"] for r in launches)
+        span_s = sum(s.sim_s for s in ctx.tracer.spans if s.category == "op")
+        assert launch_s == pytest.approx(span_s, rel=1e-12)
+        assert launch_s == pytest.approx(
+            ctx.telemetry.simulated_seconds, rel=1e-12
+        )
+        for record in launches:
+            assert sum(record["phases"].values()) == pytest.approx(
+                record["runtime_s"], rel=0.01
+            )
+        report = build_report(records)
+        assert sum(k["launches"] for k in report["kernels"].values()) == 9
+        assert report["roofline"]
+        for point in report["roofline"]:
+            assert point["bound"] in ("memory", "compute")
+            assert 0 < point["roof_fraction"] <= 1.5
+
     def test_span_per_dispatch_with_cache_annotations(self, rng, device):
         ctx = ops.ExecutionContext(device, tracer=Tracer("t"))
         a = random_sparse(rng, 64, 48, 0.3)

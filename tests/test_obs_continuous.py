@@ -168,7 +168,7 @@ class TestContextFlight:
         err = excinfo.value
         records = err.flight_records
         assert validate_trace_records(records) == []
-        kinds = {r["args"]["kind"] for r in records if r["type"] == "span"}
+        kinds = {r["kind"] for r in records if r["type"] == "span"}
         assert "oom" in kinds
         assert err.flight_dump is not None
         dumped = read_jsonl(err.flight_dump)
@@ -186,7 +186,7 @@ class TestContextFlight:
                 ops.spmm(a, b, context=ctx, backend=chain)
         records = excinfo.value.flight_records
         assert validate_trace_records(records) == []
-        kinds = [r["args"]["kind"] for r in records if r["type"] == "span"]
+        kinds = [r["kind"] for r in records if r["type"] == "span"]
         assert "retry" in kinds
         assert "fallback" in kinds
         assert kinds.count("failure") == 1  # terminal event, once
@@ -371,8 +371,25 @@ class TestEventProjections:
             assert [a for k, a in projected["span"] if k == kind] == [
                 a for k, a in projected["flight"] if k == kind
             ], kind
+        # A dump keeps each event's kind and its own attributes apart (an
+        # oom_evict's entry type must not hide the kind).
+        assert [
+            (r["kind"], r["args"])
+            for r in ctx.flight.to_records()
+            if r["type"] == "span"
+        ] == projected["flight"]
         memory = rollup_memory(tracer.to_jsonl_records()) or {}
         assert memory.get("oom_events", 0) == ctx.telemetry.oom_events
+        # Evictions count per evicted entry: the ladder's summary event
+        # repeats what the tensor/plan events freed.
+        evicted = memory.get("evictions", {}).values()
+        assert sum(e["count"] for e in evicted) == (
+            ctx.tensor_evictions + ctx.telemetry.plan_evictions
+        )
+        assert sum(e["bytes"] for e in evicted) == ctx.telemetry.bytes_evicted
+        assert sum(
+            op["evictions"] for op in memory.get("by_op", {}).values()
+        ) == ctx.tensor_evictions + ctx.telemetry.plan_evictions
 
 
 # ----------------------------------------------------------------------
