@@ -1,7 +1,7 @@
 """Cost-model plan autotuner benchmark.
 
 Headline for the config-selection tentpole, recorded in
-``BENCH_autotune.json`` at the repo root: the ``tuned`` selector
+``bench_out/BENCH_autotune.json``: the ``tuned`` selector
 (heuristic-seeded hill climb over the SpmmConfig knob space, costed on the
 simulator) versus the paper's static heuristic, across a stratified sample
 of the DNN corpus. Measures:
@@ -42,7 +42,7 @@ from repro.gpu import V100
 from repro.tune import reset_tuning_seconds, tuning_seconds
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-OUT_JSON = REPO_ROOT / "BENCH_autotune.json"
+OUT_JSON = REPO_ROOT / "bench_out" / "BENCH_autotune.json"
 
 
 def geomean(xs: list[float]) -> float:
@@ -161,7 +161,9 @@ def main() -> None:
     parser.add_argument("--sample", type=int, default=None,
                         help="corpus specs to sample (default 32, smoke 10)")
     parser.add_argument("--out", type=Path, default=OUT_JSON,
-                        help=f"report path (default {OUT_JSON})")
+                        help=f"report path (default {OUT_JSON}; "
+                             f"--out {OUT_JSON.name} rewrites the committed "
+                             "report)")
     args = parser.parse_args()
 
     sample = args.sample or (10 if args.smoke else 32)
@@ -193,6 +195,7 @@ def main() -> None:
         "per_problem": quality["rows"],
         "overhead": overhead,
     }
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
 

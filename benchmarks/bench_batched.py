@@ -1,7 +1,7 @@
 """Batched operator execution benchmark.
 
-Headline for stacked dispatch, recorded in ``BENCH_batched.json`` at the
-repo root: 8-head sequence-512 sparse attention run as THREE stacked
+Headline for stacked dispatch, recorded in ``bench_out/BENCH_batched.json``:
+8-head sequence-512 sparse attention run as THREE stacked
 dispatches (SDDMM -> sparse softmax -> SpMM over ``(H, ...)`` stacks, one
 plan and one z-scaled launch each) versus the per-head loop (3 dispatches
 x 8 heads). Measures:
@@ -43,7 +43,7 @@ from repro.nn import Profile, sparse_attention
 from conftest import paired_median
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-OUT_JSON = REPO_ROOT / "BENCH_batched.json"
+OUT_JSON = REPO_ROOT / "bench_out" / "BENCH_batched.json"
 
 
 def bench_attention(seq: int, heads: int, dk: int, band: int, pairs: int) -> dict:
@@ -155,7 +155,9 @@ def main() -> None:
                         help="interleaved loop/batch timing pairs "
                         "(default 9, smoke 15)")
     parser.add_argument("--out", type=Path, default=OUT_JSON,
-                        help=f"report path (default {OUT_JSON})")
+                        help=f"report path (default {OUT_JSON}; "
+                             f"--out {OUT_JSON.name} rewrites the committed "
+                             "report)")
     args = parser.parse_args()
 
     if args.smoke:
@@ -176,6 +178,7 @@ def main() -> None:
         "attention": attention,
         "spmm_cost_path": cost_path,
     }
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
 

@@ -7,7 +7,7 @@ context. The next plan lookups then *repair* the parent's plans: validate
 the ancestor against the child, rebuild from the child's memoized
 structure analysis (one O(nnz) touched-column count and one swizzle
 argsort), and record the lineage. This script checks that path end to end
-and writes ``BENCH_dynamic.json`` at the repo root:
+and writes ``bench_out/BENCH_dynamic.json``:
 
 - **equivalence** — repaired plans equal cold-built plans field for field
   (swizzle order, extents, launch, simulated execution) and produce the
@@ -50,7 +50,7 @@ from repro.obs.flight import FlightRecorder
 from repro.sparse.csr import CSRMatrix
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-OUT_JSON = REPO_ROOT / "BENCH_dynamic.json"
+OUT_JSON = REPO_ROOT / "bench_out" / "BENCH_dynamic.json"
 
 #: Drop/grow fraction within each selected row (RigL's initial fraction).
 FRACTION = 0.3
@@ -200,7 +200,9 @@ def main() -> None:
     parser.add_argument("--smoke", action="store_true",
                         help="smaller matrices (CI)")
     parser.add_argument("--out", type=Path, default=OUT_JSON,
-                        help=f"report path (default {OUT_JSON})")
+                        help=f"report path (default {OUT_JSON}; "
+                             f"--out {OUT_JSON.name} rewrites the committed "
+                             "report)")
     args = parser.parse_args()
 
     size, n = (512, 32) if args.smoke else (1024, 64)
@@ -222,6 +224,7 @@ def main() -> None:
         "equivalence": eq,
         "telemetry": {**tele, "checks": tele_checks},
     }
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
 

@@ -1,8 +1,8 @@
 """Memory-pressure benchmark: graceful degradation under finite HBM.
 
-Headline for the finite-HBM tentpole, recorded in ``BENCH_memory.json`` at
-the repo root. Two workloads run against the capacity-aware device
-allocator at a ladder of HBM caps:
+Headline for the finite-HBM tentpole, recorded in
+``bench_out/BENCH_memory.json``. Two workloads run against the
+capacity-aware device allocator at a ladder of HBM caps:
 
 1. **Sustained SpMM sweep** — 200 distinct ~38 MB CSR topologies (about
    8 GB of aggregate device residency) timed back-to-back under 4/8/16/32
@@ -50,7 +50,7 @@ from repro.gpu import V100
 from repro.sparse.csr import CSRMatrix
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-OUT_JSON = REPO_ROOT / "BENCH_memory.json"
+OUT_JSON = REPO_ROOT / "bench_out" / "BENCH_memory.json"
 
 GiB = 1024**3
 
@@ -205,7 +205,9 @@ def main() -> None:
     parser.add_argument("--smoke", action="store_true",
                         help="small problems, MB-scale caps (CI)")
     parser.add_argument("--out", type=Path, default=OUT_JSON,
-                        help=f"report path (default {OUT_JSON})")
+                        help=f"report path (default {OUT_JSON}; "
+                             f"--out {OUT_JSON.name} rewrites the committed "
+                             "report)")
     args = parser.parse_args()
 
     if args.smoke:
@@ -290,6 +292,7 @@ def main() -> None:
         "attention": attention,
         "overhead": overhead,
     }
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
 

@@ -1,7 +1,7 @@
 """Multi-GPU scaling benchmark: sharded execution vs the interconnect.
 
-Headline for the multi-GPU tentpole, recorded in ``BENCH_multigpu.json``
-at the repo root. Three sections:
+Headline for the multi-GPU tentpole, recorded in
+``bench_out/BENCH_multigpu.json``. Three sections:
 
 1. **Corpus scaling curve** — a corpus of large power-law CSR topologies
    (4096x4096, 720-2160 nonzeros/row) costed through row-sharded SpMM at
@@ -52,7 +52,7 @@ from repro.nn.transformer_layer import TransformerLayer
 from repro.sparse.csr import CSRMatrix
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-OUT_JSON = REPO_ROOT / "BENCH_multigpu.json"
+OUT_JSON = REPO_ROOT / "bench_out" / "BENCH_multigpu.json"
 
 K_LADDER = (1, 2, 4, 8)
 #: Aggregate effective-throughput bar at K=4 (the acceptance criterion).
@@ -216,7 +216,9 @@ def main() -> None:
     parser.add_argument("--smoke", action="store_true",
                         help="small corpus, small transformer (CI)")
     parser.add_argument("--out", type=Path, default=OUT_JSON,
-                        help=f"report path (default {OUT_JSON})")
+                        help=f"report path (default {OUT_JSON}; "
+                             f"--out {OUT_JSON.name} rewrites the committed "
+                             "report)")
     args = parser.parse_args()
 
     if args.smoke:
@@ -279,6 +281,7 @@ def main() -> None:
         "transformer_model_parallel": transformer,
         "sharded_sweep_under_caps": sweep,
     }
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
 

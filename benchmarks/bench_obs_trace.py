@@ -1,7 +1,7 @@
 """Observability-layer benchmark: traced sweep, traced model, overhead.
 
 Exercises the PR's acceptance criteria end to end and records them in
-``BENCH_obs.json`` at the repo root:
+``bench_out/BENCH_obs.json``:
 
 1. **Traced 20-matrix sweep** — ``run_sweep(..., trace_path=...)`` emits a
    JSONL stream whose merged records export valid Chrome-trace JSON, with
@@ -62,7 +62,7 @@ from repro.ops.registry import get_impl
 from conftest import paired_median
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-OUT_JSON = REPO_ROOT / "BENCH_obs.json"
+OUT_JSON = REPO_ROOT / "bench_out" / "BENCH_obs.json"
 ARTIFACTS = REPO_ROOT / "trace_artifacts"
 
 
@@ -165,7 +165,7 @@ def bench_mobilenet_trace() -> dict:
     model.forward(image, V100, profile)
     wall = time.perf_counter() - t0
 
-    tracer = profile.to_trace("mobilenet_w0.25_sparse")
+    tracer = profile.to_trace(V100, "mobilenet_w0.25_sparse")
     trace = tracer.to_chrome_trace()
     problems = validate_chrome_trace(trace)
     assert not problems, f"invalid Chrome trace: {problems[:3]}"
@@ -363,7 +363,9 @@ def main() -> None:
     parser.add_argument("--smoke", action="store_true",
                         help="small corpus, fewer repeats (CI)")
     parser.add_argument("--out", type=Path, default=OUT_JSON,
-                        help=f"report path (default {OUT_JSON})")
+                        help=f"report path (default {OUT_JSON}; "
+                             f"--out {OUT_JSON.name} rewrites the committed "
+                             "report)")
     args = parser.parse_args()
 
     # The acceptance trace is a 20-matrix sweep in both modes; smoke only
@@ -411,6 +413,7 @@ def main() -> None:
         "dispatch": overhead,
         "flight": flight,
     }
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out} and {ARTIFACTS}/")
 

@@ -1,7 +1,7 @@
 """Sweep-scale performance engine benchmark.
 
 Measures the two tentpole speedups of the performance engine and records
-them in ``BENCH_sweep.json`` at the repo root so the perf trajectory is
+them in ``bench_out/BENCH_sweep.json`` so the perf trajectory is
 tracked from this PR onward:
 
 1. **Vectorized scheduler** — :func:`repro.gpu.simulate_schedule` (round
@@ -45,7 +45,7 @@ from repro.gpu.scheduler import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-OUT_JSON = REPO_ROOT / "BENCH_sweep.json"
+OUT_JSON = REPO_ROOT / "bench_out" / "BENCH_sweep.json"
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -188,7 +188,9 @@ def main() -> None:
     parser.add_argument("--workers", type=int, default=None,
                         help="parallel workers (default 4, smoke 2)")
     parser.add_argument("--out", type=Path, default=OUT_JSON,
-                        help=f"report path (default {OUT_JSON})")
+                        help=f"report path (default {OUT_JSON}; "
+                             f"--out {OUT_JSON.name} rewrites the committed "
+                             "report)")
     args = parser.parse_args()
 
     n_matrices = args.matrices or (24 if args.smoke else 200)
@@ -210,6 +212,7 @@ def main() -> None:
         "scheduler": scheduler,
         "sweep": sweep,
     }
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
 

@@ -7,6 +7,10 @@ each with its own plan cache and :class:`~repro.gpu.allocator.DeviceAllocator`
 :class:`~repro.gpu.interconnect.InterconnectSpec` fabric model and
 overlap-aware combined runtimes (see DESIGN.md Section 15).
 
+This package is the one route to sharded dispatch: ``sharded_spmm``,
+``sharded_spmm_cost``, ``sharded_sddmm`` and ``sharded_sddmm_cost`` each
+call :mod:`repro.ops` once per device through one shared function.
+
 Quick start::
 
     from repro.dist import DeviceGroup, sharded_spmm_cost

@@ -35,12 +35,7 @@ from ..core.repair import TopologyDelta
 from ..ops.context import DEFAULT_MAX_PLANS, ExecutionContext
 from ..ops.plans import matrix_fingerprint, topology_delta
 from ..sparse.csr import CSRMatrix
-from .partition import (
-    DEFAULT_BUNDLE_SIZE,
-    ShardPlan,
-    plan_shards,
-    repair_shard_plan,
-)
+from .partition import ShardPlan, plan_shards, repair_shard_plan
 
 #: Per-group LRU capacity for materialized sub-matrix shards.
 MAX_SHARD_SETS = 16
@@ -128,12 +123,7 @@ class DeviceGroup:
     # ------------------------------------------------------------------
     # Shard planning (cached) and shard materialization
     # ------------------------------------------------------------------
-    def shard_plan(
-        self,
-        a: CSRMatrix,
-        strategy: str = "row",
-        bundle_size: int = DEFAULT_BUNDLE_SIZE,
-    ) -> ShardPlan:
+    def shard_plan(self, a: CSRMatrix, strategy: str = "row") -> ShardPlan:
         """The (cached) :class:`ShardPlan` for this topology on this group.
 
         When a :class:`~repro.core.repair.TopologyDelta` is registered for
@@ -143,40 +133,30 @@ class DeviceGroup:
         lineage. The result equals a cold plan field for field.
         """
         fp = matrix_fingerprint(a)
-        key = ("shard_plan", fp, self.k, strategy, bundle_size)
+        key = ("shard_plan", fp, self.k, strategy)
         return self.lead._cached(
             "shard_plan",
             "dist",
             key,
-            lambda: plan_shards(a, self.k, strategy, bundle_size),
+            lambda: plan_shards(a, self.k, strategy),
             repair=self.lead._repairable_plan(
                 fp,
-                lambda parent_fp: (
-                    "shard_plan", parent_fp, self.k, strategy, bundle_size,
-                ),
+                lambda parent_fp: ("shard_plan", parent_fp, self.k, strategy),
                 lambda plan, delta: repair_shard_plan(plan, a, delta),
             ),
         )
 
     def shards(
-        self,
-        a: CSRMatrix,
-        strategy: str = "row",
-        bundle_size: int = DEFAULT_BUNDLE_SIZE,
+        self, a: CSRMatrix, strategy: str = "row"
     ) -> tuple[ShardPlan, list[CSRMatrix]]:
         """The plan plus the materialized per-device sub-matrices.
 
         For ``strategy="row"`` device ``d`` gets ``a.take_rows(rows_d)``
         at full width; for ``"2d"`` it gets the ``(rows_i, cols_j)`` tile.
-        ``k == 1`` returns the original matrix untouched (no copy, no
-        fingerprint churn) so single-device sharding is exactly the
-        unsharded dispatch.
         """
-        plan = self.shard_plan(a, strategy, bundle_size)
-        if self.k == 1:
-            return plan, [a]
+        plan = self.shard_plan(a, strategy)
         fp = matrix_fingerprint(a)
-        key = (fp, self.k, plan.strategy, bundle_size)
+        key = (fp, self.k, plan.strategy)
         hit = self._shard_sets.get(key)
         if hit is not None and hit[2] is a.values:
             self._shard_sets.move_to_end(key)
@@ -194,7 +174,7 @@ class DeviceGroup:
                 sub = sub.take_cols(lo, hi)
             subs.append(sub)
         if hit is None:
-            self._register_shard_deltas(a, fp, plan, subs, bundle_size)
+            self._register_shard_deltas(a, fp, plan, subs)
         self._shard_sets[key] = (plan, subs, a.values)
         while len(self._shard_sets) > MAX_SHARD_SETS:
             self._shard_sets.popitem(last=False)
@@ -220,7 +200,6 @@ class DeviceGroup:
         fp: str,
         plan: ShardPlan,
         subs: list[CSRMatrix],
-        bundle_size: int,
     ) -> None:
         """Derive per-device sub-deltas from a registered group delta.
 
@@ -235,7 +214,7 @@ class DeviceGroup:
         delta = self.lead.topology_delta_for(fp)
         if delta is None:
             return
-        parent_key = (delta.parent, self.k, plan.strategy, bundle_size)
+        parent_key = (delta.parent, self.k, plan.strategy)
         parent_hit = self._shard_sets.get(parent_key)
         if parent_hit is None:
             return

@@ -53,10 +53,7 @@ def row_block_partition(n_rows: int, k: int) -> list[np.ndarray]:
 
 
 def cost_balanced_partition(
-    row_lengths: np.ndarray,
-    k: int,
-    bundle_size: int = DEFAULT_BUNDLE_SIZE,
-    order: np.ndarray | None = None,
+    row_lengths: np.ndarray, k: int, order: np.ndarray | None = None
 ) -> list[np.ndarray]:
     """Assign rows to ``k`` devices so per-device nonzero totals balance.
 
@@ -73,8 +70,8 @@ def cost_balanced_partition(
     lengths = np.asarray(row_lengths)
     if order is None:
         order = row_swizzle(lengths)
-    bundles = bundle_rows(order, bundle_size)
-    weights = bundle_weights(lengths, order, bundle_size)
+    bundles = bundle_rows(order, DEFAULT_BUNDLE_SIZE)
+    weights = bundle_weights(lengths, order, DEFAULT_BUNDLE_SIZE)
     loads = np.zeros(k, dtype=np.float64)
     assigned: list[list[np.ndarray]] = [[] for _ in range(k)]
     # ``order`` is sorted by decreasing row length, so bundle weights are
@@ -148,7 +145,6 @@ class ShardPlan:
     #: Decreasing-length row order the partition was derived from (the
     #: matrix's ``analysis.swizzle_order``).
     row_order: np.ndarray
-    bundle_size: int = DEFAULT_BUNDLE_SIZE
     stats: dict = field(default_factory=dict)
 
     @property
@@ -172,12 +168,7 @@ class ShardPlan:
         return self.device_rows[d // kc], self.col_ranges[d % kc]
 
 
-def plan_shards(
-    a: CSRMatrix,
-    k: int,
-    strategy: str = "row",
-    bundle_size: int = DEFAULT_BUNDLE_SIZE,
-) -> ShardPlan:
+def plan_shards(a: CSRMatrix, k: int, strategy: str = "row") -> ShardPlan:
     """Build the :class:`ShardPlan` for one topology (uncached; the
     :class:`~repro.dist.group.DeviceGroup` layers plan caching on top).
 
@@ -192,17 +183,13 @@ def plan_shards(
     order = a.analysis.swizzle_order
     if strategy == "row" or k == 1:
         grid = (k, 1)
-        device_rows = cost_balanced_partition(
-            lengths, k, bundle_size, order=order
-        )
+        device_rows = cost_balanced_partition(lengths, k, order=order)
         col_ranges = [(0, a.shape[1])]
         loads = partition_loads(lengths, device_rows)
     else:
         grid = _grid_for(k)
         kr, kc = grid
-        device_rows = cost_balanced_partition(
-            lengths, kr, bundle_size, order=order
-        )
+        device_rows = cost_balanced_partition(lengths, kr, order=order)
         bounds = np.linspace(0, a.shape[1], kc + 1).astype(np.int64)
         col_ranges = [
             (int(bounds[j]), int(bounds[j + 1])) for j in range(kc)
@@ -224,7 +211,6 @@ def plan_shards(
         device_rows=device_rows,
         col_ranges=col_ranges,
         loads=loads,
-        bundle_size=bundle_size,
         row_order=order,
     )
     plan.stats = {
@@ -241,9 +227,8 @@ def repair_shard_plan(
     """Re-balance a :class:`ShardPlan` after a row-targeted topology edit.
 
     Validates the ancestor, then reruns :func:`plan_shards` at its device
-    count, strategy and bundle size over the child's memoized swizzle
-    order — a cold shard plan, field for field (tested in
-    tests/test_dynamic.py). Raises
+    count and strategy over the child's memoized swizzle order — a cold
+    shard plan, field for field (tested in tests/test_dynamic.py). Raises
     :class:`~repro.reliability.errors.PlanRepairError` when the
     ancestor's row count disagrees; the caller falls back to a cold plan.
     """
@@ -252,4 +237,4 @@ def repair_shard_plan(
             f"shard-plan repair row mismatch: ancestor ordered "
             f"{len(plan.row_order)} rows, child has {a.shape[0]}"
         )
-    return plan_shards(a, plan.k, plan.strategy, plan.bundle_size)
+    return plan_shards(a, plan.k, plan.strategy)

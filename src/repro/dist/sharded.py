@@ -1,5 +1,11 @@
 """Sharded SpMM/SDDMM execution over a :class:`DeviceGroup`.
 
+The four public functions share one dispatch path, :func:`_sharded`: it plans
+the shards, dispatches each device's tile, charges the collectives and
+builds the :class:`ShardedExecution`. Each function states only its
+per-device :mod:`repro.ops` call, its collectives, and how it stitches
+the per-device outputs.
+
 Each device dispatches its shard through its *own*
 :class:`~repro.ops.context.ExecutionContext` — so plan caching, config
 selection, HBM accounting, eviction ladders, and tracing all behave
@@ -16,8 +22,9 @@ The interconnect-bound fraction of a point is ``exposed_comm / runtime``:
 the scaling-killer the multi-GPU benchmark plots per K.
 
 ``k == 1`` short-circuits to plain single-device dispatch on the group's
-only context — zero collectives, zero extra arithmetic — so its cost is
-bit-identical to the unsharded path (asserted in bench_multi_gpu).
+only context — no span, no shard plan, zero collectives — so its cost is
+bit-identical to the unsharded path (asserted in bench_multi_gpu and
+tests/test_dist_golden.py).
 
 Numerics: row sharding never splits a row, so per-row accumulation order
 is untouched and the stitched output is bit-identical to single-device
@@ -30,6 +37,8 @@ validation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -125,68 +134,112 @@ def _dist_span(group: DeviceGroup, name: str):
     )
 
 
-def _finish(
+def _sharded(
     name: str,
     group: DeviceGroup,
-    plan: ShardPlan,
-    per_device: list[ExecutionResult],
-    input_collectives: list[CollectiveCost],
-    output_collectives: list[CollectiveCost],
-    span,
-) -> ShardedExecution:
-    collectives = [
-        c for c in input_collectives + output_collectives if c.steps > 0
-    ]
-    for cost in collectives:
-        group.charge_collective(cost)
-    sharded = ShardedExecution(
-        name=name,
-        k=group.k,
-        strategy=plan.strategy,
-        per_device=per_device,
-        collectives=collectives,
-        input_comm_s=sum(c.seconds for c in input_collectives),
-        output_comm_s=sum(c.seconds for c in output_collectives),
-        plan_stats=dict(plan.stats),
-    )
-    span.set(
-        strategy=sharded.strategy,
-        compute_imbalance=sharded.compute_imbalance,
-        exposed_comm_s=sharded.exposed_comm_s,
-        interconnect_bound=sharded.interconnect_bound_fraction,
-    )
-    # The wrapper span's simulated time is the *extra* critical-path time
-    # the group adds beyond the per-device op spans already accounted.
-    span.add_sim(sharded.exposed_comm_s)
-    return sharded
+    matrix: CSRMatrix,
+    strategy: str,
+    call: Callable,
+    collectives: Callable[[ShardPlan], tuple[list, list]],
+    stitch: Callable | None = None,
+):
+    """The one sharded dispatch path behind the four public functions.
+
+    ``call(sub, ctx, rows, cols)`` dispatches one device's shard ``sub``
+    of ``matrix`` on its context ``ctx``, given the device's tile: its row
+    indices and ``(lo, hi)`` column range. ``collectives(plan)`` prices
+    the ``(input, output)`` collectives. Without ``stitch`` the calls are
+    cost calls and the :class:`ShardedExecution` is returned;
+    ``stitch(plan, tiles, outputs)`` combines the per-device outputs into
+    one, returned as a :class:`KernelResult` whose ``sharded`` attribute
+    carries the :class:`ShardedExecution`.
+
+    ``k == 1`` dispatches ``matrix`` whole on the lead context: no span,
+    no shard plan, no collectives, so it is the unsharded dispatch.
+    """
+    if group.k == 1:
+        result = call(matrix, group.lead, slice(None), (0, matrix.shape[1]))
+        if stitch is not None:
+            return result
+        return ShardedExecution(
+            name=name, k=1, strategy="row", per_device=[result]
+        )
+    with _dist_span(group, name) as span:
+        plan, subs = group.shards(matrix, strategy)
+        tiles = [plan.device_tile(d) for d in range(group.k)]
+        results = [
+            call(sub, ctx, *tile)
+            for ctx, sub, tile in zip(group.contexts, subs, tiles)
+        ]
+        inputs, outputs = collectives(plan)
+        charged = [c for c in inputs + outputs if c.steps > 0]
+        for cost in charged:
+            group.charge_collective(cost)
+        sharded = ShardedExecution(
+            name=name,
+            k=group.k,
+            strategy=plan.strategy,
+            per_device=(
+                results if stitch is None
+                else [r.execution for r in results]
+            ),
+            collectives=charged,
+            input_comm_s=sum(c.seconds for c in inputs),
+            output_comm_s=sum(c.seconds for c in outputs),
+            plan_stats=dict(plan.stats),
+        )
+        span.set(
+            strategy=sharded.strategy,
+            compute_imbalance=sharded.compute_imbalance,
+            exposed_comm_s=sharded.exposed_comm_s,
+            interconnect_bound=sharded.interconnect_bound_fraction,
+        )
+        # The wrapper span's simulated time is the *extra* critical-path
+        # time the group adds beyond the per-device op spans.
+        span.add_sim(sharded.exposed_comm_s)
+        if stitch is None:
+            return sharded
+        output = stitch(plan, tiles, [r.output for r in results])
+    result = KernelResult(output=output, execution=sharded.summary_execution())
+    result.sharded = sharded
+    return result
 
 
 def _spmm_collectives(
-    group: DeviceGroup,
+    group: DeviceGroup, a: CSRMatrix, n: int, gather_output: bool,
     plan: ShardPlan,
-    a: CSRMatrix,
-    n: int,
-    *,
-    replicate_dense: bool,
-    gather_output: bool,
 ) -> tuple[list[CollectiveCost], list[CollectiveCost]]:
     spec = group.interconnect
     vb = a.values.dtype.itemsize
-    inputs: list[CollectiveCost] = []
+    # The dense operand starts sharded 1/k per device and every device
+    # (row strategy) or every row-group (2-D) needs its slice resident.
+    inputs = [all_gather(spec, a.shape[1] * n * vb, group.k)]
     outputs: list[CollectiveCost] = []
-    if not replicate_dense:
-        # The dense operand starts sharded 1/k per device and every device
-        # (row strategy) or every row-group (2-D) needs its slice resident.
-        inputs.append(all_gather(spec, a.shape[1] * n * vb, group.k))
-    if plan.strategy == "2d":
-        kc = plan.grid[1]
-        if kc > 1:
-            # Partial products reduce within each row-group's kc devices;
-            # the groups run concurrently, so price the widest one.
-            widest = max(len(rows) for rows in plan.device_rows)
-            outputs.append(reduce_scatter(spec, widest * n * vb, kc))
+    kc = plan.grid[1]
+    if kc > 1:
+        # Partial products reduce within each row-group's kc devices; the
+        # groups run concurrently, so price the widest one.
+        widest = max(len(rows) for rows in plan.device_rows)
+        outputs.append(reduce_scatter(spec, widest * n * vb, kc))
     if gather_output:
         outputs.append(all_gather(spec, a.shape[0] * n * vb, group.k))
+    return inputs, outputs
+
+
+def _sddmm_collectives(
+    group: DeviceGroup, mask: CSRMatrix, k_dim: int, gather_output: bool,
+    plan: ShardPlan,
+) -> tuple[list[CollectiveCost], list[CollectiveCost]]:
+    spec = group.interconnect
+    vb = mask.values.dtype.itemsize
+    # lhs rows travel with the mask rows (already local); rhs must be
+    # resident wherever a tile touches its columns.
+    inputs = [all_gather(spec, mask.shape[1] * k_dim * vb, group.k)]
+    # Every nonzero is produced exactly once (even in 2-D tiles: the full
+    # k_dim dot product is local), so the gather is nnz values.
+    outputs = (
+        [all_gather(spec, mask.nnz * vb, group.k)] if gather_output else []
+    )
     return inputs, outputs
 
 
@@ -198,7 +251,6 @@ def sharded_spmm_cost(
     strategy: str = "row",
     backend: str = "sputnik",
     selector: str = "heuristic",
-    replicate_dense: bool = False,
     gather_output: bool = True,
     h: int = 1,
 ) -> ShardedExecution:
@@ -211,26 +263,13 @@ def sharded_spmm_cost(
     """
     from .. import ops
 
-    def cost(sub, ctx):
-        return ops.spmm_cost(
+    return _sharded(
+        "spmm_sharded", group, a, strategy,
+        lambda sub, ctx, rows, cols: ops.spmm_cost(
             sub, n, context=ctx, backend=backend, selector=selector, h=h
-        )
-
-    if group.k == 1:
-        return ShardedExecution(
-            name="spmm_sharded", k=1, strategy="row",
-            per_device=[cost(a, group.lead)],
-        )
-    with _dist_span(group, "spmm_sharded") as span:
-        plan, subs = group.shards(a, strategy)
-        per_device = [cost(sub, ctx) for ctx, sub in zip(group.contexts, subs)]
-        inputs, outputs = _spmm_collectives(
-            group, plan, a, n * h,
-            replicate_dense=replicate_dense, gather_output=gather_output,
-        )
-        return _finish(
-            "spmm_sharded", group, plan, per_device, inputs, outputs, span
-        )
+        ),
+        partial(_spmm_collectives, group, a, n * h, gather_output),
+    )
 
 
 def sharded_spmm(
@@ -241,7 +280,6 @@ def sharded_spmm(
     strategy: str = "row",
     backend: str = "sputnik",
     selector: str = "heuristic",
-    replicate_dense: bool = False,
     gather_output: bool = True,
 ) -> KernelResult:
     """Sharded ``C = A @ B``: exact numerics + sharded simulated cost.
@@ -254,64 +292,26 @@ def sharded_spmm(
     """
     from .. import ops
 
-    if group.k == 1:
-        return ops.spmm(
-            a, b, context=group.lead, backend=backend, selector=selector
-        )
     b = np.asarray(b)
-    with _dist_span(group, "spmm_sharded") as span:
-        plan, subs = group.shards(a, strategy)
-        per_device: list[ExecutionResult] = []
-        out: np.ndarray | None = None
-        kc = plan.grid[1]
-        for d, (ctx, sub) in enumerate(zip(group.contexts, subs)):
-            rows, (lo, hi) = plan.device_tile(d)
-            result = ops.spmm(
-                sub, b[lo:hi], context=ctx, backend=backend, selector=selector
-            )
-            per_device.append(result.execution)
-            if out is None:
-                out = np.zeros(
-                    (a.shape[0], b.shape[1]), dtype=result.output.dtype
-                )
-            if kc == 1:
-                out[rows] = result.output
+
+    def stitch(plan, tiles, outputs):
+        out = np.zeros((a.shape[0], b.shape[1]), dtype=outputs[0].dtype)
+        for (rows, _), part in zip(tiles, outputs):
+            if plan.grid[1] == 1:
+                out[rows] = part  # assign: ``+=`` would turn -0.0 into 0.0
             else:
-                out[rows] += result.output
-        inputs, outputs = _spmm_collectives(
-            group, plan, a, b.shape[1],
-            replicate_dense=replicate_dense, gather_output=gather_output,
-        )
-        sharded = _finish(
-            "spmm_sharded", group, plan, per_device, inputs, outputs, span
-        )
-    result = KernelResult(output=out, execution=sharded.summary_execution())
-    result.sharded = sharded
-    return result
+                out[rows] += part
+        return out
 
-
-def _sddmm_collectives(
-    group: DeviceGroup,
-    plan: ShardPlan,
-    mask: CSRMatrix,
-    k_dim: int,
-    *,
-    replicate_dense: bool,
-    gather_output: bool,
-) -> tuple[list[CollectiveCost], list[CollectiveCost]]:
-    spec = group.interconnect
-    vb = mask.values.dtype.itemsize
-    inputs: list[CollectiveCost] = []
-    outputs: list[CollectiveCost] = []
-    if not replicate_dense:
-        # lhs rows travel with the mask rows (already local); rhs must be
-        # resident wherever a tile touches its columns.
-        inputs.append(all_gather(spec, mask.shape[1] * k_dim * vb, group.k))
-    if gather_output:
-        # Every nonzero is produced exactly once (even in 2-D tiles: the
-        # full k_dim dot product is local), so the gather is nnz values.
-        outputs.append(all_gather(spec, mask.nnz * vb, group.k))
-    return inputs, outputs
+    return _sharded(
+        "spmm_sharded", group, a, strategy,
+        lambda sub, ctx, rows, cols: ops.spmm(
+            sub, b[cols[0]:cols[1]], context=ctx, backend=backend,
+            selector=selector,
+        ),
+        partial(_spmm_collectives, group, a, b.shape[1], gather_output),
+        stitch,
+    )
 
 
 def sharded_sddmm_cost(
@@ -322,35 +322,18 @@ def sharded_sddmm_cost(
     strategy: str = "row",
     backend: str = "sputnik",
     selector: str = "heuristic",
-    replicate_dense: bool = False,
     gather_output: bool = True,
 ) -> ShardedExecution:
     """Simulated sharded-SDDMM cost (``k_dim`` = dot-product depth)."""
     from .. import ops
 
-    if group.k == 1:
-        result = ops.sddmm_cost(
-            mask, k_dim, context=group.lead, backend=backend,
-            selector=selector,
-        )
-        return ShardedExecution(
-            name="sddmm_sharded", k=1, strategy="row", per_device=[result]
-        )
-    with _dist_span(group, "sddmm_sharded") as span:
-        plan, subs = group.shards(mask, strategy)
-        per_device = [
-            ops.sddmm_cost(
-                sub, k_dim, context=ctx, backend=backend, selector=selector
-            )
-            for ctx, sub in zip(group.contexts, subs)
-        ]
-        inputs, outputs = _sddmm_collectives(
-            group, plan, mask, k_dim,
-            replicate_dense=replicate_dense, gather_output=gather_output,
-        )
-        return _finish(
-            "sddmm_sharded", group, plan, per_device, inputs, outputs, span
-        )
+    return _sharded(
+        "sddmm_sharded", group, mask, strategy,
+        lambda sub, ctx, rows, cols: ops.sddmm_cost(
+            sub, k_dim, context=ctx, backend=backend, selector=selector
+        ),
+        partial(_sddmm_collectives, group, mask, k_dim, gather_output),
+    )
 
 
 def sharded_sddmm(
@@ -361,7 +344,6 @@ def sharded_sddmm(
     *,
     backend: str = "sputnik",
     selector: str = "heuristic",
-    replicate_dense: bool = False,
     gather_output: bool = True,
 ) -> KernelResult:
     """Sharded ``(lhs @ rhs^T) ∘ mask`` numerics + cost (row strategy only:
@@ -369,24 +351,11 @@ def sharded_sddmm(
     use :func:`sharded_sddmm_cost` for that)."""
     from .. import ops
 
-    if group.k == 1:
-        return ops.sddmm(
-            lhs, rhs, mask, context=group.lead, backend=backend,
-            selector=selector,
-        )
-    with _dist_span(group, "sddmm_sharded") as span:
-        plan, subs = group.shards(mask, "row")
-        per_device: list[ExecutionResult] = []
+    def stitch(plan, tiles, outputs):
+        # Scatter each shard's values back to the global nnz layout (same
+        # gather arithmetic as CSRMatrix.take_rows).
         values = np.empty(mask.nnz, dtype=mask.values.dtype)
-        for d, (ctx, sub) in enumerate(zip(group.contexts, subs)):
-            rows, _ = plan.device_tile(d)
-            result = ops.sddmm(
-                lhs[rows], rhs, sub, context=ctx, backend=backend,
-                selector=selector,
-            )
-            per_device.append(result.execution)
-            # Scatter the shard's values back to the global nnz layout
-            # (same gather arithmetic as CSRMatrix.take_rows).
+        for (rows, _), part in zip(tiles, outputs):
             lengths = mask.row_lengths[rows]
             sub_offsets = np.zeros(rows.size + 1, dtype=np.int64)
             np.cumsum(lengths, out=sub_offsets[1:])
@@ -394,17 +363,15 @@ def sharded_sddmm(
             src = dest - np.repeat(sub_offsets[:-1], lengths) + np.repeat(
                 mask.row_offsets[rows], lengths
             )
-            values[src] = result.output.values
-        inputs, outputs = _sddmm_collectives(
-            group, plan, mask, lhs.shape[1],
-            replicate_dense=replicate_dense, gather_output=gather_output,
-        )
-        sharded = _finish(
-            "sddmm_sharded", group, plan, per_device, inputs, outputs, span
-        )
-    result = KernelResult(
-        output=mask.with_values(values),
-        execution=sharded.summary_execution(),
+            values[src] = part.values
+        return mask.with_values(values)
+
+    return _sharded(
+        "sddmm_sharded", group, mask, "row",
+        lambda sub, ctx, rows, cols: ops.sddmm(
+            lhs[rows], rhs, sub, context=ctx, backend=backend,
+            selector=selector,
+        ),
+        partial(_sddmm_collectives, group, mask, lhs.shape[1], gather_output),
+        stitch,
     )
-    result.sharded = sharded
-    return result

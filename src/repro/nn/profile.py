@@ -154,7 +154,7 @@ class Profile:
             out[r.name] = out.get(r.name, 0.0) + r.runtime_s
         return out
 
-    def to_trace(self, name: str = "model", tracer=None):
+    def to_trace(self, device: DeviceSpec, name: str = "model", tracer=None):
         """Lay the profiled kernels out on a simulated-device timeline.
 
         Returns a ``clock="sim"`` :class:`~repro.obs.tracing.Tracer` (or
@@ -162,7 +162,9 @@ class Profile:
         child span per kernel laid back-to-back at their simulated
         runtimes, and one ``launch`` record per kernel carrying its phase
         attribution — so a model forward exports to Chrome trace / the
-        report CLI exactly like a live-traced sweep.
+        report CLI exactly like a live-traced sweep. ``device`` is the
+        device the pass was costed on; its name on every launch record
+        gives the report's roofline its roofs.
         """
         from ..obs.tracing import Tracer, launch_record
 
@@ -192,6 +194,6 @@ class Profile:
             phases = getattr(result, "phases", None)
             if phases is not None:
                 span.set(phases=phases.as_dict())
-                tracer.add_launch(launch_record(result))
+                tracer.add_launch(launch_record(result, device.name))
             cursor += result.runtime_s
         return tracer

@@ -23,12 +23,9 @@ span rollups, per-kernel phase tables and roofline points rebuilt from its
 launch records (:func:`build_report`; ``--diff old new`` compares two).
 """
 
+from importlib import import_module
+
 from ..gpu.executor import PHASE_NAMES, PhaseTimes
-from .export import (
-    render_json,
-    render_prometheus,
-    validate_prometheus_text,
-)
 from .flight import (
     DEFAULT_CAPACITY,
     FlightRecorder,
@@ -44,13 +41,6 @@ from .metrics import (
     bind_context_metrics,
     bind_group_metrics,
 )
-from .report import (
-    build_report,
-    classify_phases,
-    diff_traces,
-    format_diff,
-    format_report,
-)
 from .tracing import (
     NO_SPAN,
     TRACE_SCHEMA_VERSION,
@@ -61,6 +51,28 @@ from .tracing import (
     validate_chrome_trace,
     validate_trace_records,
 )
+
+#: Names re-exported from the CLI modules, which load on first use: a
+#: package that imported them would already hold ``repro.obs.report``
+#: (or ``.export``) when ``python -m`` comes to run it as ``__main__``.
+_CLI_EXPORTS = {
+    "render_json": "export",
+    "render_prometheus": "export",
+    "validate_prometheus_text": "export",
+    "build_report": "report",
+    "classify_phases": "report",
+    "diff_traces": "report",
+    "format_diff": "report",
+    "format_report": "report",
+}
+
+
+def __getattr__(name: str):
+    module = _CLI_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",

@@ -32,6 +32,9 @@ path), and the whole stack resolves ONE plan, costs ONE z-scaled launch
 and produces ONE :class:`~repro.reliability.policy.DispatchReport`. Only
 backends registered with ``stacks=True`` take a stacked call.
 
+Every entry point dispatches on one device; :mod:`repro.dist` spreads a
+call over a device group by calling these entry points once per device.
+
 There is one path: a plain string is a cached one-backend
 :class:`~repro.reliability.policy.FallbackPolicy`, so every call runs
 through :func:`repro.reliability.policy.run_with_policy`, charges its
@@ -162,8 +165,6 @@ class OpSpec:
     charge: int | None = 0
     #: Position in ``args`` of the explicit Sputnik kernel config.
     config: int | None = None
-    #: Name of the :mod:`repro.dist` function that serves ``shard=``.
-    shard: str | None = None
 
     def _no_config(self, args: tuple) -> tuple:
         pos = self.config
@@ -172,20 +173,14 @@ class OpSpec:
 
 # One run/cost spec pair per kernel.
 _SPMM = OpSpec(
-    "spmm", lambda a, b, *_: _spmm_workspace(a, b.shape[-1]),
-    config=2, shard="sharded_spmm",
+    "spmm", lambda a, b, *_: _spmm_workspace(a, b.shape[-1]), config=2,
 )
-_SPMM_COST = OpSpec(
-    "spmm", _spmm_workspace, cost=True, config=2, shard="sharded_spmm_cost",
-)
+_SPMM_COST = OpSpec("spmm", _spmm_workspace, cost=True, config=2)
 _SDDMM = OpSpec(
     "sddmm", lambda lhs, rhs, mask, *_: _sddmm_workspace(mask, lhs.shape[-1]),
-    charge=2, config=3, shard="sharded_sddmm",
+    charge=2, config=3,
 )
-_SDDMM_COST = OpSpec(
-    "sddmm", _sddmm_workspace, cost=True, config=2,
-    shard="sharded_sddmm_cost",
-)
+_SDDMM_COST = OpSpec("sddmm", _sddmm_workspace, cost=True, config=2)
 _SOFTMAX = OpSpec("sparse_softmax", _softmax_workspace)
 _SOFTMAX_COST = OpSpec("sparse_softmax", _softmax_workspace, cost=True)
 _CSC_SPMM = OpSpec(
@@ -250,36 +245,10 @@ def _attempt(backend: str, spec: OpSpec, ctx, primary: str, args: tuple,
         ctx._release(held)
 
 
-def _shard(spec: OpSpec, args: tuple, context, device, backend, group,
-           strategy, stack, depth):
-    """Serve ``shard=`` (a :class:`repro.dist.DeviceGroup`).
-
-    Sharded dispatch runs through the group's own per-device contexts, so
-    an explicit ``context``/``device``/``config`` would be silently
-    ignored — reject the combination instead. Of the stacked calls, only
-    the SpMM cost path shards (each device costs its shard at depth ``h``).
-    """
-    pos = spec.config
-    if context is not None or device is not None or args[pos] is not None:
-        raise ValueError(
-            "shard= routes dispatch through the DeviceGroup's own "
-            "contexts; do not also pass context/device/config"
-        )
-    if depth is not None and spec.shard != "sharded_spmm_cost":
-        raise ValueError(f"shard= takes no stacked {spec.op} operands")
-    from .. import dist
-
-    kwargs = {"backend": backend, "selector": args[pos + 1], **stack}
-    if strategy is not None:
-        kwargs["strategy"] = strategy
-    return getattr(dist, spec.shard)(*args[:pos], group, **kwargs)
-
-
 def _dispatch(
     spec: OpSpec, args: tuple, context: ExecutionContext | None,
-    device: DeviceSpec | None, backend, validate: bool, shard=None,
-    strategy: str | None = None, kwargs=_NO_KWARGS, stack=_NO_KWARGS,
-    depth: int | None = None, in_span: bool = False,
+    device: DeviceSpec | None, backend, validate: bool, kwargs=_NO_KWARGS,
+    stack=_NO_KWARGS, depth: int | None = None, in_span: bool = False,
 ):
     """Run one entry-point call through the policy loop.
 
@@ -290,11 +259,6 @@ def _dispatch(
     re-enters here with ``in_span`` set, so traced and untraced calls
     share every line below the span.
     """
-    if shard is not None:
-        return _shard(
-            spec, args, context, device, backend, shard, strategy, stack,
-            depth,
-        )
     ctx = resolve_context(context, device)
     policy = as_policy(backend, validate or None)
     if ctx.tracer is not None and not in_span:
@@ -351,8 +315,6 @@ def spmm(
     backend="sputnik",
     selector: str = "heuristic",
     validate: bool = False,
-    shard=None,
-    shard_strategy: str = "row",
 ) -> KernelResult:
     """``C = A @ B`` with sparse ``A``: exact numerics + simulated cost.
 
@@ -362,17 +324,12 @@ def spmm(
     attention probabilities). The stack resolves ONE plan and costs ONE
     z-scaled launch, amortizing ``H - 1`` launch overheads, and guardrail
     validation scans the whole output stack.
-
-    ``shard=`` (a :class:`repro.dist.DeviceGroup`) dispatches row- or
-    2-D-sharded (``shard_strategy``) across the group's K devices with
-    interconnect-priced collectives; the returned result's ``execution``
-    is the group summary and ``result.sharded`` the full breakdown.
     """
     b = np.asarray(b)
     stack, depth = _spmm_stack(b, values)
     return _dispatch(
         _SPMM, (a, b, config, selector), context, device, backend, validate,
-        shard, shard_strategy, stack=stack, depth=depth,
+        stack=stack, depth=depth,
     )
 
 
@@ -387,20 +344,14 @@ def spmm_cost(
     backend="sputnik",
     selector: str = "heuristic",
     validate: bool = False,
-    shard=None,
-    shard_strategy: str = "row",
     **kwargs,
 ) -> ExecutionResult:
     """Simulated SpMM cost only (``n`` = dense batch columns, ``h`` =
-    stacked products sharing ``a``'s topology).
-
-    With ``shard=`` (a :class:`repro.dist.DeviceGroup`) returns the
-    :class:`repro.dist.ShardedExecution` for the group instead.
-    """
+    stacked products sharing ``a``'s topology)."""
     stack, depth = (_NO_KWARGS, None) if h == 1 else _cost_stack(h)
     return _dispatch(
         _SPMM_COST, (a, n, config, selector), context, device, backend,
-        validate, shard, shard_strategy, kwargs, stack, depth,
+        validate, kwargs, stack, depth,
     )
 
 
@@ -415,7 +366,6 @@ def sddmm(
     backend="sputnik",
     selector: str = "heuristic",
     validate: bool = False,
-    shard=None,
 ) -> KernelResult:
     """``(lhs @ rhs^T) ∘ I[mask]``: exact numerics + simulated cost.
 
@@ -423,15 +373,12 @@ def sddmm(
     ``(nnz, H)`` value matrix over the shared mask topology — exactly what
     the ``values`` forms of :func:`sparse_softmax` and :func:`spmm`
     consume — from ONE plan and ONE z-scaled launch.
-
-    ``shard=`` (a :class:`repro.dist.DeviceGroup`) row-shards the mask
-    across the group's K devices (see :func:`repro.dist.sharded_sddmm`).
     """
     lhs = np.asarray(lhs)
     depth = _stack_depth(lhs, 3, "lhs must be (rows, k) or an (H, rows, k) stack")
     return _dispatch(
         _SDDMM, (lhs, rhs, mask, config, selector), context, device, backend,
-        validate, shard, depth=depth,
+        validate, depth=depth,
     )
 
 
@@ -446,19 +393,13 @@ def sddmm_cost(
     backend="sputnik",
     selector: str = "heuristic",
     validate: bool = False,
-    shard=None,
-    shard_strategy: str = "row",
 ) -> ExecutionResult:
     """Simulated SDDMM cost only (``k`` = dot-product inner dimension,
-    ``h`` = stacked products sharing the mask).
-
-    With ``shard=`` (a :class:`repro.dist.DeviceGroup`) returns the
-    :class:`repro.dist.ShardedExecution` for the group instead.
-    """
+    ``h`` = stacked products sharing the mask)."""
     stack, depth = (_NO_KWARGS, None) if h == 1 else _cost_stack(h)
     return _dispatch(
         _SDDMM_COST, (mask, k, config, selector), context, device, backend,
-        validate, shard, shard_strategy, stack=stack, depth=depth,
+        validate, stack=stack, depth=depth,
     )
 
 

@@ -576,7 +576,7 @@ class TestProfileToTrace:
         model.forward(
             rng.random((3, 224, 224)).astype(np.float32), device, profile
         )
-        tracer = profile.to_trace("mobilenet")
+        tracer = profile.to_trace(device, "mobilenet")
         assert tracer.clock == "sim"
         trace = tracer.to_chrome_trace()
         assert validate_chrome_trace(trace) == []
@@ -601,6 +601,14 @@ class TestProfileToTrace:
             assert sum(launch["phases"].values()) == pytest.approx(
                 launch["runtime_s"], rel=0.01
             )
+        # Each launch names the device the pass was costed on, so every
+        # roofline point has a roof.
+        assert {launch["device"] for launch in launches} == {device.name}
+        points = build_report(tracer.to_jsonl_records())["roofline"]
+        assert points
+        for point in points:
+            assert point["bound"] in ("memory", "compute")
+            assert point["roof_fraction"] > 0
 
 
 # ----------------------------------------------------------------------
