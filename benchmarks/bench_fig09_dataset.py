@@ -1,9 +1,10 @@
 """Figure 9 + Table I — kernel benchmarks on the DL sparse-matrix dataset.
 
 The paper benchmarks all 3,012 matrices at training and inference batch
-sizes; that sweep is hours of simulation, so this benchmark uses an evenly
-strided stratified sample (documented in DESIGN.md) — large enough for
-stable geometric means. Reported exactly as Table I:
+sizes. This benchmark costs an evenly strided stratified sample of them
+(documented in DESIGN.md), large enough for stable geometric means, and
+runs in seconds; the full corpus would take a few minutes in one process.
+Reported exactly as Table I:
 
 - single-precision SpMM:   geomean 3.58x, peak 14.2x,  peak 4.29 TFLOPs (27.3 %)
 - single-precision SDDMM:  geomean 2.19x, peak 6.58x,  peak 4.11 TFLOPs (26.2 %)

@@ -43,18 +43,11 @@ Quick start::
     print(result.output.shape, result.runtime_s)
 """
 
-from .core import (
-    KernelResult,
-    SddmmConfig,
-    SpmmConfig,
-    sddmm,
-    sparse_softmax,
-    spmm,
-)
+from .core import KernelResult, SddmmConfig, SpmmConfig
 from .gpu import GTX1080, V100, DeviceSpec, get_device
 from .sparse import CSRMatrix, sddmm_reference, sparse_softmax_reference, spmm_reference
 from . import dist, ops, reliability, tune
-from .ops import ExecutionContext, default_context
+from .ops import ExecutionContext, default_context, sddmm, sparse_softmax, spmm
 
 __version__ = "1.0.0"
 

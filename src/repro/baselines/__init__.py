@@ -9,9 +9,9 @@ from .aspt import (
     memory_overhead_bytes,
     preprocessing_execution,
 )
-from .cublas import gemm_execution, matmul, transpose_execution
+from .cublas import gemm_execution, transpose_execution
 from .cusparse import cusparse_sddmm, cusparse_spmm, sddmm_execution
-from .merge_spmm import merge_spmm
+from .merge import merge_spmm
 
 __all__ = [
     "cusparse_spmm",
@@ -23,7 +23,6 @@ __all__ = [
     "heavy_light_split",
     "memory_overhead_bytes",
     "preprocessing_execution",
-    "matmul",
     "gemm_execution",
     "transpose_execution",
     "block_sparse_spmm",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.types import KernelResult
 from ..gpu.device import DeviceSpec
 from ..gpu.executor import BlockCosts, ExecutionResult, KernelLaunch, execute
 from ..gpu.memory import dram_bytes_with_reuse
@@ -127,19 +126,6 @@ def gemm_execution(
                 best = result
     assert best is not None  # the 32x32/split-1 variant always applies
     return best
-
-
-def matmul(a: np.ndarray, b: np.ndarray, device: DeviceSpec) -> KernelResult:
-    """Dense ``A @ B`` with cuBLAS-modelled cost and exact numerics."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible GEMM shapes {a.shape} @ {b.shape}")
-    execution = gemm_execution(
-        a.shape[0], b.shape[1], a.shape[1], device, a.dtype.itemsize
-    )
-    out = (a.astype(np.float32) @ b.astype(np.float32)).astype(a.dtype)
-    return KernelResult(output=out, execution=execution)
 
 
 def transpose_execution(

@@ -3,10 +3,8 @@ speedup statistics the paper's tables report."""
 
 from .report import (
     SpeedupStats,
-    format_table,
     geometric_mean,
     pair_rows,
-    paper_comparison,
     speedup_stats,
 )
 from .runner import (
@@ -57,6 +55,4 @@ __all__ = [
     "speedup_stats",
     "pair_rows",
     "geometric_mean",
-    "format_table",
-    "paper_comparison",
 ]

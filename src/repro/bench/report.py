@@ -74,34 +74,3 @@ def speedup_stats(
         fraction_faster=float(np.mean(speedups > 1.0)),
         peak_throughput_flops=float(thr.max()),
     )
-
-
-def format_table(
-    headers: list[str], rows: list[list[str]], title: str = ""
-) -> str:
-    """Render an aligned text table (the benchmarks' printed artifact)."""
-    if any(len(r) != len(headers) for r in rows):
-        raise ValueError("row width must match headers")
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
-    ]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
-    return "\n".join(lines)
-
-
-def paper_comparison(
-    quantity: str, paper_value: float, measured: float
-) -> str:
-    """One EXPERIMENTS.md-style 'paper vs measured' line."""
-    ratio = measured / paper_value if paper_value else float("inf")
-    return (
-        f"{quantity}: paper {paper_value:g}, measured {measured:g} "
-        f"({ratio:.2f}x of paper)"
-    )

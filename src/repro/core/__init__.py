@@ -1,12 +1,12 @@
 """The paper's contribution: Sputnik-style sparse kernels for deep learning.
 
-Public entry points:
-
-- :func:`spmm` — sparse matrix × dense matrix (Section V).
-- :func:`sddmm` — sampled dense–dense matmul, ``A B^T ∘ I[C]`` (Section VI).
-- :func:`sparse_softmax` — row softmax over CSR values (Section VII-C).
-- :class:`SpmmConfig` / :class:`SddmmConfig` — per-optimization toggles for
-  ablation (Table II).
+Each kernel is a ``plan_*`` function (costed launch plus simulated run,
+from the operand's structure alone) and an ``execute_*`` function (exact
+numerics on a plan): SpMM (Section V), SDDMM, ``A B^T ∘ I[C]`` (Section
+VI), sparse softmax (Section VII-C) and the CSC form of SpMM (Section
+IV-C). :class:`SpmmConfig` / :class:`SddmmConfig` hold the
+per-optimization toggles for ablation (Table II). Programs call the
+kernels through :mod:`repro.ops`, which caches the plans.
 
 Config-selection policies (the Section VII heuristics, the oracle, and
 the autotuner) live in :mod:`repro.tune`; this package keeps only the
@@ -17,7 +17,6 @@ from .csc_spmm import (
     csc_as_transposed_csr,
     execute_spmm_csc,
     plan_spmm_csc,
-    spmm_csc,
 )
 from .config import Precision, SddmmConfig, SpmmConfig, value_dtype
 from .roma import (
@@ -25,15 +24,12 @@ from .roma import (
     ROMA_PRELUDE_INSTRUCTIONS,
     AlignedRows,
     align_rows,
-    masked_gather,
-    masked_gather_reference,
     unaligned_rows,
 )
 from .sddmm import (
     SddmmPlan,
     execute_sddmm,
     plan_sddmm,
-    sddmm,
 )
 from .selection import (
     next_power_of_two,
@@ -44,19 +40,16 @@ from .sparse_softmax import (
     SparseSoftmaxPlan,
     execute_sparse_softmax,
     plan_sparse_softmax,
-    sparse_softmax,
 )
 from .spmm import (
     SpmmPlan,
     execute_spmm,
     plan_spmm,
-    spmm,
 )
 from .swizzle import (
     bundle_rows,
     bundle_weights,
     identity_swizzle,
-    paired_first_wave_order,
     row_swizzle,
     swizzled_row_groups,
 )
@@ -64,11 +57,7 @@ from .tiling import SpmmTiling, derive_tiling
 from .types import KernelResult
 
 __all__ = [
-    "spmm",
-    "spmm_csc",
     "csc_as_transposed_csr",
-    "sddmm",
-    "sparse_softmax",
     "SpmmPlan",
     "SddmmPlan",
     "SparseSoftmaxPlan",
@@ -94,12 +83,9 @@ __all__ = [
     "identity_swizzle",
     "bundle_rows",
     "bundle_weights",
-    "paired_first_wave_order",
     "swizzled_row_groups",
     "align_rows",
     "unaligned_rows",
-    "masked_gather",
-    "masked_gather_reference",
     "AlignedRows",
     "ROMA_PRELUDE_INSTRUCTIONS",
     "ROMA_MASK_INSTRUCTIONS",

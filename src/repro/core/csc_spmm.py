@@ -36,7 +36,7 @@ def plan_spmm_csc(
     a: CSCMatrix,
     n: int,
     device: DeviceSpec,
-    config: SpmmConfig | None = None,
+    config: SpmmConfig,
     h: int = 1,
 ) -> SpmmPlan:
     """Plan ``C = B A`` for a ``(n, rows(A))`` left operand.
@@ -64,24 +64,3 @@ def execute_spmm_csc(
         output=np.ascontiguousarray(result.output.T),
         execution=result.execution,
     )
-
-
-def spmm_csc(
-    b: np.ndarray,
-    a: CSCMatrix,
-    device: DeviceSpec,
-    config: SpmmConfig | None = None,
-) -> KernelResult:
-    """Compute ``C = B A`` with ``A`` sparse CSC and ``B``/``C`` column-major.
-
-    ``b`` is given in its logical ``(n, rows(A))`` shape with column-major
-    storage semantics; the result is the logical ``(n, cols(A))`` output.
-    Internally this is one CSR SpMM on the transposed problem — the
-    Section IV-C equivalence.
-    """
-    b = np.asarray(b)
-    if b.ndim != 2 or b.shape[1] != a.shape[0]:
-        raise ValueError(
-            f"B shape {b.shape} incompatible with A {a.shape} for B @ A"
-        )
-    return execute_spmm_csc(plan_spmm_csc(a, b.shape[0], device, config), b, a)

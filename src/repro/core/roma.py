@@ -35,10 +35,6 @@ class AlignedRows:
     #: Elements borrowed from the preceding row (masked in iteration one).
     prefix: np.ndarray
 
-    @property
-    def total_elements(self) -> int:
-        return int(self.lengths.sum())
-
 
 def align_rows(a: CSRMatrix, vector_width: int) -> AlignedRows:
     """Apply ROMA to every row of a CSR matrix.
@@ -64,43 +60,3 @@ def unaligned_rows(a: CSRMatrix) -> AlignedRows:
         lengths=a.row_lengths.astype(np.int64),
         prefix=np.zeros(a.n_rows, dtype=np.int64),
     )
-
-
-def masked_gather(
-    values: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, prefix: np.ndarray
-) -> list[np.ndarray]:
-    """Load each aligned row extent and zero its borrowed prefix.
-
-    This is the executable semantics of ROMA, used by tests to prove the
-    alignment trick never changes results: the masked aligned loads must
-    reconstruct exactly the original row values.
-
-    Vectorized as one flat gather over every extent followed by a single
-    prefix mask and split — no per-row Python work.
-    :func:`masked_gather_reference` keeps the obvious per-row loop as the
-    test oracle.
-    """
-    values = np.asarray(values)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    prefix = np.asarray(prefix, dtype=np.int64)
-    starts = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=starts[1:])
-    total = int(starts[-1])
-    row_of = np.repeat(np.arange(len(lengths)), lengths)
-    within = np.arange(total, dtype=np.int64) - starts[row_of]
-    flat = values[offsets[row_of] + within]
-    flat[within < prefix[row_of]] = 0
-    return np.split(flat, starts[1:-1])
-
-
-def masked_gather_reference(
-    values: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, prefix: np.ndarray
-) -> list[np.ndarray]:
-    """Per-row loop implementation of :func:`masked_gather` (test oracle)."""
-    out = []
-    for off, length, pre in zip(offsets, lengths, prefix):
-        row = values[off : off + length].copy()
-        row[:pre] = 0
-        out.append(row)
-    return out

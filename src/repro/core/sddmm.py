@@ -248,15 +248,11 @@ def plan_sddmm(
     mask: CSRMatrix,
     k: int,
     device: DeviceSpec,
-    config: SddmmConfig | None = None,
+    config: SddmmConfig,
     h: int = 1,
 ) -> SddmmPlan:
     """Build the full depth-``h`` SDDMM plan: costed launch plus simulated
     run, both read from ``mask.analysis``."""
-    if config is None:
-        from ..tune import default_sddmm_config
-
-        config = default_sddmm_config(mask, k)
     launch, drag = build_launch(mask, k, config, device)
     launch = launch.batched(h)
     drag *= h
@@ -343,28 +339,6 @@ def execute_sddmm(
             first_lhs, first_rhs, mask, scale_by_values=scale
         )
     return KernelResult(output=output, execution=plan.execution)
-
-
-def sddmm(
-    lhs: np.ndarray,
-    rhs: np.ndarray,
-    mask: CSRMatrix,
-    device: DeviceSpec,
-    config: SddmmConfig | None = None,
-) -> KernelResult:
-    """Run Sputnik SDDMM: exact numerics plus simulated execution cost."""
-    if config is None:
-        from ..tune import default_sddmm_config
-
-        config = default_sddmm_config(mask, np.asarray(lhs).shape[1])
-    lhs, rhs = _validate(lhs, rhs, mask, config)
-    plan = plan_sddmm(mask, lhs.shape[1], device, config)
-    return KernelResult(
-        output=sddmm_reference(
-            lhs, rhs, mask, scale_by_values=config.scale_by_values
-        ),
-        execution=plan.execution,
-    )
 
 
 # Former names of the depth-``h`` forms, kept as aliases for callers that

@@ -134,13 +134,6 @@ def execute_sparse_softmax(
     return KernelResult(output=output, execution=plan.execution)
 
 
-def sparse_softmax(
-    a: CSRMatrix, device: DeviceSpec, scale: float = 1.0
-) -> KernelResult:
-    """Row-wise softmax over CSR nonzeros: numerics + simulated cost."""
-    return execute_sparse_softmax(plan_sparse_softmax(a, device), a, scale=scale)
-
-
 # Former names of the depth-``h`` forms, kept as aliases for callers that
 # resolve them by name. Each alias is its own object, so a tool that wraps
 # functions by identity wraps the alias and the function apart.

@@ -267,8 +267,8 @@ def build_launch(
 ) -> KernelLaunch:
     """Cost the SpMM launch for ``A @ B`` with ``B`` having ``n`` columns.
 
-    Separated from :func:`spmm` so benchmarks can cost a problem without
-    paying for the numeric multiply.
+    Separated from :func:`plan_spmm` so benchmarks can cost a problem
+    without building a plan.
     """
     tiling, _, groups, extents = _analyze(a, config, device)
     return _launch_from_analysis(
@@ -318,7 +318,7 @@ def plan_spmm(
     a: CSRMatrix,
     n: int,
     device: DeviceSpec,
-    config: SpmmConfig | None = None,
+    config: SpmmConfig,
     h: int = 1,
 ) -> SpmmPlan:
     """Build the full depth-``h`` SpMM plan: analysis, costed launch,
@@ -327,10 +327,6 @@ def plan_spmm(
     The plan is pure derived state — :func:`execute_spmm` adds only the
     numeric multiply.
     """
-    if config is None:
-        from ..tune import default_spmm_config
-
-        config = default_spmm_config(a, n)
     tiling, order, groups, extents = _analyze(a, config, device)
     launch = _launch_from_analysis(
         a, n, config, device, tiling, groups, extents,
@@ -433,21 +429,6 @@ def execute_spmm(
                 )
         output = spmm_batched_reference(a, b, values)
     return KernelResult(output=output, execution=plan.execution)
-
-
-def spmm(
-    a: CSRMatrix,
-    b: np.ndarray,
-    device: DeviceSpec,
-    config: SpmmConfig | None = None,
-) -> KernelResult:
-    """Run Sputnik SpMM: exact numerics plus simulated execution cost."""
-    if config is None:
-        from ..tune import default_spmm_config
-
-        config = default_spmm_config(a, np.asarray(b).shape[1])
-    b = _validate(a, b, config)
-    return execute_spmm(plan_spmm(a, b.shape[1], device, config), a, b)
 
 
 # Former names of the depth-``h`` forms, kept as aliases for callers that

@@ -68,28 +68,6 @@ def bundle_weights(row_lengths: np.ndarray, order: np.ndarray, bundle_size: int)
     return lengths.reshape(-1, bundle_size).sum(axis=1)
 
 
-def paired_first_wave_order(row_lengths: np.ndarray, wave_size: int) -> np.ndarray:
-    """The explicit binning heuristic from Section V-C2.
-
-    Pick the heaviest ``wave_size`` rows as the first wave, then pair the
-    *next* heaviest ``wave_size`` rows with them in reverse order of
-    heaviness, and so on — so every scheduling slot accumulates a similar
-    total. Provided for analysis; the production kernels rely on the plain
-    sorted order plus the hardware's online dispatch, which the paper shows
-    is equivalent in effect.
-    """
-    if wave_size <= 0:
-        raise ValueError("wave_size must be positive")
-    sorted_rows = row_swizzle(row_lengths)
-    n = len(sorted_rows)
-    pad = (-n) % wave_size
-    padded = np.concatenate([sorted_rows, np.full(pad, -1, dtype=np.int64)])
-    waves = padded.reshape(-1, wave_size)
-    waves[1::2] = waves[1::2, ::-1]  # serpentine pairing
-    out = waves.reshape(-1)
-    return out[out >= 0]
-
-
 def group_rows(order: np.ndarray, rows_per_block: int) -> np.ndarray:
     """Pad an ordering to a whole number of blocks and shape it
     ``(n_blocks_y, rows_per_block)`` with ``-1`` marking absent rows."""

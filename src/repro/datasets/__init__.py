@@ -9,7 +9,6 @@ from .imbalance import (
     FIG7_N,
     FIG7_SPARSITY,
     NEURAL_NETWORK_COV,
-    cov_sweep,
     imbalanced_matrix,
     imbalanced_spec,
 )
@@ -20,7 +19,6 @@ from .statistics import (
     MatrixStats,
     contrast,
     row_length_cov,
-    stats_from_matrix,
     stats_from_row_lengths,
     summarize,
 )
@@ -32,7 +30,6 @@ __all__ = [
     "MatrixStats",
     "CorpusSummary",
     "row_length_cov",
-    "stats_from_matrix",
     "stats_from_row_lengths",
     "summarize",
     "contrast",
@@ -46,7 +43,6 @@ __all__ = [
     "mask_statistics",
     "imbalanced_spec",
     "imbalanced_matrix",
-    "cov_sweep",
     "NEURAL_NETWORK_COV",
     "FIG7_M",
     "FIG7_K",

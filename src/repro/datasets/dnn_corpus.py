@@ -154,9 +154,9 @@ def sample_corpus(
 ) -> list[MatrixSpec]:
     """Deterministic stratified sample of the corpus for benchmarking.
 
-    The full 3,012-matrix sweep is hours of simulation; benchmarks use an
-    evenly strided sample that preserves the model/sparsity strata (the
-    corpus is generated in stratum order).
+    Benchmarks use an evenly strided sample that preserves the
+    model/sparsity strata (the corpus is generated in stratum order); the
+    full 3,012-matrix sweep would take a few minutes in one process.
     """
     if corpus is None:
         corpus = build_corpus(seed)

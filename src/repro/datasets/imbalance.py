@@ -47,11 +47,3 @@ def imbalanced_spec(
 def imbalanced_matrix(cov: float, **kwargs) -> CSRMatrix:
     """Materialize a Figure 7 matrix with the requested imbalance."""
     return imbalanced_spec(cov, **kwargs).materialize()
-
-
-def cov_sweep(
-    covs: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0),
-) -> list[MatrixSpec]:
-    """The Figure 7 x-axis sweep."""
-    return [imbalanced_spec(c) for c in covs]
-

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sparse.csr import CSRMatrix
-
 
 @dataclass(frozen=True)
 class MatrixStats:
@@ -62,11 +60,6 @@ def stats_from_row_lengths(
         avg_row_length=nnz / rows if rows else 0.0,
         row_cov=row_length_cov(lengths),
     )
-
-
-def stats_from_matrix(a: CSRMatrix) -> MatrixStats:
-    """Compute the property triple from a materialized CSR matrix."""
-    return stats_from_row_lengths(a.row_lengths, a.n_cols)
 
 
 @dataclass(frozen=True)

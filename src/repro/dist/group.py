@@ -108,18 +108,6 @@ class DeviceGroup:
     def tracer(self):
         return self.lead.tracer
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DeviceGroup(k={self.k}, device={self.device.name!r}, "
-            f"interconnect={self.interconnect.kind!r})"
-        )
-
-    def __len__(self) -> int:
-        return self.k
-
-    def __iter__(self):
-        return iter(self.contexts)
-
     # ------------------------------------------------------------------
     # Shard planning (cached) and shard materialization
     # ------------------------------------------------------------------
@@ -302,26 +290,3 @@ class DeviceGroup:
             for record in self.flight_records(reason=reason):
                 fh.write(json.dumps(record) + "\n")
         return path
-
-    @property
-    def metrics(self):
-        """Lazily-built registry over *every* device context, with
-        ``device_id``-labeled samples (see
-        :func:`repro.obs.metrics.bind_group_metrics`)."""
-        if getattr(self, "_metrics", None) is None:
-            from ..obs.metrics import MetricsRegistry, bind_group_metrics
-
-            self._metrics = bind_group_metrics(MetricsRegistry(), self)
-        return self._metrics
-
-    def metrics_snapshot(self) -> dict:
-        """Snapshot of the group-bound metrics registry."""
-        return self.metrics.snapshot()
-
-    def attach_tracer(self, tracer) -> None:
-        for ctx in self.contexts:
-            ctx.attach_tracer(tracer)
-
-    def reset_telemetry(self) -> None:
-        for ctx in self.contexts:
-            ctx.reset_telemetry()

@@ -22,8 +22,6 @@ from .memory import (
     aligned_extent,
     dram_bytes_with_reuse,
     latency_hiding_factor,
-    load_instructions,
-    sectors_for_contiguous,
     validate_vector_width,
 )
 from .interconnect import (
@@ -41,7 +39,6 @@ from .interconnect import (
 from .occupancy import BlockResources, Occupancy, compute_occupancy
 from .scheduler import (
     ScheduleResult,
-    linear_block_index,
     simulate_schedule,
     simulate_schedule_reference,
     volta_first_wave_sm,
@@ -80,11 +77,8 @@ __all__ = [
     "simulate_schedule",
     "simulate_schedule_reference",
     "volta_first_wave_sm",
-    "linear_block_index",
     "VECTOR_WIDTHS",
     "validate_vector_width",
-    "sectors_for_contiguous",
-    "load_instructions",
     "aligned_extent",
     "dram_bytes_with_reuse",
     "latency_hiding_factor",

@@ -27,42 +27,6 @@ def validate_vector_width(vector_width: int) -> None:
         )
 
 
-def sectors_for_contiguous(
-    nbytes: np.ndarray | int,
-    start_offset_bytes: np.ndarray | int = 0,
-    *,
-    sector_bytes: int = 32,
-) -> np.ndarray | int:
-    """Number of 32B sectors touched by a contiguous access of ``nbytes``.
-
-    ``start_offset_bytes`` is the byte offset of the first element within a
-    sector-aligned region; a misaligned start can straddle an extra sector.
-    """
-    nbytes = np.asarray(nbytes)
-    start = np.asarray(start_offset_bytes) % sector_bytes
-    end = start + nbytes
-    return np.where(nbytes > 0, (end + sector_bytes - 1) // sector_bytes, 0)
-
-
-def load_instructions(
-    n_elements: np.ndarray | int,
-    active_threads: int,
-    vector_width: int,
-) -> np.ndarray | int:
-    """Warp-level load instructions to read ``n_elements`` 4-byte elements.
-
-    ``active_threads`` threads cooperate; each instruction moves
-    ``active_threads * vector_width`` elements. Partial trailing loads still
-    cost a full instruction (predicated lanes are not free issue slots).
-    """
-    validate_vector_width(vector_width)
-    if active_threads <= 0:
-        raise ValueError("active_threads must be positive")
-    per_inst = active_threads * vector_width
-    n = np.asarray(n_elements)
-    return (n + per_inst - 1) // per_inst
-
-
 def aligned_extent(
     offsets: np.ndarray | int,
     lengths: np.ndarray | int,

@@ -42,14 +42,6 @@ class Occupancy:
     warps_per_block: int
     limiting_factor: str
 
-    @property
-    def resident_warps(self) -> int:
-        return self.blocks_per_sm * self.warps_per_block
-
-    def fraction(self, device: DeviceSpec) -> float:
-        """Occupancy as a fraction of the device's maximum resident warps."""
-        return self.resident_warps / device.max_warps_per_sm
-
 
 def compute_occupancy(res: BlockResources, device: DeviceSpec) -> Occupancy:
     """Resident blocks per SM for a kernel with the given resource usage."""

@@ -51,15 +51,6 @@ def volta_first_wave_sm(block_idx: np.ndarray | int, device: DeviceSpec) -> np.n
     return (2 * (idx % row) + (idx // row) % 2) % device.num_sms
 
 
-def linear_block_index(
-    block_x: np.ndarray | int, block_y: np.ndarray | int, grid_dim_x: int
-) -> np.ndarray:
-    """``block_idx = blockIdx.x + blockIdx.y * gridDim.x`` (paper, Sec. V-C1)."""
-    return np.asarray(block_x, dtype=np.int64) + np.asarray(
-        block_y, dtype=np.int64
-    ) * int(grid_dim_x)
-
-
 #: Beyond this many blocks per slot the discrete-event schedule is replaced
 #: by its converged work-conserving bound (greedy self-balances at depth).
 SATURATION_ROUNDS = 32

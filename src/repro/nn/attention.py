@@ -150,14 +150,18 @@ sparse_attention_batched = functools.partial(sparse_attention)
 
 
 def dense_attention_cost(
-    seq: int, dk: int, n_instances: int, device: DeviceSpec, profile: Profile
+    seq: int, dk: int, n_instances: int, context: ops.ExecutionContext,
+    profile: Profile,
 ) -> None:
-    """Cost-only dense attention for ``n_instances`` (batch x head) passes."""
+    """Cost-only dense attention for ``n_instances`` (batch x head) passes,
+    costed in ``context``."""
     from .activation import elementwise_execution
 
-    qk = ops.matmul_cost(seq, seq, dk, device)
-    sm = elementwise_execution(seq * seq, device, "dense_softmax", reads=2)
-    av = ops.matmul_cost(seq, dk, seq, device)
+    qk = ops.matmul_cost(seq, seq, dk, context=context)
+    sm = elementwise_execution(
+        seq * seq, context.device, "dense_softmax", reads=2
+    )
+    av = ops.matmul_cost(seq, dk, seq, context=context)
     for part in (qk, sm, av):
         scaled = part.add_overhead(0.0)
         scaled.runtime_s *= n_instances
@@ -166,17 +170,19 @@ def dense_attention_cost(
 
 
 def sparse_attention_cost(
-    mask: CSRMatrix, dk: int, n_instances: int, device: DeviceSpec, profile: Profile
+    mask: CSRMatrix, dk: int, n_instances: int,
+    context: ops.ExecutionContext, profile: Profile,
 ) -> None:
-    """Cost-only sparse attention for ``n_instances`` (batch x head) passes.
+    """Cost-only sparse attention for ``n_instances`` (batch x head) passes,
+    costed in ``context``.
 
     The mask is shared across heads and layers (Section VII-C1), so one
     launch is costed and scaled.
     """
     sddmm_cfg = SddmmConfig(vector_width=4 if dk % 4 == 0 else 1)
-    sddmm_r = ops.sddmm_cost(mask, dk, device, sddmm_cfg)
-    sm_r = ops.sparse_softmax_cost(mask, device)
-    spmm_r = ops.spmm_cost(mask, dk, device)
+    sddmm_r = ops.sddmm_cost(mask, dk, config=sddmm_cfg, context=context)
+    sm_r = ops.sparse_softmax_cost(mask, context=context)
+    spmm_r = ops.spmm_cost(mask, dk, context=context)
     for part in (sddmm_r, sm_r, spmm_r):
         scaled = part.add_overhead(0.0)
         scaled.runtime_s *= n_instances

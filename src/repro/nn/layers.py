@@ -35,10 +35,6 @@ class Linear:
         if self.weight.ndim != 2:
             raise ValueError("weight must be 2-D")
 
-    @property
-    def weight_bytes(self) -> int:
-        return self.weight.nbytes
-
     def forward(
         self, x: np.ndarray, device: DeviceSpec, profile: Profile | None = None
     ) -> np.ndarray:
@@ -113,10 +109,6 @@ class SparseLinear:
         # stay cached as repair ancestors for exactly one generation.
         self._parent_fp: str | None = None
         self._parent_wt_fp: str | None = None
-
-    @property
-    def weight_bytes(self) -> int:
-        return self.weight.memory_bytes()
 
     def _weight_transpose(self) -> CSRMatrix:
         """The cached ``Wᵀ`` CSR for the backward SpMM (Section IX)."""

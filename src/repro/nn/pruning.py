@@ -88,7 +88,3 @@ class MagnitudePruner:
             )
             self._mask = pruned != 0
         return np.where(self._mask, weight, 0)
-
-    @property
-    def mask(self) -> np.ndarray | None:
-        return None if self._mask is None else self._mask.copy()

@@ -14,16 +14,17 @@ simulator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .. import ops
 from ..datasets.attention import banded_random_mask
+from ..gpu.allocator import DeviceAllocator
 from ..gpu.device import DeviceSpec
+from ..reliability.errors import DeviceOOMError
 from ..sparse.csr import CSRMatrix
 from .attention import dense_attention_cost, sparse_attention_cost
-from .profile import Profile, unmetered_dispatch
+from .profile import Profile
 
 #: Quality from Table III (bits per dimension; lower is better).
 REFERENCE_BITS_PER_DIM = {"dense": 3.76, "sparse": 3.77}
@@ -85,14 +86,23 @@ class TransformerReport:
 
 
 def _projection_costs(
-    config: TransformerConfig, device: DeviceSpec, profile: Profile
+    config: TransformerConfig, context: ops.ExecutionContext, profile: Profile
 ) -> None:
     """QKV/output projections and the FFN for one layer (cuBLAS GEMMs)."""
     t, d, f = config.tokens, config.d_model, config.d_ffn
     for _ in range(4):  # q, k, v, output projections
-        profile.add(ops.matmul_cost(t, d, d, device))
-    profile.add(ops.matmul_cost(t, f, d, device))
-    profile.add(ops.matmul_cost(t, d, f, device))
+        profile.add(ops.matmul_cost(t, d, d, context=context))
+    profile.add(ops.matmul_cost(t, f, d, context=context))
+    profile.add(ops.matmul_cost(t, d, f, context=context))
+
+
+@functools.lru_cache(maxsize=None)
+def _cost_context(device: DeviceSpec) -> ops.ExecutionContext:
+    """The context of a cost pass, one per device so repeated passes reuse
+    its plan cache. It keeps no HBM ledger: the pass is cost-model
+    bookkeeping, and :func:`benchmark` decides the memory columns at the
+    device's capacity, so a harness ``REPRO_HBM_CAP`` cannot abort it."""
+    return ops.ExecutionContext(device, memory=False)
 
 
 def profile_dense(config: TransformerConfig, device: DeviceSpec) -> Profile:
@@ -101,18 +111,27 @@ def profile_dense(config: TransformerConfig, device: DeviceSpec) -> Profile:
     profile.add_weights(config.weight_bytes())
     seq, dk = config.sequence_length, config.head_dim
     instances = config.batch_size * config.n_heads
-    with unmetered_dispatch(device):
-        for _ in range(config.n_layers):
-            _projection_costs(config, device, profile)
-            dense_attention_cost(seq, dk, instances, device, profile)
-    # Residual stream plus the per-batch-item attention working set: the
-    # dense implementation keeps all heads' seq x seq scores live for one
-    # batch item, and the dense softmax materializes a separate probability
-    # buffer (it cannot run in place while the mask-and-shift needs the
-    # original logits).
-    profile.allocate_activation(config.tokens * config.d_model * 4)
-    profile.allocate_activation(2 * config.n_heads * seq * seq * 4)
+    context = _cost_context(device)
+    for _ in range(config.n_layers):
+        _projection_costs(config, context, profile)
+        dense_attention_cost(seq, dk, instances, context, profile)
     return profile
+
+
+def _dense_activations(config: TransformerConfig) -> tuple[int, ...]:
+    """Live activation bytes of the dense pass, in allocation order.
+
+    The residual stream plus the per-batch-item attention working set: the
+    dense implementation keeps all heads' seq x seq scores live for one
+    batch item, and the dense softmax materializes a separate probability
+    buffer (it cannot run in place while the mask-and-shift needs the
+    original logits).
+    """
+    seq = config.sequence_length
+    return (
+        config.tokens * config.d_model * 4,
+        2 * config.n_heads * seq * seq * 4,
+    )
 
 
 def profile_sparse(
@@ -128,20 +147,30 @@ def profile_sparse(
     if mask.shape != (config.sequence_length, config.sequence_length):
         raise ValueError("mask must be seq x seq")
     instances = config.batch_size * config.n_heads
-    with unmetered_dispatch(device):
-        for _ in range(config.n_layers):
-            _projection_costs(config, device, profile)
-            sparse_attention_cost(
-                mask, config.head_dim, instances, device, profile
-            )
-    # Sparse scores share the mask's topology (indices stored once for all
-    # heads) and the sparse softmax runs in place on the CSR values, so the
-    # working set is one value buffer per head plus the shared indices —
-    # the source of Table III's 12.8x memory saving.
-    profile.allocate_activation(config.tokens * config.d_model * 4)
-    profile.allocate_activation(config.n_heads * mask.nnz * 4)
-    profile.allocate_activation(mask.nnz * mask.index_bytes + 8 * (mask.n_rows + 1))
+    context = _cost_context(device)
+    for _ in range(config.n_layers):
+        _projection_costs(config, context, profile)
+        sparse_attention_cost(
+            mask, config.head_dim, instances, context, profile
+        )
     return profile
+
+
+def _sparse_activations(
+    config: TransformerConfig, mask: CSRMatrix
+) -> tuple[int, ...]:
+    """Live activation bytes of the sparse pass, in allocation order.
+
+    Sparse scores share the mask's topology (indices stored once for all
+    heads) and the sparse softmax runs in place on the CSR values, so the
+    working set is one value buffer per head plus the shared indices —
+    the source of Table III's 12.8x memory saving.
+    """
+    return (
+        config.tokens * config.d_model * 4,
+        config.n_heads * mask.nnz * 4,
+        mask.nnz * mask.index_bytes + 8 * (mask.n_rows + 1),
+    )
 
 
 def benchmark(
@@ -152,26 +181,32 @@ def benchmark(
 ) -> TransformerReport:
     """Produce one Table III row (throughput, memory, OOM status).
 
-    The OOM verdict and the memory column both come from replaying the
-    profile's allocation timeline through a
+    The weights and then each activation are allocated on one
     :class:`~repro.gpu.allocator.DeviceAllocator` at the device's DRAM
-    capacity: when the pass fits, ``memory_bytes`` is the allocator's peak
-    *reserved* high-water mark (alignment and segment rounding included);
-    when it does not, the raw byte demand is reported instead — the
-    replay stops at the failing allocation, so its peak understates the
-    model's true footprint.
+    capacity; an OOM there is the verdict. When the pass fits,
+    ``memory_bytes`` is the allocator's peak *reserved* high-water mark
+    (alignment and segment rounding included); when it does not, the raw
+    byte demand is reported instead — the allocator stops at the failing
+    allocation, so its peak understates the model's true footprint.
     """
-    from ..gpu.allocator import DeviceAllocator
-
     if variant == "dense":
         profile = profile_dense(config, device)
+        activations = _dense_activations(config)
     elif variant == "sparse":
+        if mask is None:
+            mask = config.attention_mask()
         profile = profile_sparse(config, device, mask)
+        activations = _sparse_activations(config, mask)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     allocator = DeviceAllocator(device, capacity=device.dram_capacity)
-    verdict = profile.replay(allocator)
-    fits = verdict["fits"]
+    try:
+        allocator.allocate(profile.weight_bytes, tag="weights")
+        for nbytes in activations:
+            allocator.allocate(nbytes, tag="activation")
+        fits = True
+    except DeviceOOMError:
+        fits = False
     runtime = profile.runtime_s
     return TransformerReport(
         variant=variant,
@@ -179,9 +214,9 @@ def benchmark(
         runtime_s=runtime,
         tokens_per_second=config.tokens / runtime if fits else 0.0,
         memory_bytes=(
-            int(verdict["peak_reserved_bytes"])
+            int(allocator.peak_reserved_bytes)
             if fits
-            else profile.total_memory_bytes
+            else profile.weight_bytes + sum(activations)
         ),
         fits=fits,
         bits_per_dim=REFERENCE_BITS_PER_DIM[variant],

@@ -7,9 +7,10 @@ Cooperating pieces (DESIGN.md Sections 11 and 16):
   ``launch`` record per dispatched launch (its
   compute/L1/L2/DRAM/imbalance/overhead phase attribution), written by
   ``Telemetry.record_launch`` through :func:`~repro.obs.tracing.launch_record`;
-- :mod:`repro.obs.metrics` — a label-aware registry (counters, gauges,
-  histograms) that absorbs the dispatch layer's ``Telemetry`` counters via
-  pull-mode collectors, keeping ``telemetry_snapshot()`` as a shim;
+- :mod:`repro.obs.metrics` — a label-aware registry that absorbs the
+  dispatch layer's ``Telemetry`` counters via pull-mode collectors,
+  keeping ``telemetry_snapshot()`` as a shim, plus the histogram of
+  simulated launch seconds;
 - :mod:`repro.obs.flight` — the always-on bounded flight recorder every
   execution context carries; terminal faults dump their last-N-events
   window as a trace-schema JSONL artifact;
@@ -20,7 +21,7 @@ Cooperating pieces (DESIGN.md Sections 11 and 16):
 
 ``python -m repro.obs.report trace.jsonl`` summarizes a captured trace:
 span rollups, per-kernel phase tables and roofline points rebuilt from its
-launch records (:func:`build_report`; ``--diff old new`` compares two).
+launch records (:func:`build_report`).
 """
 
 from importlib import import_module
@@ -34,12 +35,9 @@ from .flight import (
 )
 from .metrics import (
     SIM_SECONDS_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     bind_context_metrics,
-    bind_group_metrics,
 )
 from .tracing import (
     NO_SPAN,
@@ -61,8 +59,6 @@ _CLI_EXPORTS = {
     "validate_prometheus_text": "export",
     "build_report": "report",
     "classify_phases": "report",
-    "diff_traces": "report",
-    "format_diff": "report",
     "format_report": "report",
 }
 
@@ -84,19 +80,14 @@ __all__ = [
     "validate_chrome_trace",
     "validate_trace_records",
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
     "Histogram",
     "SIM_SECONDS_BUCKETS",
     "bind_context_metrics",
-    "bind_group_metrics",
     "PhaseTimes",
     "PHASE_NAMES",
     "build_report",
     "format_report",
     "classify_phases",
-    "diff_traces",
-    "format_diff",
     "FlightRecorder",
     "DEFAULT_CAPACITY",
     "flight_capacity_from_env",

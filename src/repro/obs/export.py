@@ -14,8 +14,7 @@ monitoring stack can actually consume:
   format" is an asserted property instead of a hope.
 
 Label values flow straight from the registry's ``k=v,k=v`` sample keys, so
-everything :func:`~repro.obs.metrics.bind_context_metrics` and
-:func:`~repro.obs.metrics.bind_group_metrics` stamp on — ``op``,
+everything :func:`~repro.obs.metrics.bind_context_metrics` stamps on — ``op``,
 ``backend``, ``selector``, ``device``, ``device_id`` — comes out as proper
 Prometheus labels.
 
@@ -37,7 +36,7 @@ from typing import Any
 #: ``counter``). Names matching these rules are re-typed as gauges for
 #: exposition: point-in-time quantities whose value can go down.
 _GAUGE_NAME_HINTS = (
-    "_bytes", "_ratio", "_entries", "_fraction", "capacity", "group_devices",
+    "_bytes", "_ratio", "_entries", "_fraction", "capacity",
 )
 
 _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")

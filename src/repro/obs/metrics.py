@@ -1,17 +1,14 @@
-"""Label-aware metrics: counters, gauges, and fixed-bucket histograms.
+"""Label-aware metrics: pull-mode collectors and fixed-bucket histograms.
 
 A :class:`MetricsRegistry` is the unified read surface for everything the
-system counts. Two feeding modes:
-
-- **push** — instrumented code holds a metric child
-  (``registry.counter("x", labelnames=("op",)).labels("spmm").inc()``);
-- **pull (collectors)** — existing counter stores register a collector
-  callback sampled at snapshot time. This is how the registry *absorbs*
-  the dispatch layer's :class:`~repro.ops.context.Telemetry` without
-  adding a single instruction to the hot dispatch path: the per-(op,
-  backend) ``OpStats`` remain the write store (``telemetry_snapshot()``
-  keeps working unchanged), and the registry re-labels them as metric
-  samples on read.
+system counts. Existing counter stores register a collector callback
+sampled at snapshot time. This is how the registry *absorbs* the dispatch
+layer's :class:`~repro.ops.context.Telemetry` without adding a single
+instruction to the hot dispatch path: the per-(op, backend) ``OpStats``
+remain the write store (``telemetry_snapshot()`` keeps working
+unchanged), and the registry re-labels them as metric samples on read.
+The one pushed metric is the :class:`Histogram` of simulated launch
+seconds, which ``Telemetry.record_launch`` feeds.
 
 :func:`bind_context_metrics` wires one
 :class:`~repro.ops.context.ExecutionContext` into a registry: telemetry
@@ -37,123 +34,6 @@ Sample = tuple[str, dict[str, str], float]
 def _label_key(labelnames: tuple[str, ...], values: tuple[str, ...]) -> str:
     """Stable string form of one label set, e.g. ``op=spmm,backend=sputnik``."""
     return ",".join(f"{n}={v}" for n, v in zip(labelnames, values))
-
-
-class _Metric:
-    """Shared labels/children machinery for every metric type."""
-
-    kind = "untyped"
-
-    def __init__(self, name: str, help: str, labelnames: tuple[str, ...]):
-        self.name = name
-        self.help = help
-        self.labelnames = tuple(labelnames)
-        self._children: dict[tuple[str, ...], Any] = {}
-
-    def labels(self, *values, **kv):
-        """The child metric for one label-value combination (cached)."""
-        if kv:
-            if values:
-                raise ValueError("pass label values positionally or by name")
-            values = tuple(str(kv[n]) for n in self.labelnames)
-        else:
-            values = tuple(str(v) for v in values)
-        if len(values) != len(self.labelnames):
-            raise ValueError(
-                f"{self.name}: expected labels {self.labelnames}, "
-                f"got {values}"
-            )
-        child = self._children.get(values)
-        if child is None:
-            child = self._make_child()
-            self._children[values] = child
-        return child
-
-    def _default_child(self):
-        """The single child of an unlabeled metric."""
-        if self.labelnames:
-            raise ValueError(
-                f"{self.name} is labeled {self.labelnames}; use .labels()"
-            )
-        return self.labels()
-
-    def _make_child(self):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        self._children.clear()
-
-    def samples(self) -> dict[str, Any]:
-        return {
-            _label_key(self.labelnames, values): child.sample()
-            for values, child in sorted(self._children.items())
-        }
-
-
-class _CounterChild:
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self.value += amount
-
-    def sample(self) -> float:
-        return self.value
-
-
-class Counter(_Metric):
-    """Monotonic count (launches, cache hits, retries...)."""
-
-    kind = "counter"
-
-    def _make_child(self) -> _CounterChild:
-        return _CounterChild()
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
-
-    @property
-    def value(self) -> float:
-        return sum(c.value for c in self._children.values())
-
-
-class _GaugeChild:
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-    def sample(self) -> float:
-        return self.value
-
-
-class Gauge(_Metric):
-    """Point-in-time value (plan-cache entries, live bytes...)."""
-
-    kind = "gauge"
-
-    def _make_child(self) -> _GaugeChild:
-        return _GaugeChild()
-
-    def set(self, value: float) -> None:
-        self._default_child().set(value)
-
-    @property
-    def value(self) -> float:
-        return sum(c.value for c in self._children.values())
 
 
 class _HistogramChild:
@@ -184,8 +64,9 @@ class _HistogramChild:
         }
 
 
-class Histogram(_Metric):
-    """Fixed-bucket distribution (simulated launch seconds...).
+class Histogram:
+    """Fixed-bucket distribution (simulated launch seconds...), one child
+    per label-value combination.
 
     ``buckets`` are inclusive upper bounds in ascending order; an implicit
     ``+inf`` bucket catches the overflow. Buckets are fixed at declaration
@@ -201,47 +82,58 @@ class Histogram(_Metric):
         labelnames: tuple[str, ...],
         buckets: tuple[float, ...] = SIM_SECONDS_BUCKETS,
     ) -> None:
-        super().__init__(name, help, labelnames)
+        self.name = name
+        self.help = help
+        self.labelnames = tuple(labelnames)
+        self._children: dict[tuple[str, ...], _HistogramChild] = {}
         buckets = tuple(float(b) for b in buckets)
         if not buckets or list(buckets) != sorted(buckets):
             raise ValueError("buckets must be ascending and non-empty")
         self.buckets = buckets
 
-    def _make_child(self) -> _HistogramChild:
-        return _HistogramChild(self.buckets)
+    def labels(self, *values, **kv) -> _HistogramChild:
+        """The child for one label-value combination (cached)."""
+        if kv:
+            if values:
+                raise ValueError("pass label values positionally or by name")
+            values = tuple(str(kv[n]) for n in self.labelnames)
+        else:
+            values = tuple(str(v) for v in values)
+        if len(values) != len(self.labelnames):
+            raise ValueError(
+                f"{self.name}: expected labels {self.labelnames}, "
+                f"got {values}"
+            )
+        child = self._children.get(values)
+        if child is None:
+            child = _HistogramChild(self.buckets)
+            self._children[values] = child
+        return child
 
     def observe(self, value: float) -> None:
-        self._default_child().observe(value)
+        """Observe on the single child of an unlabeled histogram."""
+        if self.labelnames:
+            raise ValueError(
+                f"{self.name} is labeled {self.labelnames}; use .labels()"
+            )
+        self.labels().observe(value)
+
+    def reset(self) -> None:
+        self._children.clear()
+
+    def samples(self) -> dict[str, Any]:
+        return {
+            _label_key(self.labelnames, values): child.sample()
+            for values, child in sorted(self._children.items())
+        }
 
 
 class MetricsRegistry:
-    """Named metrics plus pull-mode collectors; snapshot() reads both."""
+    """Named histograms plus pull-mode collectors; snapshot() reads both."""
 
     def __init__(self) -> None:
-        self._metrics: dict[str, _Metric] = {}
+        self._metrics: dict[str, Histogram] = {}
         self._collectors: list[Callable[[], Iterable[Sample]]] = []
-
-    def _get_or_create(self, cls, name, help, labelnames, **kwargs):
-        metric = self._metrics.get(name)
-        if metric is not None:
-            if type(metric) is not cls:
-                raise ValueError(
-                    f"metric {name!r} already registered as {metric.kind}"
-                )
-            return metric
-        metric = cls(name, help, tuple(labelnames), **kwargs)
-        self._metrics[name] = metric
-        return metric
-
-    def counter(
-        self, name: str, help: str = "", labelnames: Iterable[str] = ()
-    ) -> Counter:
-        return self._get_or_create(Counter, name, help, labelnames)
-
-    def gauge(
-        self, name: str, help: str = "", labelnames: Iterable[str] = ()
-    ) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labelnames)
 
     def histogram(
         self,
@@ -250,9 +142,12 @@ class MetricsRegistry:
         labelnames: Iterable[str] = (),
         buckets: tuple[float, ...] = SIM_SECONDS_BUCKETS,
     ) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, help, labelnames, buckets=buckets
-        )
+        """The histogram registered as ``name``, declared on first use."""
+        metric = self._metrics.get(name)
+        if metric is None:
+            metric = Histogram(name, help, tuple(labelnames), buckets)
+            self._metrics[name] = metric
+        return metric
 
     def register_collector(
         self, collector: Callable[[], Iterable[Sample]]
@@ -405,28 +300,4 @@ def bind_context_metrics(registry: MetricsRegistry, ctx) -> MetricsRegistry:
         )
     else:
         ctx.telemetry.attach_histogram(histogram)
-    return registry
-
-
-def bind_group_metrics(registry: MetricsRegistry, group) -> MetricsRegistry:
-    """Wire every device context of a :class:`~repro.dist.DeviceGroup`
-    into one registry.
-
-    Each member context binds through :func:`bind_context_metrics`, so all
-    of its samples (telemetry counters, HBM gauges, the launch histogram)
-    carry its ``device_id`` label; a group-level collector adds the device
-    count labeled by interconnect kind. One scrape of the returned registry
-    is the whole group.
-    """
-    for ctx in group.contexts:
-        bind_context_metrics(registry, ctx)
-
-    def collect_group() -> Iterable[Sample]:
-        yield (
-            "group_devices",
-            {"interconnect": group.interconnect.kind},
-            float(group.k),
-        )
-
-    registry.register_collector(collect_group)
     return registry

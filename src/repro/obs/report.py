@@ -492,83 +492,6 @@ def format_report(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def diff_traces(
-    old: list[dict], new: list[dict], top: int = 20
-) -> dict[str, Any]:
-    """Per-op simulated-time deltas between two traces.
-
-    Spans are grouped by ``(cat, name)``; each group's count and summed
-    ``sim_s`` are compared and rows are ordered by absolute time delta,
-    so the op that moved the most comes first.
-    """
-
-    def _group(records: list[dict]) -> dict[tuple, dict[str, float]]:
-        out: dict[tuple, dict[str, float]] = {}
-        for record in records:
-            if record.get("type") != "span":
-                continue
-            key = (str(record.get("cat", "span")), str(record.get("name", "?")))
-            entry = out.setdefault(key, {"count": 0, "sim_s": 0.0})
-            entry["count"] += 1
-            entry["sim_s"] += float(record.get("sim_s", 0.0))
-        return out
-
-    before = _group(old)
-    after = _group(new)
-    rows: list[dict[str, Any]] = []
-    for key in sorted(set(before) | set(after)):
-        b = before.get(key, {"count": 0, "sim_s": 0.0})
-        a = after.get(key, {"count": 0, "sim_s": 0.0})
-        delta = a["sim_s"] - b["sim_s"]
-        rows.append(
-            {
-                "cat": key[0],
-                "name": key[1],
-                "old_count": int(b["count"]),
-                "new_count": int(a["count"]),
-                "old_sim_s": b["sim_s"],
-                "new_sim_s": a["sim_s"],
-                "delta_sim_s": delta,
-                "delta_fraction": (
-                    delta / b["sim_s"] if b["sim_s"] > 0 else None
-                ),
-            }
-        )
-    rows.sort(key=lambda r: abs(r["delta_sim_s"]), reverse=True)
-    total_old = sum(r["old_sim_s"] for r in rows)
-    total_new = sum(r["new_sim_s"] for r in rows)
-    return {
-        "total_old_sim_s": total_old,
-        "total_new_sim_s": total_new,
-        "total_delta_sim_s": total_new - total_old,
-        "rows": rows[:top],
-    }
-
-
-def format_diff(diff: dict[str, Any]) -> str:
-    lines = [
-        f"total sim: {diff['total_old_sim_s'] * 1e6:.1f}us -> "
-        f"{diff['total_new_sim_s'] * 1e6:.1f}us "
-        f"({diff['total_delta_sim_s'] * 1e6:+.1f}us)",
-        f"  {'op':36s} {'count':>11s} {'old sim':>10s} {'new sim':>10s} "
-        f"{'delta':>10s} {'rel':>8s}",
-    ]
-    for row in diff["rows"]:
-        label = f"{row['name']} [{row['cat']}]"
-        counts = f"{row['old_count']}->{row['new_count']}"
-        rel = (
-            "-"
-            if row["delta_fraction"] is None
-            else f"{row['delta_fraction']:+.1%}"
-        )
-        lines.append(
-            f"  {label[:36]:36s} {counts:>11s} "
-            f"{row['old_sim_s'] * 1e6:8.1f}us {row['new_sim_s'] * 1e6:8.1f}us "
-            f"{row['delta_sim_s'] * 1e6:+8.1f}us {rel:>8s}"
-        )
-    return "\n".join(lines)
-
-
 def _load_trace(path: str) -> tuple[list[dict] | None, str | None]:
     """Strictly load + validate one trace; ``(records, None)`` or
     ``(None, error)``.
@@ -613,17 +536,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",
         description=(
-            "Summarize a repro trace JSONL file, or diff two of them. "
+            "Summarize a repro trace JSONL file. "
             "Exits nonzero on unreadable or schema-invalid traces."
         ),
     )
-    parser.add_argument(
-        "trace", nargs="?", help="path to a trace .jsonl file"
-    )
-    parser.add_argument(
-        "--diff", nargs=2, metavar=("OLD", "NEW"),
-        help="compare two traces: per-op simulated-time deltas",
-    )
+    parser.add_argument("trace", help="path to a trace .jsonl file")
     parser.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
     )
@@ -632,24 +549,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.diff:
-        old, error = _load_trace(args.diff[0])
-        if error:
-            print(error, file=sys.stderr)
-            return 1
-        new, error = _load_trace(args.diff[1])
-        if error:
-            print(error, file=sys.stderr)
-            return 1
-        diff = diff_traces(old, new, top=max(args.top, 20))
-        if args.json:
-            print(json.dumps(diff, indent=2))
-        else:
-            print(format_diff(diff))
-        return 0
-
-    if not args.trace:
-        parser.error("a trace file (or --diff OLD NEW) is required")
     records, error = _load_trace(args.trace)
     if error:
         print(error, file=sys.stderr)

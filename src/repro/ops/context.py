@@ -374,7 +374,7 @@ _PLANS: dict[str, _PlanKind] = {
     "spmm": _PlanKind("plan_spmm", "repair_spmm_plan", "spmm_config"),
     "sddmm": _PlanKind("plan_sddmm", "repair_sddmm_plan", "sddmm_config"),
     "sparse_softmax": _PlanKind("plan_sparse_softmax", configured=False),
-    "csc_spmm": _PlanKind("plan_spmm_csc"),
+    "csc_spmm": _PlanKind("plan_spmm_csc", select="spmm_config"),
 }
 
 
@@ -619,7 +619,8 @@ class ExecutionContext:
     def invalidate_topology(
         self, fingerprint: str, op: str = "topology"
     ) -> int:
-        """Evict every cached plan/config keyed on ``fingerprint``.
+        """Evict every cached plan, config and baseline cost keyed on
+        ``fingerprint``: every topology-keyed entry holds it second.
 
         Used when a topology is edited in place (e.g. a ``SparseLinear``
         weight swap): entries under the old fingerprint are unreachable by
@@ -1111,13 +1112,17 @@ class ExecutionContext:
             lambda: gemm_execution(m, n, k, self.device, element_bytes),
         )
 
-    def cost(self, key: tuple, build) -> ExecutionResult:
-        """Generic cached cost entry for baseline backends.
+    def cost(
+        self, op: str, backend: str, matrix, dims: tuple, build
+    ) -> ExecutionResult:
+        """Cached cost of a plan-less baseline backend over ``matrix``.
 
-        ``key[0]`` must be the op name and ``key[1]`` the backend (used for
-        telemetry attribution).
+        The key ``(op, fingerprint, backend, *dims)`` follows the layout of
+        every topology-keyed entry, the fingerprint second, so
+        :meth:`invalidate_topology` evicts it with the plans.
         """
-        return self._cached(key[0], key[1], key, build)
+        key = (op, matrix_fingerprint(matrix), backend, *dims)
+        return self._cached(op, backend, key, build)
 
 
 #: Module-level default contexts, one per device. Shared by every call site

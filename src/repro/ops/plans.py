@@ -86,7 +86,7 @@ class PlanCache:
     ``on_evict(key, value)`` — when set — observes every entry leaving the
     cache (LRU overflow in :meth:`put`, explicit :meth:`evict`, and
     :meth:`clear`), so an owner charging plans against a device allocator
-    can release (or spill) the bytes. Poison sentinels are reported too;
+    can release the bytes. Poison sentinels are reported too;
     consumers must treat the value as opaque.
     """
 

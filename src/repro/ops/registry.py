@@ -34,15 +34,14 @@ from typing import Any, Callable
 import numpy as np
 
 from ..baselines import aspt, cusparse
-from ..baselines.merge_spmm import merge_spmm
-from ..baselines.merge_spmm import spmm_launch as merge_spmm_launch
+from ..baselines.merge import merge_spmm
+from ..baselines.merge import spmm_launch as merge_spmm_launch
 from ..core.csc_spmm import execute_spmm_csc
 from ..core.sddmm import execute_sddmm
 from ..core.sparse_softmax import execute_sparse_softmax
 from ..core.spmm import execute_spmm
 from ..core.types import KernelResult
 from ..gpu.executor import ExecutionResult, execute
-from .plans import matrix_fingerprint
 
 
 @dataclass(frozen=True)
@@ -157,8 +156,9 @@ def _baseline(op: str, backend: str, numerics, launch=None):
 
     def cost(ctx, matrix, dim, config, selector):
         _reject_config(backend, config)
-        key = (op, backend, matrix_fingerprint(matrix), dim)
-        return ctx.cost(key, lambda: launch(ctx.device, matrix, dim))
+        return ctx.cost(
+            op, backend, matrix, (dim,), lambda: launch(ctx.device, matrix, dim)
+        )
 
     return run, cost
 
@@ -201,9 +201,8 @@ _aspt_spmm_run, _aspt_spmm_cost = _baseline(
 
 def _cusparse_spmm_cost(ctx, a, n, config, selector, precision="fp32"):
     _reject_config("cusparse", config)
-    key = ("spmm", "cusparse", matrix_fingerprint(a), n, precision)
     return ctx.cost(
-        key,
+        "spmm", "cusparse", a, (n, precision),
         lambda: execute(
             cusparse.spmm_launch(a, n, ctx.device, precision), ctx.device
         ),

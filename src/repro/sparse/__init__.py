@@ -12,7 +12,7 @@ from .ops import (
     spmm_reference,
 )
 from .padding import pad_rows, padding_overhead
-from .transpose import CachedTranspose, transpose
+from .transpose import CachedTranspose
 
 __all__ = [
     "CSRMatrix",
@@ -29,5 +29,4 @@ __all__ = [
     "pad_rows",
     "padding_overhead",
     "CachedTranspose",
-    "transpose",
 ]

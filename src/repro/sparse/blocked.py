@@ -77,12 +77,6 @@ class BlockSparseMatrix:
         """Stored elements, counting the zeros inside occupied blocks."""
         return self.n_blocks * self.block_size * self.block_size
 
-    @property
-    def density_overhead(self) -> float:
-        """Stored elements divided by true nonzeros (>= 1; waste factor)."""
-        true_nnz = int(np.count_nonzero(self.blocks))
-        return self.nnz_stored / true_nnz if true_nnz else 1.0
-
     def to_dense(self) -> np.ndarray:
         bs = self.block_size
         rows, cols = self.shape

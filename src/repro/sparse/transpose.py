@@ -88,8 +88,3 @@ class CachedTranspose:
         if a.shape != self._source_shape or a.nnz != self._source_nnz:
             raise ValueError("matrix does not match the planned topology")
         return self.apply(a.values)
-
-
-def transpose(a: CSRMatrix) -> CSRMatrix:
-    """One-shot CSR transpose (plans and applies in one call)."""
-    return CachedTranspose(a).transpose(a)

@@ -7,9 +7,6 @@ the execution context dispatches through.
 """
 
 from .heuristics import (
-    default_sddmm_config,
-    default_spmm_config,
-    operand_precision,
     select_sddmm_config,
     select_spmm_config,
 )
@@ -47,9 +44,6 @@ __all__ = [
     "Selector",
     "TunedSelector",
     "TuningResult",
-    "default_sddmm_config",
-    "default_spmm_config",
-    "operand_precision",
     "oracle_sddmm_config",
     "oracle_spmm_config",
     "register_selector",

@@ -11,16 +11,9 @@ rather than importing these directly.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.config import Precision, SddmmConfig, SpmmConfig
 from ..core.selection import MAX_TILE_X, next_power_of_two, widest_vector_width
 from ..sparse.csr import CSRMatrix
-
-
-def operand_precision(matrix: CSRMatrix) -> Precision:
-    """Precision regime implied by a sparse operand's value dtype."""
-    return "mixed" if matrix.values.dtype == np.float16 else "fp32"
 
 
 def select_spmm_config(
@@ -46,19 +39,3 @@ def select_sddmm_config(k: int, precision: Precision = "fp32") -> SddmmConfig:
         vector_width=widest_vector_width(k),
         precision=precision,
     )
-
-
-def default_spmm_config(a: CSRMatrix, n: int) -> SpmmConfig:
-    """Heuristic config with precision derived from the sparse operand."""
-    return select_spmm_config(a, n, operand_precision(a))
-
-
-def default_sddmm_config(mask: CSRMatrix, k: int) -> SddmmConfig:
-    """Heuristic config with precision derived from the mask's values.
-
-    This is the operand-derived analogue of :func:`default_spmm_config`;
-    convenience paths that used to call ``select_sddmm_config(k)`` with the
-    fp32 default go through here so an fp16 mask is costed with fp16 value
-    bytes and int16 index bytes.
-    """
-    return select_sddmm_config(k, operand_precision(mask))

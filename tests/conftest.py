@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.gpu import V100
+from repro.ops import ExecutionContext
 from repro.sparse import CSRMatrix
 
 
@@ -17,6 +18,13 @@ def rng() -> np.random.Generator:
 @pytest.fixture
 def device():
     return V100
+
+
+@pytest.fixture
+def context(device) -> ExecutionContext:
+    """A fresh execution context on ``device``: no plans or telemetry
+    shared with other tests."""
+    return ExecutionContext(device)
 
 
 def random_sparse(

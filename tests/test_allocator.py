@@ -3,7 +3,7 @@
 Covers the allocator's split/merge/bucket mechanics and its accounting
 invariant (property-tested over randomized schedules), the execution
 context's residency charging + eviction ladder, the ``REPRO_HBM_CAP``
-environment override, the Profile/Table III replay unification, the
+environment override, Table III's verdicts on one allocator, the
 runner's ``status="oom"`` classification, and the report CLI's memory
 section.
 """
@@ -27,7 +27,6 @@ from repro.gpu.allocator import (
     parse_capacity,
 )
 from repro.gpu.device import GTX1080
-from repro.nn.profile import Profile
 from repro.nn.transformer import TransformerConfig, benchmark
 from repro.obs.report import build_report, format_report, rollup_memory
 from repro.obs.tracing import Tracer
@@ -449,35 +448,19 @@ class TestRunnerOomStatus:
 
 
 # ----------------------------------------------------------------------
-# Profile / Table III unification
+# Table III memory columns on one allocator
 # ----------------------------------------------------------------------
 class TestProfileReplay:
-    def test_replay_tracks_peak_and_fits(self):
-        profile = Profile()
-        profile.add_weights(4 * MiB)
-        profile.allocate_activation(8 * MiB)
-        profile.free_activation(8 * MiB)
-        profile.allocate_activation(2 * MiB)
-        mem = DeviceAllocator(V100, capacity=32 * MiB)
-        verdict = profile.replay(mem)
-        assert verdict["fits"]
-        assert verdict["peak_allocated_bytes"] == 12 * MiB
-        assert mem.allocated_bytes == 6 * MiB  # weights + live activation
-
-    def test_replay_oom_verdict(self):
-        profile = Profile()
-        profile.add_weights(4 * MiB)
-        profile.allocate_activation(30 * MiB)
-        verdict = profile.replay(DeviceAllocator(V100, capacity=16 * MiB))
-        assert not verdict["fits"]
-        assert verdict["oom_requested"] >= 30 * MiB
-
     def test_fits_ignores_env_cap(self, monkeypatch):
         """Table III verdicts are device properties, not harness state."""
-        profile = Profile()
-        profile.add_weights(64 * MiB)
+        config = TransformerConfig(
+            sequence_length=1024, batch_size=2, attention_band=64
+        )
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        plain = benchmark(config, V100, "sparse")
         monkeypatch.setenv(CAP_ENV_VAR, "1M")
-        assert profile.fits(V100)
+        assert benchmark(config, V100, "sparse") == plain
+        assert plain.fits
 
     def test_table3_verdicts_unchanged(self):
         """Dense OOMs on the GTX 1080, sparse fits on both devices —

@@ -3,20 +3,19 @@
 import numpy as np
 import pytest
 
+from repro import ops
 from repro.baselines import (
     aspt_sddmm,
     aspt_spmm,
     cusparse_sddmm,
     cusparse_spmm,
     heavy_light_split,
-    matmul,
     memory_overhead_bytes,
     merge_spmm,
     preprocessing_execution,
 )
 from repro.baselines.cublas import gemm_execution, transpose_execution
 from repro.bench import cusparse_spmm_time, sputnik_spmm_time
-from repro.core import spmm
 from repro.sparse import sddmm_reference, spmm_reference
 from tests.conftest import random_sparse
 
@@ -28,10 +27,10 @@ class TestCusparseSpmm:
         out = cusparse_spmm(a, b, device).output
         assert np.allclose(out, spmm_reference(a, b), atol=1e-4)
 
-    def test_slower_than_sputnik_on_dl_problems(self, rng, device):
+    def test_slower_than_sputnik_on_dl_problems(self, rng, device, context):
         a = random_sparse(rng, 1024, 1024, 0.25)
         b = rng.standard_normal((1024, 128)).astype(np.float32)
-        ours = spmm(a, b, device)
+        ours = ops.spmm(a, b, context=context)
         theirs = cusparse_spmm(a, b, device)
         assert theirs.runtime_s > ours.runtime_s
 
@@ -142,15 +141,19 @@ class TestAspt:
 
 
 class TestCublas:
-    def test_matmul_numerics(self, rng, device):
+    def test_matmul_numerics(self, rng, context):
         a = rng.standard_normal((64, 48)).astype(np.float32)
         b = rng.standard_normal((48, 32)).astype(np.float32)
-        out = matmul(a, b, device)
+        out = ops.matmul(a, b, context=context)
         assert np.allclose(out.output, a @ b, atol=1e-4)
 
-    def test_shapes_validated(self, rng, device):
+    def test_shapes_validated(self, rng, context):
         with pytest.raises(ValueError):
-            matmul(np.ones((4, 5), np.float32), np.ones((6, 7), np.float32), device)
+            ops.matmul(
+                np.ones((4, 5), np.float32),
+                np.ones((6, 7), np.float32),
+                context=context,
+            )
 
     def test_large_gemm_near_peak(self, device):
         res = gemm_execution(4096, 4096, 4096, device)

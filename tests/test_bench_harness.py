@@ -10,11 +10,9 @@ from repro.bench import (
     cusparse_sddmm_time,
     cusparse_spmm_time,
     dense_spmm_time,
-    format_table,
     geometric_mean,
     merge_spmm_time,
     pair_rows,
-    paper_comparison,
     run_sddmm_suite,
     run_spmm_suite,
     speedup_stats,
@@ -54,20 +52,6 @@ class TestStatistics:
         rows = [BenchRow("p1", "a", 1, 1, 1, 1, 1.0, 1.0)]
         with pytest.raises(ValueError):
             pair_rows(rows, "a", "b")
-
-    def test_format_table(self):
-        text = format_table(["x", "y"], [["1", "22"]], title="T")
-        lines = text.splitlines()
-        assert lines[0] == "T"
-        assert "22" in lines[-1]
-
-    def test_format_table_validates_width(self):
-        with pytest.raises(ValueError):
-            format_table(["x"], [["1", "2"]])
-
-    def test_paper_comparison_line(self):
-        line = paper_comparison("geomean", 3.58, 3.3)
-        assert "paper 3.58" in line and "measured 3.3" in line
 
 
 class TestTimers:

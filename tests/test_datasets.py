@@ -9,7 +9,6 @@ from repro.datasets import (
     NEURAL_NETWORK_COV,
     banded_random_mask,
     contrast,
-    cov_sweep,
     dense_causal_mask,
     dnn_corpus,
     imbalanced_matrix,
@@ -19,7 +18,6 @@ from repro.datasets import (
     problem_grid,
     row_length_cov,
     row_lengths_with_cov,
-    stats_from_matrix,
     stats_from_row_lengths,
     suitesparse,
     summarize,
@@ -86,10 +84,6 @@ class TestStatistics:
     def test_stats_validation(self):
         with pytest.raises(ValueError):
             stats_from_row_lengths(np.array([9]), 8)
-
-    def test_stats_from_matrix(self, small_sparse):
-        s = stats_from_matrix(small_sparse)
-        assert s.nnz == small_sparse.nnz
 
     def test_summarize_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -208,10 +202,6 @@ class TestImbalance:
     def test_fig7_configuration(self):
         s = imbalanced_spec(0.5)
         assert (s.rows, s.cols, s.sparsity) == (8192, 2048, 0.75)
-
-    def test_cov_sweep_covers_axis(self):
-        sweep = cov_sweep()
-        assert sweep[0].row_cov == 0.0 and sweep[-1].row_cov == 2.0
 
     def test_realized_cov(self):
         a = imbalanced_matrix(1.0, m=2048, k=512, sparsity=0.8)

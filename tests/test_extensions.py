@@ -6,18 +6,21 @@ import pytest
 
 from repro.baselines import block_sparse_spmm, constrain_to_blocks
 from repro.bench import sputnik_sddmm_time
-from repro.core import SddmmConfig, sddmm
+from repro import ops
+from repro.core import SddmmConfig
 from repro.sparse import BlockSparseMatrix, sddmm_reference
 from tests.conftest import random_sparse
 
 
 class TestScaledSddmm:
-    def test_matches_scaled_reference(self, rng, device):
+    def test_matches_scaled_reference(self, rng, context):
         """Footnote 1: the textbook A B^T ∘ C with element-wise scaling."""
         mask = random_sparse(rng, 40, 32, 0.4)
         lhs = rng.standard_normal((40, 16)).astype(np.float32)
         rhs = rng.standard_normal((32, 16)).astype(np.float32)
-        out = sddmm(lhs, rhs, mask, device, SddmmConfig(scale_by_values=True))
+        out = ops.sddmm(
+            lhs, rhs, mask, config=SddmmConfig(scale_by_values=True), context=context
+        )
         ref = sddmm_reference(lhs, rhs, mask, scale_by_values=True)
         assert np.allclose(out.output.values, ref.values, atol=1e-4)
 
@@ -31,12 +34,14 @@ class TestScaledSddmm:
 
 
 class TestNonTransposedSddmm:
-    def test_matches_reference(self, rng, device):
+    def test_matches_reference(self, rng, context):
         """Footnote 1: A B ∘ I[C] with the right operand not transposed."""
         mask = random_sparse(rng, 40, 32, 0.4)
         lhs = rng.standard_normal((40, 16)).astype(np.float32)
         rhs_t = rng.standard_normal((16, 32)).astype(np.float32)  # (k, cols)
-        out = sddmm(lhs, rhs_t, mask, device, SddmmConfig(transposed_rhs=False))
+        out = ops.sddmm(
+            lhs, rhs_t, mask, config=SddmmConfig(transposed_rhs=False), context=context
+        )
         ref = sddmm_reference(lhs, rhs_t.T.copy(), mask)
         assert np.allclose(out.output.values, ref.values, atol=1e-4)
 
@@ -55,12 +60,18 @@ class TestNonTransposedSddmm:
 
 
 class TestDynamicParallelism:
-    def test_numerics_unchanged(self, rng, device):
+    def test_numerics_unchanged(self, rng, context):
         mask = random_sparse(rng, 40, 32, 0.4)
         lhs = rng.standard_normal((40, 8)).astype(np.float32)
         rhs = rng.standard_normal((32, 8)).astype(np.float32)
-        a = sddmm(lhs, rhs, mask, device, SddmmConfig())
-        b = sddmm(lhs, rhs, mask, device, SddmmConfig(dynamic_parallelism=True))
+        a = ops.sddmm(lhs, rhs, mask, config=SddmmConfig(), context=context)
+        b = ops.sddmm(
+            lhs,
+            rhs,
+            mask,
+            config=SddmmConfig(dynamic_parallelism=True),
+            context=context,
+        )
         assert np.array_equal(a.output.values, b.output.values)
 
     def test_runtime_comparable(self, rng, device):

@@ -9,7 +9,8 @@ from repro.bench import (
     dense_spmm_time,
     sputnik_spmm_time,
 )
-from repro.core import SpmmConfig, sddmm, sparse_softmax, spmm
+from repro import ops
+from repro.core import SpmmConfig
 from repro.gpu import V100
 from repro.nn import Profile, SparseLinear, train_pruned_mlp, make_regression_task
 from repro.sparse import CSRMatrix, CachedTranspose
@@ -64,16 +65,23 @@ class TestTrainingStepPipeline:
 
 
 class TestSparseAttentionPipeline:
-    def test_sddmm_softmax_spmm_chain(self, rng, device):
+    def test_sddmm_softmax_spmm_chain(self, rng, context):
         """The sparse-attention computation graph of Section VII-C."""
         seq, dk = 96, 16
         mask = banded_random_mask(seq, band=12, off_diagonal_sparsity=0.9, seed=2)
         q, k, v = (
             rng.standard_normal((seq, dk)).astype(np.float32) for _ in range(3)
         )
-        scores = sddmm(q, k, mask, device)
-        probs = sparse_softmax(scores.output, device, scale=1.0 / np.sqrt(dk))
-        out = spmm(probs.output, v, device, SpmmConfig(block_items_x=16, vector_width=4))
+        scores = ops.sddmm(q, k, mask, context=context)
+        probs = ops.sparse_softmax(
+            scores.output, scale=1.0 / np.sqrt(dk), context=context
+        )
+        out = ops.spmm(
+            probs.output,
+            v,
+            config=SpmmConfig(block_items_x=16, vector_width=4),
+            context=context,
+        )
 
         # Against the dense computation restricted to the mask.
         dense_scores = (q @ k.T) / np.sqrt(dk)
@@ -105,13 +113,18 @@ class TestHeadlineBehaviours:
         ours_hi, cus_hi, dense_hi = times(0.995)
         assert cus_hi < dense_hi  # cuSPARSE eventually wins, far later
 
-    def test_training_to_kernel_handoff(self, device):
+    def test_training_to_kernel_handoff(self, context):
         """Weights trained+pruned by the demo run through the real kernels."""
         x, y = make_regression_task(n_samples=512, n_features=64, seed=5)
         result = train_pruned_mlp(x, y, hidden=32, final_sparsity=0.75, steps=200)
         w = result.sparse_weight  # (hidden, features) CSR
         batch = x[:24].T.astype(np.float32)  # (features, 24)
-        out = spmm(w, batch, device, SpmmConfig(block_items_x=8, vector_width=4))
+        out = ops.spmm(
+            w,
+            batch,
+            config=SpmmConfig(block_items_x=8, vector_width=4),
+            context=context,
+        )
         assert np.allclose(
             out.output, w.to_dense().astype(np.float32) @ batch, atol=1e-3
         )

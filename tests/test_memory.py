@@ -9,8 +9,6 @@ from repro.gpu.memory import (
     dram_bytes_with_reuse,
     l1_hit_fraction,
     latency_hiding_factor,
-    load_instructions,
-    sectors_for_contiguous,
     validate_vector_width,
 )
 
@@ -24,42 +22,6 @@ class TestVectorWidth:
     def test_illegal_widths(self, vw):
         with pytest.raises(ValueError):
             validate_vector_width(vw)
-
-
-class TestSectors:
-    def test_aligned_exact_sectors(self):
-        assert sectors_for_contiguous(128) == 4
-
-    def test_zero_bytes_zero_sectors(self):
-        assert sectors_for_contiguous(0) == 0
-
-    def test_misaligned_start_adds_a_sector(self):
-        assert sectors_for_contiguous(128, start_offset_bytes=4) == 5
-
-    def test_sub_sector_access_costs_full_sector(self):
-        assert sectors_for_contiguous(4) == 1
-
-    def test_vectorized_over_arrays(self):
-        out = sectors_for_contiguous(np.array([32, 33, 64]), np.array([0, 0, 16]))
-        assert list(out) == [1, 2, 3]
-
-
-class TestLoadInstructions:
-    def test_full_warp_scalar(self):
-        assert load_instructions(128, 32, 1) == 4
-
-    def test_vector_width_divides_instruction_count(self):
-        assert load_instructions(128, 32, 4) == 1
-
-    def test_partial_load_costs_full_instruction(self):
-        assert load_instructions(129, 32, 4) == 2
-
-    def test_subwarp_loads(self):
-        assert load_instructions(64, 8, 4) == 2
-
-    def test_zero_threads_rejected(self):
-        with pytest.raises(ValueError):
-            load_instructions(32, 0, 1)
 
 
 class TestAlignedExtent:

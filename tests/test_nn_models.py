@@ -16,7 +16,6 @@ from repro.nn import (
     gradual_sparsity,
     magnitude_prune,
     make_regression_task,
-    profile_dense,
     profile_sparse,
     prune_to_csr,
     random_cell,
@@ -99,11 +98,11 @@ class TestTransformer:
     def test_full_size_memory_matches_paper(self):
         """Table III: dense ~9.88 GB, sparse ~0.77 GB on V100."""
         config = TransformerConfig()
-        dense = profile_dense(config, V100)
-        sparse = profile_sparse(config, V100)
-        assert dense.total_memory_bytes / 1024**3 == pytest.approx(9.88, rel=0.1)
-        assert sparse.total_memory_bytes / 1024**3 == pytest.approx(0.77, rel=0.2)
-        ratio = dense.total_memory_bytes / sparse.total_memory_bytes
+        dense = benchmark_transformer(config, V100, "dense")
+        sparse = benchmark_transformer(config, V100, "sparse")
+        assert dense.memory_gb == pytest.approx(9.88, rel=0.1)
+        assert sparse.memory_gb == pytest.approx(0.77, rel=0.2)
+        ratio = dense.memory_bytes / sparse.memory_bytes
         assert ratio == pytest.approx(12.8, rel=0.25)
 
     def test_unknown_variant_rejected(self, config, device):

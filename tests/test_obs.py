@@ -14,8 +14,6 @@ from repro.nn.mobilenet import MobileNetV1
 from repro.nn.profile import Profile
 from repro.obs import (
     NO_SPAN,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     Tracer,
@@ -162,34 +160,12 @@ class TestExport:
 # Metrics
 # ----------------------------------------------------------------------
 class TestMetrics:
-    def test_counter_labels_and_totals(self):
-        reg = MetricsRegistry()
-        c = reg.counter("launches", labelnames=("op",))
-        c.labels("spmm").inc()
-        c.labels("spmm").inc(2)
-        c.labels(op="sddmm").inc()
-        assert c.value == 4
-        assert reg.snapshot()["launches"]["samples"] == {
-            "op=sddmm": 1.0,
-            "op=spmm": 3.0,
-        }
-
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().counter("c").inc(-1)
-
-    def test_gauge_set_inc_dec(self):
-        g = MetricsRegistry().gauge("g")
-        g.set(5)
-        g.labels().dec(2)
-        assert g.value == 3
-
     def test_unlabeled_access_on_labeled_metric_rejected(self):
-        c = MetricsRegistry().counter("c", labelnames=("op",))
+        h = MetricsRegistry().histogram("h", labelnames=("op",))
         with pytest.raises(ValueError):
-            c.inc()
+            h.observe(1.0)
         with pytest.raises(ValueError):
-            c.labels("a", "b")
+            h.labels("a", "b")
 
     def test_histogram_buckets(self):
         h = MetricsRegistry().histogram("h", buckets=(1.0, 10.0))
@@ -207,17 +183,11 @@ class TestMetrics:
         with pytest.raises(ValueError):
             reg.histogram("h2", buckets=())
 
-    def test_name_reuse_same_type_ok_conflict_raises(self):
-        reg = MetricsRegistry()
-        assert reg.counter("x") is reg.counter("x")
-        with pytest.raises(ValueError):
-            reg.gauge("x")
-
     def test_reset_zeroes_pushed_metrics(self):
         reg = MetricsRegistry()
-        reg.counter("c").inc(5)
+        reg.histogram("h").observe(5.0)
         reg.reset()
-        assert reg.counter("c").value == 0
+        assert reg.snapshot()["h"]["samples"] == {}
 
     def test_collector_samples_in_snapshot(self):
         reg = MetricsRegistry()

@@ -18,11 +18,9 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     bind_context_metrics,
-    bind_group_metrics,
     build_report,
     chrome_trace_from_records,
     classify_phases,
-    diff_traces,
     flight_capacity_from_env,
     read_jsonl,
     render_prometheus,
@@ -416,17 +414,20 @@ class TestGroupFlight:
         from repro.dist.sharded import sharded_spmm
 
         group = DeviceGroup(2)
+        registry = MetricsRegistry()
+        for ctx in group.contexts:
+            bind_context_metrics(registry, ctx)
         a = random_sparse(rng, 128, 128, 0.3)
         b = rng.standard_normal((128, 16)).astype(np.float32)
         sharded_spmm(a, b, group)
-        snapshot = group.metrics_snapshot()
-        launch_keys = snapshot["op_launches"]["samples"].keys()
-        devices = {
-            key.split("device_id=")[1].split(",")[0]
-            for key in launch_keys
-            if "device_id=" in key
-        }
-        assert {"0", "1"} <= devices
+        snapshot = registry.snapshot()
+        for metric in ("op_launches", "sim_launch_seconds"):
+            devices = {
+                key.split("device_id=")[1].split(",")[0]
+                for key in snapshot[metric]["samples"]
+                if "device_id=" in key
+            }
+            assert {"0", "1"} <= devices
         text = render_prometheus(snapshot)
         assert validate_prometheus_text(text) == []
         assert 'device_id="1"' in text
@@ -694,43 +695,6 @@ class TestClassifier:
         ops.spmm(a, b, context=ctx)
         report = build_report(tracer.to_jsonl_records())
         assert report["dist"] is None
-
-
-class TestReportDiff:
-    def _trace(self, rng, path, n_ops):
-        tracer = Tracer()
-        ctx = ExecutionContext(V100, tracer=tracer)
-        for _ in range(n_ops):
-            a, b = problem(rng)
-            ops.spmm(a, b, context=ctx)
-        tracer.write_jsonl(path)
-        return path
-
-    def test_diff_reports_sim_deltas(self, rng, tmp_path):
-        old = self._trace(rng, tmp_path / "old.jsonl", 1)
-        new = self._trace(rng, tmp_path / "new.jsonl", 3)
-        diff = diff_traces(read_jsonl(old), read_jsonl(new))
-        row = next(r for r in diff["rows"] if r["name"] == "spmm")
-        assert row["old_count"] == 1 and row["new_count"] == 3
-        assert row["delta_sim_s"] > 0
-        assert diff["total_delta_sim_s"] > 0
-
-    def test_diff_cli(self, rng, tmp_path, capsys):
-        old = self._trace(rng, tmp_path / "old.jsonl", 1)
-        new = self._trace(rng, tmp_path / "new.jsonl", 2)
-        assert report_cli.main(["--diff", str(old), str(new)]) == 0
-        assert "total sim" in capsys.readouterr().out
-        assert report_cli.main(
-            ["--diff", str(old), str(new), "--json"]
-        ) == 0
-        assert json.loads(capsys.readouterr().out)["rows"]
-
-    def test_diff_cli_rejects_bad_trace(self, rng, tmp_path, capsys):
-        good = self._trace(rng, tmp_path / "good.jsonl", 1)
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("garbage\n" + json.dumps({"type": "meta"}) + "\n")
-        assert report_cli.main(["--diff", str(good), str(bad)]) == 1
-        capsys.readouterr()
 
 
 class TestReportStrictness:

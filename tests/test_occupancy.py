@@ -69,15 +69,9 @@ class TestLimits:
 
 
 class TestOccupancyProperties:
-    def test_resident_warps_and_fraction(self):
-        occ = compute_occupancy(
-            BlockResources(threads=128, registers_per_thread=32), V100
-        )
-        assert occ.resident_warps == occ.blocks_per_sm * 4
-        assert 0.0 < occ.fraction(V100) <= 1.0
-
     def test_full_occupancy_possible(self):
         occ = compute_occupancy(
             BlockResources(threads=256, registers_per_thread=32), V100
         )
-        assert occ.fraction(V100) == pytest.approx(1.0)
+        resident = occ.blocks_per_sm * occ.warps_per_block
+        assert resident == V100.max_warps_per_sm

@@ -1,6 +1,6 @@
 """Tests for the repro.ops dispatch layer: plan-cache invariants, the
-kernel registry, telemetry, and bitwise equivalence with the direct core
-kernel entry points."""
+kernel registry, telemetry, and bitwise equivalence with the core kernels'
+plan and execute functions called directly."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from repro.gpu import GTX1080, V100
 from repro.ops import ExecutionContext, PlanCache, matrix_fingerprint
 from repro.sparse import CSRMatrix
 from repro.sparse.csc import csr_to_csc
+from repro.tune import select_sddmm_config, select_spmm_config
 from tests.conftest import random_sparse
 
 
@@ -41,7 +42,8 @@ class TestPlanCacheInvariants:
         """The dispatch layer must not perturb numerics or simulated cost."""
         a = random_sparse(rng, 96, 64, 0.3)
         b = dense_batch(rng, 64, 32)
-        direct = core.spmm(a, b, V100)
+        plan = core.plan_spmm(a, 32, V100, select_spmm_config(a, 32))
+        direct = core.execute_spmm(plan, a, b)
         for _ in range(2):  # miss, then hit
             routed = ops.spmm(a, b, context=ctx)
             assert (routed.output == direct.output).all()
@@ -68,7 +70,7 @@ class TestPlanCacheInvariants:
         result = ops.spmm(a2, b, context=ctx)
         stats = ctx.telemetry.stats[("spmm", "sputnik")]
         assert stats.cache_hits == 1
-        assert np.allclose(result.output, core.spmm(a2, b, V100).output)
+        assert np.allclose(result.output, a2.to_dense() @ b, atol=1e-4)
 
     def test_topology_mutation_invalidates(self, rng, ctx):
         a = CSRMatrix.from_dense(np.eye(32, dtype=np.float32))
@@ -83,6 +85,19 @@ class TestPlanCacheInvariants:
         ops.spmm(a, b, context=ctx)
         stats = ctx.telemetry.stats[("spmm", "sputnik")]
         assert stats.cache_hits == 0 and stats.cache_misses == 2
+
+    def test_invalidation_evicts_baseline_costs(self, rng):
+        """Baseline cost entries are keyed on the topology like plans, so
+        invalidating it evicts them and frees their device bytes."""
+        ctx = ExecutionContext(V100, memory=V100.dram_capacity)
+        a = random_sparse(rng, 128, 96, 0.3)
+        for backend in ("sputnik", "cusparse", "merge"):
+            ops.spmm_cost(a, 32, backend=backend, context=ctx)
+        ops.sddmm_cost(a, 32, backend="cusparse", context=ctx)
+        fp = matrix_fingerprint(a)
+        assert ctx.invalidate_topology(fp) == 5
+        assert [k for k in ctx.plans.keys() if fp in k] == []
+        assert ctx.memory_snapshot()["resident_plans"] == 0
 
     def test_different_batch_width_is_a_different_plan(self, rng, ctx):
         a = random_sparse(rng, 64, 48, 0.3)
@@ -140,20 +155,23 @@ class TestPlanCacheInvariants:
 
 
 class TestOperatorEquivalence:
-    """ops.* must reproduce the direct kernel entry points bit for bit."""
+    """ops.* must reproduce the directly called plan and execute functions
+    bit for bit."""
 
     def test_sddmm_matches_core(self, rng, ctx):
         mask = random_sparse(rng, 64, 48, 0.25)
         lhs = dense_batch(rng, 64, 16)
         rhs = dense_batch(rng, 48, 16)
-        direct = core.sddmm(lhs, rhs, mask, V100)
+        plan = core.plan_sddmm(mask, 16, V100, select_sddmm_config(16))
+        direct = core.execute_sddmm(plan, lhs, rhs, mask)
         routed = ops.sddmm(lhs, rhs, mask, context=ctx)
         assert (routed.output.values == direct.output.values).all()
         assert routed.execution.runtime_s == direct.execution.runtime_s
 
     def test_sparse_softmax_matches_core(self, rng, ctx):
         a = random_sparse(rng, 48, 48, 0.3)
-        direct = core.sparse_softmax(a, V100, scale=0.5)
+        plan = core.plan_sparse_softmax(a, V100)
+        direct = core.execute_sparse_softmax(plan, a, scale=0.5)
         routed = ops.sparse_softmax(a, scale=0.5, context=ctx)
         assert (routed.output.values == direct.output.values).all()
         assert routed.execution.runtime_s == direct.execution.runtime_s
@@ -161,7 +179,11 @@ class TestOperatorEquivalence:
     def test_csc_spmm_matches_core(self, rng, ctx):
         a = csr_to_csc(random_sparse(rng, 48, 64, 0.3))
         b = dense_batch(rng, 16, 48)
-        direct = core.spmm_csc(b, a, V100)
+        # The config the dispatch resolves, taken from an independent context.
+        config = ExecutionContext(V100).spmm_config(a, 16)
+        direct = core.execute_spmm_csc(
+            core.plan_spmm_csc(a, 16, V100, config), b, a
+        )
         routed = ops.csc_spmm(b, a, context=ctx)
         assert (routed.output == direct.output).all()
         assert routed.execution.runtime_s == direct.execution.runtime_s
@@ -209,7 +231,7 @@ class TestOperatorEquivalence:
         a = random_sparse(rng, 64, 48, 0.3)
         b = dense_batch(rng, 48, 20)
         config = oracle_spmm_config(a, 20, V100)
-        direct = core.spmm(a, b, V100, config)
+        direct = core.plan_spmm(a, 20, V100, config)
         routed = ops.spmm(a, b, selector="oracle", context=ctx)
         assert routed.execution.runtime_s == direct.execution.runtime_s
 
@@ -241,7 +263,7 @@ class TestRegistry:
 
         def fake_run(c, a, b, config, selector):
             calls.append(a)
-            return core.spmm(a, b, c.device)
+            return core.execute_spmm(c.spmm_plan(a, b.shape[1]), a, b)
 
         from repro.ops import registry
 

@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import SpmmConfig, align_rows, row_swizzle, spmm
-from repro.core.sddmm import sddmm
+from repro import ExecutionContext, ops
+from repro.core import SpmmConfig, align_rows, row_swizzle
 from repro.gpu import V100, aligned_extent, simulate_schedule
 from repro.sparse import (
     CSRMatrix,
+    CachedTranspose,
     pad_rows,
     sddmm_reference,
     sparse_softmax_reference,
     spmm_reference,
-    transpose,
 )
 
 settings.register_profile("repro", deadline=None, max_examples=40)
@@ -51,12 +51,16 @@ class TestCsrProperties:
 
     @given(sparse_matrices())
     def test_transpose_involution(self, a):
-        assert np.array_equal(transpose(transpose(a)).to_dense(), a.to_dense())
+        t = CachedTranspose(a).transpose(a)
+        twice = CachedTranspose(t).transpose(t)
+        assert np.array_equal(twice.to_dense(), a.to_dense())
 
     @given(sparse_matrices())
     def test_transpose_matches_scipy(self, a):
         assert np.allclose(
-            transpose(a).to_dense(), a.to_scipy().T.toarray(), atol=1e-6
+            CachedTranspose(a).transpose(a).to_dense(),
+            a.to_scipy().T.toarray(),
+            atol=1e-6,
         )
 
     @given(sparse_matrices(), st.sampled_from([2, 3, 4, 8]))
@@ -74,7 +78,7 @@ class TestKernelProperties:
         rng = np.random.default_rng(seed)
         b = rng.standard_normal((a.n_cols, n)).astype(np.float32)
         config = SpmmConfig(block_items_x=4, vector_width=4, block_items_k=4)
-        out = spmm(a, b, V100, config).output
+        out = ops.spmm(a, b, config=config, context=ExecutionContext(V100)).output
         assert np.allclose(out, spmm_reference(a, b), atol=1e-3)
 
     @given(sparse_matrices(), st.integers(1, 4), st.integers(0, 2**31 - 1))
@@ -85,7 +89,7 @@ class TestKernelProperties:
         rng = np.random.default_rng(seed)
         lhs = rng.standard_normal((mask.n_rows, k)).astype(np.float32)
         rhs = rng.standard_normal((mask.n_cols, k)).astype(np.float32)
-        out = sddmm(lhs, rhs, mask, V100).output
+        out = ops.sddmm(lhs, rhs, mask, context=ExecutionContext(V100)).output
         assert np.allclose(
             out.values, sddmm_reference(lhs, rhs, mask).values, atol=1e-3
         )

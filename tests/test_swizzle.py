@@ -7,7 +7,6 @@ from repro.core import (
     bundle_rows,
     bundle_weights,
     identity_swizzle,
-    paired_first_wave_order,
     row_swizzle,
     swizzled_row_groups,
 )
@@ -75,31 +74,6 @@ class TestBundling:
             grouped = lengths[np.asarray(order[:256])].reshape(-1, 8)
             return float(np.mean(grouped.max(axis=1) - grouped.min(axis=1)))
         assert spread(row_swizzle(lengths)) < spread(identity_swizzle(256))
-
-
-class TestPairedFirstWave:
-    def test_is_a_permutation(self, rng):
-        lengths = rng.integers(0, 100, size=100)
-        order = paired_first_wave_order(lengths, wave_size=16)
-        assert sorted(order) == list(range(100))
-
-    def test_heaviest_wave_first(self, rng):
-        lengths = rng.integers(0, 100, size=64)
-        order = paired_first_wave_order(lengths, wave_size=16)
-        first = set(order[:16])
-        top16 = set(np.argsort(-lengths)[:16])
-        assert first == top16
-
-    def test_serpentine_pairing_balances_slots(self):
-        lengths = np.arange(8)[::-1]  # 7..0
-        order = paired_first_wave_order(lengths, wave_size=4)
-        # Slot sums of (wave0[i], wave1[i]) should all be equal: 7+0 = 6+1...
-        slot_sums = lengths[order[:4]] + lengths[order[4:]]
-        assert len(set(slot_sums.tolist())) == 1
-
-    def test_wave_size_validation(self):
-        with pytest.raises(ValueError):
-            paired_first_wave_order(np.array([1]), 0)
 
 
 class TestSwizzledRowGroups:

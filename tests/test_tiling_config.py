@@ -149,11 +149,11 @@ class TestSelectionEdgeCases:
     fallback — each config must also drive the kernel to exact numerics."""
 
     def _run(self, rng, a, n, config):
-        from repro.core import spmm
+        from repro import ExecutionContext, ops
         from repro.gpu import V100
 
         b = rng.standard_normal((a.n_cols, n)).astype(np.float32)
-        out = spmm(a, b, V100, config).output
+        out = ops.spmm(a, b, config=config, context=ExecutionContext(V100)).output
         ref = a.to_dense().astype(np.float32) @ b
         assert np.allclose(out, ref, atol=1e-4)
 
